@@ -8,7 +8,8 @@ conflict (a cross-check or theorem check disagrees), 2 input error,
 JSON documents carry {"schema_version", "type", "generators", "params"}
 with every integer as a decimal string; reports add "command" and "result"
 and re-parse under the same input schema.  SGRING_DEADLINE (seconds) and
-SGRING_THREADS set defaults for --deadline and --threads.
+SGRING_THREADS set defaults for --deadline and --threads; --threads is
+validated but changes nothing, since fixture batches run serially.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -425,11 +425,11 @@ def cmd_hilbert(args, deadline) -> int:
     s = _resolve_semigroup(args)
     if not isinstance(s, NumericalSemigroup):
         raise InputError("hilbert: tangent-cone Hilbert functions are numerical-only")
-    upto = args.upto if args.upto is not None else s.hilbert_stabilization()
-    values = s.hilbert_gr(upto)
+    stab = s.hilbert_stabilization(deadline)
+    upto = args.upto if args.upto is not None else stab
+    values = s.hilbert_gr(upto, deadline)
     nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
-    result = {"upto": upto, "values": values,
-              "stabilization": s.hilbert_stabilization(),
+    result = {"upto": upto, "values": values, "stabilization": stab,
               "nondecreasing": nondecreasing}
     emit(report_document("hilbert", s, {"upto": upto}, result), args.format,
          [f"hilbert function of the associated graded ring: {values}",
@@ -438,17 +438,12 @@ def cmd_hilbert(args, deadline) -> int:
     return EXIT_OK
 
 
-def _run_fixture_set(theorem: Optional[str], deadline, threads: int):
+def _run_fixture_set(theorem: Optional[str], deadline):
     picked = [f for f in FIXTURES if theorem is None or f.theorem == theorem]
     if theorem is not None and not picked:
         raise InputError(f"unknown check id {theorem!r}; known ids: "
                          + ", ".join(THEOREM_IDS))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda f: f.run(deadline), picked))
-    else:
-        reports = [f.run(deadline) for f in picked]
-    return list(zip(picked, reports))
+    return [(f, f.run(deadline)) for f in picked]
 
 
 def _fixture_output(command: str, pairs, fmt: str) -> int:
@@ -474,12 +469,12 @@ def _fixture_output(command: str, pairs, fmt: str) -> int:
 
 def cmd_verify(args, deadline) -> int:
     return _fixture_output(
-        "verify", _run_fixture_set(args.theorem, deadline, args.threads), args.format)
+        "verify", _run_fixture_set(args.theorem, deadline), args.format)
 
 
 def cmd_fixtures(args, deadline) -> int:
     return _fixture_output(
-        "fixtures", _run_fixture_set(None, deadline, args.threads), args.format)
+        "fixtures", _run_fixture_set(None, deadline), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +492,7 @@ def _add_common(p):
     p.add_argument("--deadline", type=float, default=None,
                    help="seconds before aborting with exit code 3")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for fixture batches")
-    p.add_argument("--seed", type=int, default=0, help="reserved; reports echo it")
+                   help="accepted for compatibility; fixture batches run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,10 +30,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return out
 
 
-def vec_leq(u: Vec, v: Vec) -> bool:
-    return all(a <= b for a, b in zip(u, v, strict=True))
-
-
 def scale(k: int, u: Vec) -> Vec:
     return tuple(k * a for a in u)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CertificationError, InputError
+from .errors import CertificationError, Deadline, InputError, tick
 from .linalg import nonneg_solve, rational_rank
 from .monomials import Order, Vec, compare, scale, vec_add
 
@@ -23,7 +23,11 @@ from .monomials import Order, Vec, compare, scale, vec_add
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e."""
+    """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e.
+
+    The membership and order tables grow lazily and belong to the instance;
+    they are not safe to share across threads.
+    """
 
     generators: tuple[int, ...]
 
@@ -105,14 +109,21 @@ class NumericalSemigroup:
         return [f for f in gs if all(tab[f + g] for g in self.generators)]
 
     @cached_property
+    def _closure_memo(self) -> list:
+        # verdicts.closure_resolution keeps its one result here
+        return []
+
+    @cached_property
     def _ord_table(self) -> list[int]:
         return [0]
 
-    def _ords_upto(self, upto: int) -> list[int]:
+    def _ords_upto(self, upto: int, deadline: Optional[Deadline] = None) -> list[int]:
         # ord[v] = max factorization length, -1 for non-members
         tab = self._ord_table
         while len(tab) <= upto:
             v = len(tab)
+            if not v & 4095:
+                tick(deadline)
             best = max((tab[v - g] for g in self.generators if v >= g and tab[v - g] >= 0),
                        default=-1)
             tab.append(best + 1 if best >= 0 else -1)
@@ -124,18 +135,18 @@ class NumericalSemigroup:
             raise InputError(f"{s} is not a member")
         return self._ords_upto(s)[s]
 
-    def hilbert_gr(self, upto: int) -> list[int]:
+    def hilbert_gr(self, upto: int, deadline: Optional[Deadline] = None) -> list[int]:
         """Hilbert function of the associated graded ring: H(n) = #{s : ord(s) = n}."""
         if upto < 0:
             raise InputError("upto must be >= 0")
-        tab = self._ords_upto(upto * self.generators[-1])
+        tab = self._ords_upto(upto * self.generators[-1], deadline)
         counts = [0] * (upto + 1)
         for o in tab:
             if 0 <= o <= upto:
                 counts[o] += 1
         return counts
 
-    def hilbert_stabilization(self) -> int:
+    def hilbert_stabilization(self, deadline: Optional[Deadline] = None) -> int:
         """Index past which H provably equals the multiplicity n_1.
 
         Along the ray w + k*n_1 of an Apery element w, the defect
@@ -154,7 +165,7 @@ class NumericalSemigroup:
                 continue
             j = max(0, (w - n2) // (n2 - n1))
             bound = max(bound, w + j * n1)
-        tab = self._ords_upto(bound)
+        tab = self._ords_upto(bound, deadline)
         out = 0
         for w in self.apery(n1):
             if w == 0:

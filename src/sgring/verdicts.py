@@ -24,6 +24,7 @@ from .toric import toric_ideal
 # after a too-small certified scan box).
 _DEPTH_BUDGET = 20.0
 _DEPTH_RETRIES = 6
+_EXHAUSTED = "cross-check budget exhausted"
 
 
 class CrossCheck(NamedTuple):
@@ -71,8 +72,21 @@ def closure_resolution(s, deadline=None):
     accepted only once two successive doublings of the box agree on every
     graded row.  Returns (table, summary, note); both are None when no
     stable pair fit the budget, with the note saying why.
+
+    The result is memoized on the semigroup object, so the verdicts that
+    share one closure scan it once.  A result cut short by the budget is
+    not stored: a later call with more time may still decide.
     """
-    sbar = projective_closure_semigroup(s)
+    memo = getattr(s, "_closure_memo", [])  # other inputs are rejected below
+    if memo:
+        return memo[0]
+    result = _stable_closure_table(projective_closure_semigroup(s), deadline)
+    if result[2] != _EXHAUSTED:
+        memo.append(result)
+    return result
+
+
+def _stable_closure_table(sbar, deadline):
     budget = _DEPTH_BUDGET
     if deadline is not None:
         budget = min(budget, deadline.remaining)
@@ -93,7 +107,7 @@ def closure_resolution(s, deadline=None):
             return None, None, str(exc)
         except DeadlineExceeded:
             tick(deadline)  # re-raise when the caller's own deadline is gone
-            return None, None, "cross-check budget exhausted"
+            return None, None, _EXHAUSTED
         if prev is not None and prev.rows == table.rows:
             return table, summary, f"stable across bounds {prev_bound} and {bound}"
         prev, prev_bound = table, bound
@@ -173,10 +187,11 @@ def cm_tangent_cone(s: NumericalSemigroup,
     bound = m * s.generators[-1] * (e - 1) if ord_bound is None else ord_bound
     bad = None
     for x in range(bound + 1):
+        if not x & 4095:
+            tick(deadline)
         if x in s and s.ord(x + m) != s.ord(x) + 1:
             bad = x
             break
-    tick(deadline)
     note = (f"order additive on members up to {bound}" if bad is None
             else f"ord({bad} + {m}) != ord({bad}) + 1")
     checks = (CrossCheck("order-additivity", bad is None, note),)
@@ -203,8 +218,13 @@ def gorenstein_numerical(s: NumericalSemigroup,
                        (CrossCheck("type-one", None,
                                    "no gaps: polynomial ring, type check skipped"),))
     f = s.frobenius()
-    bad = next((z for z in range(f + 1) if (z in s) == ((f - z) in s)), None)
-    tick(deadline)
+    bad = None
+    for z in range(f + 1):
+        if not z & 4095:
+            tick(deadline)
+        if (z in s) == ((f - z) in s):
+            bad = z
+            break
     pf = s.pf_numeric()
     checks = (CrossCheck("type-one", len(pf) == 1,
                          f"pseudo-Frobenius elements {pf}"),)

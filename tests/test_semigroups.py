@@ -1,12 +1,13 @@
 """Semigroup layer: membership, Apery, ord/Hilbert, gaps, gluing, extension, join."""
 import math
 import random
+import time
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
-from sgring.errors import CertificationError, InputError
+from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
 from sgring.monomials import Binomial
 from sgring.semigroups import (
     AffineSemigroup,
@@ -228,6 +229,16 @@ def test_hilbert_stabilizes_at_certified_index():
         stab = s.hilbert_stabilization()
         h = s.hilbert_gr(stab + 8)
         assert all(h[n] == s.multiplicity for n in range(stab, stab + 9))
+
+
+def test_hilbert_honours_deadline():
+    big = NumericalSemigroup([1009, 1013, 1019])
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        big.hilbert_stabilization(Deadline(0.2))
+    assert time.monotonic() - start < 5
+    s = NumericalSemigroup([3, 5, 7])
+    assert s.hilbert_gr(s.hilbert_stabilization(Deadline(0.2)), Deadline(0.2)) == [1, 3, 3]
 
 
 def test_hilbert_counts_match_ord():

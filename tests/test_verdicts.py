@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from sgring import verdicts
 from sgring.errors import InputError
 from sgring.semigroups import AffineSemigroup, NumericalSemigroup
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
     acm_projective_closure,
+    closure_resolution,
     cm_tangent_cone,
     gorenstein_numerical,
     gorenstein_projective_closure,
@@ -154,3 +156,36 @@ def test_verdicts_reject_affine_input():
                gorenstein_numerical):
         with pytest.raises(InputError):
             fn(aff)
+
+
+def _count_betti_scans(monkeypatch):
+    calls = []
+    scan = verdicts.betti_degrees
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(verdicts, "betti_degrees", counted)
+    return calls
+
+
+def test_closure_resolution_is_scanned_once_per_object(monkeypatch):
+    calls = _count_betti_scans(monkeypatch)
+    closure_resolution(NumericalSemigroup((57, 95, 56, 96)))
+    once = len(calls)
+    calls.clear()
+    # the ACM verdict and the Gorenstein reading share one closure scan
+    gorenstein_projective_closure(NumericalSemigroup((57, 95, 56, 96)))
+    assert once > 0 and len(calls) == once
+
+
+def test_exhausted_closure_budget_is_not_memoized(monkeypatch):
+    s = NumericalSemigroup((3, 5, 7))
+    monkeypatch.setattr(verdicts, "_DEPTH_BUDGET", 0.0)
+    table, summary, note = closure_resolution(s)
+    assert (table, summary, note) == (None, None, "cross-check budget exhausted")
+    monkeypatch.undo()
+    table, summary, note = closure_resolution(s)
+    assert table is not None and summary is not None, note
+    assert closure_resolution(s)[0] is table
