@@ -3,7 +3,8 @@
 Membership, gaps, Apery sets, the max-factorization-length order function and
 the Hilbert function of the associated graded ring, cone geometry, and the
 gluing / extension / join constructors.  Everything is exact integer or
-rational arithmetic; dynamic programming tables are memoized per instance.
+rational arithmetic.  Numerical membership reads the Apery set of the
+multiplicity, built once per instance; only the order table grows lazily.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ from .monomials import Order, Vec, compare, scale, vec_add
 class NumericalSemigroup:
     """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e.
 
-    The membership and order tables grow lazily and belong to the instance;
-    they are not safe to share across threads.
+    Membership reads the Apery set of n_1, built once per instance.  Only the
+    order table grows lazily; it belongs to the instance and is not safe to
+    share across threads.
     """
 
     generators: tuple[int, ...]
@@ -51,21 +53,15 @@ class NumericalSemigroup:
         return self.generators[0]
 
     @cached_property
-    def _member_table(self) -> list[bool]:
-        return [True]
-
-    def _members_upto(self, upto: int) -> list[bool]:
-        tab = self._member_table
-        while len(tab) <= upto:
-            v = len(tab)
-            tab.append(any(v >= g and tab[v - g] for g in self.generators))
-        return tab
+    def _apery_by_residue(self) -> list[int]:
+        # Ap(S, n_1) indexed by residue; n_1 is a member, so no check is needed
+        return _least_per_residue(self.generators, self.multiplicity)
 
     def membership(self, x: int) -> bool:
-        """True iff x is a sum of generators (DP over 0..x)."""
+        """True iff x >= Ap(S, n_1)[x mod n_1], the least member congruent to x."""
         if x < 0:
             raise InputError("membership is defined on N")
-        return self._members_upto(x)[x]
+        return x >= self._apery_by_residue[x % self.multiplicity]
 
     def __contains__(self, x: int) -> bool:
         return self.membership(x)
@@ -74,39 +70,19 @@ class NumericalSemigroup:
         """Least member in each residue class mod m, sorted; m must be a nonzero member."""
         if m == 0 or not self.membership(m):
             raise InputError(f"{m} is not a nonzero member")
-        dist: list[Optional[int]] = [None] * m
-        dist[0] = 0
-        heap: list[tuple[int, int]] = [(0, 0)]
-        while heap:
-            d, r = heapq.heappop(heap)
-            if dist[r] != d:
-                continue
-            for g in self.generators:
-                nd, nr = d + g, (r + g) % m
-                if dist[nr] is None or nd < dist[nr]:
-                    dist[nr] = nd
-                    heapq.heappush(heap, (nd, nr))
-        assert all(d is not None for d in dist)
-        return sorted(dist)  # type: ignore[arg-type]
+        return sorted(_least_per_residue(self.generators, m))
 
     def frobenius(self) -> int:
         """Largest integer outside the semigroup; -1 when the semigroup is N."""
-        return max(self.apery(self.multiplicity)) - self.multiplicity
+        return max(self._apery_by_residue) - self.multiplicity
 
     def gaps(self) -> list[int]:
-        f = self.frobenius()
-        if f < 0:
-            return []
-        tab = self._members_upto(f)
-        return [v for v in range(1, f + 1) if not tab[v]]
+        return [v for v in range(1, self.frobenius() + 1) if not self.membership(v)]
 
     def pf_numeric(self) -> list[int]:
         """Pseudo-Frobenius numbers: gaps f with f + n_i inside for every generator."""
-        gs = self.gaps()
-        if not gs:
-            return []
-        tab = self._members_upto(gs[-1] + self.generators[-1])
-        return [f for f in gs if all(tab[f + g] for g in self.generators)]
+        return [f for f in self.gaps()
+                if all(self.membership(f + g) for g in self.generators)]
 
     @cached_property
     def _closure_memo(self) -> list:
@@ -160,14 +136,14 @@ class NumericalSemigroup:
             return 0
         n1, n2 = self.generators[0], self.generators[1]
         bound = 0
-        for w in self.apery(n1):
+        for w in self._apery_by_residue:
             if w == 0:
                 continue
             j = max(0, (w - n2) // (n2 - n1))
             bound = max(bound, w + j * n1)
         tab = self._ords_upto(bound, deadline)
         out = 0
-        for w in self.apery(n1):
+        for w in self._apery_by_residue:
             if w == 0:
                 continue
             j = max(0, (w - n2) // (n2 - n1))
@@ -185,6 +161,25 @@ class NumericalSemigroup:
         h = self.hilbert_gr(upto)
         assert h[stab] == self.multiplicity or stab == 0
         return all(h[i] <= h[i + 1] for i in range(len(h) - 1))
+
+
+def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
+    """Least member of <gens> in each residue class mod m, indexed by residue
+    (Dijkstra on the residues, one edge per generator)."""
+    dist: list[Optional[int]] = [None] * m
+    dist[0] = 0
+    heap: list[tuple[int, int]] = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if dist[r] != d:
+            continue
+        for g in gens:
+            nd, nr = d + g, (r + g) % m
+            if dist[nr] is None or nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    assert all(d is not None for d in dist)
+    return dist  # type: ignore[return-value]
 
 
 def _redundant_numeric(gens: tuple[int, ...]) -> list[int]:

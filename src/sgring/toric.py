@@ -1,12 +1,12 @@
 """Defining binomial ideals of semigroup rings.
 
-toric_ideal computes the kernel of the monomial map attached to a numerical
-or affine semigroup, either by variable elimination through the Buchberger
-engine or — for numerical semigroups with large generators, where the
-auxiliary-variable route is too slow — by linking the connected components of
-divisor graphs, which yields a minimal generating set directly.  Divisor
-graphs of degrees past frobenius + 2*max(generator) are complete, so the scan
-window is certified.
+toric_ideal computes the kernel of the monomial map attached to a semigroup,
+by one route per semigroup kind.  For a numerical semigroup it links the
+connected components of divisor graphs, which yields a minimal generating set
+directly (Briales, Campillo, Marijuan, Pison, JPAA 124, 1998); divisor graphs
+of degrees past frobenius + 2*max(generator) are complete, so the scan window
+is certified.  For an affine semigroup it eliminates auxiliary variables
+through the Buchberger engine.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
 from .errors import Deadline, InputError, tick
-from .groebner import GroebnerBasis, _elements, buchberger, homogenize_ideal
+from .groebner import _elements, buchberger
 from .monomials import (
     Binomial,
     Order,
@@ -28,8 +28,6 @@ from .monomials import (
     vec_add,
 )
 from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup
-
-_GRAPH_THRESHOLD = 50  # largest generator before elimination gets too slow
 
 
 def gamma_degree(m: Vec, degree_map: Sequence[Vec]) -> Vec:
@@ -140,45 +138,22 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
 
 
 def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup],
-                deadline: Optional[Deadline] = None,
-                method: str = "auto") -> BinomialIdeal:
-    """Generators of the kernel of the monomial map x_i -> t^{a_i}."""
+                deadline: Optional[Deadline] = None) -> BinomialIdeal:
+    """Generators of the kernel of the monomial map x_i -> t^{a_i}.
+
+    A numerical semigroup gets a minimal generating set from its divisor
+    graphs; an affine semigroup gets the elimination basis.
+    """
     if isinstance(s, NumericalSemigroup):
         vecs = tuple((g,) for g in s.generators)
-        numerical: Optional[NumericalSemigroup] = s
+        raw = _toric_by_divisor_graphs(s, deadline)
     elif isinstance(s, AffineSemigroup):
         vecs = s.generators
-        numerical = None
-    else:
-        raise InputError("toric_ideal expects a semigroup")
-    if method == "auto":
-        method = ("graph" if numerical is not None and max(s.generators) > _GRAPH_THRESHOLD
-                  else "elimination")
-    if method == "graph":
-        if numerical is None:
-            raise InputError("the divisor-graph method only covers numerical semigroups")
-        raw = _toric_by_divisor_graphs(numerical, deadline)
-    elif method == "elimination":
         raw = _toric_by_elimination(vecs, deadline)
     else:
-        raise InputError(f"unknown toric method {method!r}")
+        raise InputError("toric_ideal expects a semigroup")
     e = len(vecs)
     return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
-
-
-def projective_closure_ideal(s: NumericalSemigroup,
-                             deadline: Optional[Deadline] = None) -> BinomialIdeal:
-    """Ideal of the projective closure: homogenize the reduced degree-revlex
-    basis with the fresh variable sitting lowest."""
-    if not isinstance(s, NumericalSemigroup):
-        raise InputError("projective closure is defined for numerical semigroups")
-    ideal = toric_ideal(s, deadline)
-    e = s.embedding_dim
-    gb = buchberger(ideal.generators, degrevlex(e), deadline)
-    hgb = homogenize_ideal(gb)
-    top = s.generators[-1]
-    dmap = tuple((g, top - g) for g in s.generators) + ((0, top),)
-    return BinomialIdeal(_x_names(e) + ("x0",), hgb.elements, dmap)
 
 
 def glued_ideal_generators(spec: GluingSpec, gb1, gb2) -> BinomialIdeal:

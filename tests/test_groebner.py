@@ -200,7 +200,7 @@ def test_homogenized_basis_recomputes_identically():
             except InputError:
                 continue
         e = s.embedding_dim
-        gens = toric_ideal(s).generators
+        gens = buchberger(toric_ideal(s).generators, degrevlex(e)).elements
         direct = homogenize_ideal(buchberger(gens, degrevlex(e)))
         ext = Order("degree", "revlex", tuple(range(e + 1)), homog_index=e)
         hgens = [homogenize(Binomial(b.lead + (0,), b.tail + (0,)), e) for b in gens]

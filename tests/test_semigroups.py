@@ -177,6 +177,11 @@ def test_apery_characterizes_membership():
         by_class = {w % m: w for w in ap}
         for x in range(s.frobenius() + 2 * m + 2):
             assert (x in s) == (x >= by_class[x % m])
+    # membership cost does not follow the size of the integer
+    s = NumericalSemigroup((1009, 1013, 1019))
+    f = s.frobenius()
+    assert 10**18 in s
+    assert f not in s and f + 1 in s
 
 
 def test_frobenius_and_gaps_match_brute():

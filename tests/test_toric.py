@@ -5,7 +5,7 @@ import pytest
 
 from sgring.errors import InputError
 from sgring.monomials import Binomial, degrevlex
-from sgring.groebner import buchberger, is_groebner
+from sgring.groebner import buchberger, homogenize_ideal, is_groebner
 from sgring.semigroups import (
     AffineSemigroup,
     GluingSpec,
@@ -15,10 +15,11 @@ from sgring.semigroups import (
 )
 from sgring.toric import (
     BinomialIdeal,
+    _toric_by_elimination,
+    _x_names,
     gamma_degree,
     glued_ideal_generators,
     ideal_equals,
-    projective_closure_ideal,
     toric_ideal,
 )
 
@@ -30,6 +31,26 @@ def random_numerical(rng, lo=3, hi=30, kmax=4):
             return NumericalSemigroup(cand)
         except InputError:
             continue
+
+
+def projective_closure_ideal(s: NumericalSemigroup) -> BinomialIdeal:
+    """Ideal of the projective closure: homogenize the reduced degree-revlex
+    basis with the fresh variable sitting lowest."""
+    if not isinstance(s, NumericalSemigroup):
+        raise InputError("projective closure is defined for numerical semigroups")
+    e = s.embedding_dim
+    gb = buchberger(toric_ideal(s).generators, degrevlex(e))
+    hgb = homogenize_ideal(gb)
+    top = s.generators[-1]
+    dmap = tuple((g, top - g) for g in s.generators) + ((0, top),)
+    return BinomialIdeal(_x_names(e) + ("x0",), hgb.elements, dmap)
+
+
+def elimination_ideal(s: NumericalSemigroup) -> BinomialIdeal:
+    """The toric ideal by variable elimination, as an oracle for the
+    divisor-graph route."""
+    vecs = tuple((g,) for g in s.generators)
+    return BinomialIdeal(_x_names(len(vecs)), tuple(_toric_by_elimination(vecs, None)), vecs)
 
 
 def test_gamma_degree():
@@ -68,23 +89,17 @@ def test_toric_methods_agree():
     rng = random.Random(41)
     for _ in range(15):
         s = random_numerical(rng)
-        a = toric_ideal(s, method="elimination")
-        b = toric_ideal(s, method="graph")
-        assert ideal_equals(a, b)
-    with pytest.raises(InputError):
-        toric_ideal(NumericalSemigroup((3, 5)), method="mystery")
-    with pytest.raises(InputError):
-        toric_ideal(AffineSemigroup([(1, 2), (2, 1)]), method="graph")
+        assert ideal_equals(toric_ideal(s), elimination_ideal(s))
     with pytest.raises(InputError):
         toric_ideal([3, 5])
 
 
 def test_toric_complete_intersection_vs_elimination_sizes():
-    # the graph method returns a minimal generating set; elimination may
-    # return more elements of the same ideal
+    # the divisor-graph route returns a minimal generating set; elimination
+    # may return more elements of the same ideal
     s = NumericalSemigroup((6, 9, 20))
-    graph = toric_ideal(s, method="graph")
-    elim = toric_ideal(s, method="elimination")
+    graph = toric_ideal(s)
+    elim = elimination_ideal(s)
     assert len(graph.generators) == 2
     assert len(elim.generators) >= 2
     assert ideal_equals(graph, elim)
@@ -98,7 +113,7 @@ def test_three_generated_count_is_two_or_three():
         s = random_numerical(rng, kmax=3)
         if s.embedding_dim != 3:
             continue
-        n = len(toric_ideal(s, method="graph").generators)
+        n = len(toric_ideal(s).generators)
         assert n in (2, 3)
 
 
