@@ -11,8 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import comb
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .errors import Deadline, InputError, tick
 from .monomials import (
@@ -265,44 +264,3 @@ def initial_forms_ideal(gens, local_order: Order,
         else:
             out.append(b)
     return out
-
-
-def quotient_hilbert(leads: Sequence[Vec], nvars: int, upto: int) -> list[int]:
-    """Hilbert function of (polynomial ring)/(monomial ideal), standard grading.
-
-    Computed through the numerator recursion N(I + m) = N(I) - t^|m| N(I : m)
-    against (1-t)^nvars.
-    """
-    if any(len(m) != nvars for m in leads):
-        raise InputError("lead monomial does not match the variable count")
-
-    def minimal(ms: tuple[Vec, ...]) -> tuple[Vec, ...]:
-        ms = tuple(sorted(set(ms), key=total_degree))
-        out: list[Vec] = []
-        for m in ms:
-            if not any(divides(k, m) for k in out):
-                out.append(m)
-        return tuple(out)
-
-    def numerator(ms: tuple[Vec, ...]) -> dict[int, int]:
-        ms = minimal(ms)
-        if not ms:
-            return {0: 1}
-        if any(not any(m) for m in ms):  # the unit monomial: whole ring
-            return {}
-        if len(ms) == 1:
-            return {0: 1, total_degree(ms[0]): -1}
-        pivot, rest = ms[0], ms[1:]
-        left = numerator(rest)
-        colon = tuple(tuple(max(c - p, 0) for c, p in zip(m, pivot)) for m in rest)
-        right = numerator(colon)
-        d = total_degree(pivot)
-        out = dict(left)
-        for k, v in right.items():
-            out[k + d] = out.get(k + d, 0) - v
-        return {k: v for k, v in out.items() if v}
-
-    num = numerator(tuple(leads))
-    return [sum(v * comb(n - k + nvars - 1, nvars - 1)
-                for k, v in num.items() if k <= n)
-            for n in range(upto + 1)]

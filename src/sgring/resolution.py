@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import BoundInsufficient, CertificationError, Deadline, InputError, tick
 from .linalg import rational_rank
@@ -39,40 +39,7 @@ def _gen_vectors(s: Semigroup) -> tuple[tuple[Vec, ...], int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes and exact homology
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Vertices 0..n-1; stored by maximal faces.  No facets means just {()}."""
-    n: int
-    facets: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, facets: Sequence[Sequence[int]]):
-        n = int(n)
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
-        sets = {frozenset(int(v) for v in f) for f in facets}
-        for f in sets:
-            if any(not 0 <= v < n for v in f):
-                raise InputError("facet vertex out of range")
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets",
-                           tuple(sorted(tuple(sorted(f)) for f in maximal)))
-
-    def faces_by_size(self) -> list[list[tuple[int, ...]]]:
-        """All faces (downward closure), grouped by cardinality; size 0 is {()}."""
-        seen: set[tuple[int, ...]] = {()}
-        for facet in self.facets:
-            k = len(facet)
-            for mask in range(1, 1 << k):
-                seen.add(tuple(facet[i] for i in range(k) if mask >> i & 1))
-        top = max(map(len, seen))
-        grouped: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
-        for f in sorted(seen):
-            grouped[len(f)].append(f)
-        return grouped
+# exact homology of divisor complexes
 
 
 def _ranks_from_faces(faces_by_size: list[list[tuple[int, ...]]]) -> list[int]:
@@ -90,36 +57,6 @@ def _ranks_from_faces(faces_by_size: list[list[tuple[int, ...]]]) -> list[int]:
     boundary_ranks.append(0)
     return [len(faces_by_size[s]) - boundary_ranks[s] - boundary_ranks[s + 1]
             for s in range(len(faces_by_size))]
-
-
-def homology_ranks(k: SimplicialComplex) -> list[int]:
-    """Reduced homology ranks over Q; entry i feeds the Betti number at level i."""
-    return _ranks_from_faces(k.faces_by_size())
-
-
-def sq_divisor_complex(s: Semigroup, b) -> SimplicialComplex:
-    """Faces are generator subsets F with b - sum(F) still in the semigroup."""
-    gens, d, numerical = _gen_vectors(s)
-    n = len(gens)
-    if n > _MAX_VERTICES:
-        raise InputError(f"{n} generators exceed the subset-enumeration limit")
-    bb: Vec = (int(b),) if numerical else tuple(int(c) for c in b)
-    if len(bb) != d:
-        raise InputError("degree does not match the ambient dimension")
-    if not _member(s, bb, numerical):
-        raise InputError(f"{b} is not in the semigroup")
-    faces = []
-    for mask in range(1 << n):
-        rest = bb
-        for i in range(n):
-            if mask >> i & 1:
-                rest = tuple(r - g for r, g in zip(rest, gens[i]))
-        if all(c >= 0 for c in rest) and _member(s, rest, numerical):
-            faces.append(mask)
-    face_set = set(faces)
-    facets = [[i for i in range(n) if m >> i & 1] for m in faces
-              if not any(m != o and m & o == m for o in face_set)]
-    return SimplicialComplex(n, facets)
 
 
 def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:

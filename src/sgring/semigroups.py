@@ -90,6 +90,11 @@ class NumericalSemigroup:
         return []
 
     @cached_property
+    def _closure_apery_memo(self) -> list:
+        # verdicts.closure_apery keeps its one finished set here
+        return []
+
+    @cached_property
     def _ord_table(self) -> list[int]:
         return [0]
 

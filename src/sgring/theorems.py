@@ -23,7 +23,7 @@ from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec, NumericalSe
                          condition_A, condition_B, embed_axis, extend, glue,
                          is_nice_gluing, is_star_gluing, join, nd_order)
 from .resolution import betti_degrees, is_prec_symmetric, pf_via_betti, sifr_check
-from .verdicts import (acm_projective_closure, closure_resolution,
+from .verdicts import (NOT_ACM, acm_projective_closure, closure_resolution,
                        cm_tangent_cone, gorenstein_projective_closure)
 
 
@@ -323,7 +323,7 @@ def verify_glued_closure_gorenstein(spec: GluingSpec,
     notes = [f"glued generators {glued.generators}"]
     notes += _verdict_notes("glued-closure", verdict)
     if verdict.result is False:
-        if not acm_projective_closure(glued.semigroup, deadline).result:
+        if verdict.method == NOT_ACM:
             notes.append("the glued closure is not arithmetically Cohen-Macaulay, "
                          "so the Gorenstein conclusion fails with it")
         else:

@@ -6,14 +6,21 @@ that completes and disagrees flags the verdict as a conflict; conflicts are
 never silently resolved, callers are expected to surface them.  A
 cross-check that cannot be certified within its budget reports None with a
 note saying why.
+
+The projective-closure verdicts read the Apery set of the closure with
+respect to its two extremal generators, enumerated once per semigroup
+without a scan box; the closure Betti scan (`closure_resolution`) is kept
+for the Betti-totals note of the gluing harness and as a test oracle.
 """
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (BoundInsufficient, Deadline, DeadlineExceeded,
                      InputError, tick)
-from .monomials import degrevlex, negdegrevlex
+from .monomials import Vec, degrevlex, negdegrevlex, vec_add
 from .groebner import buchberger, homogenize_ideal
 from .groebner import standard_basis_local
 from .semigroups import AffineSemigroup, NumericalSemigroup
@@ -62,8 +69,89 @@ def projective_closure_semigroup(s: NumericalSemigroup) -> AffineSemigroup:
     return AffineSemigroup([(n, e - n) for n in s.generators] + [(0, e)])
 
 
+def closure_apery(s: NumericalSemigroup,
+                  deadline: Optional[Deadline] = None) -> frozenset:
+    """Ap(S', E) for the projective closure S' = <(n_i, n_e - n_i), (0, n_e)>
+    and its extremal generators E = {(n_e, 0), (0, n_e)}: the members p of
+    S' with neither p - (n_e, 0) nor p - (0, n_e) in S'.
+
+    S' is simplicial, so its ring is Cohen-Macaulay iff |Ap(S', E)| = n_e,
+    the index of the lattice spanned by E in the group of S'
+    (Goto-Suzuki-Watanabe 1976), and a Cohen-Macaulay S' is Gorenstein iff
+    Ap(S', E) has one maximal element (Rosales-Garcia-Sanchez 1998).
+    Removing a non-extremal generator from an element of Ap(S', E) leaves
+    one, so a breadth-first search over those generators from (0, 0)
+    enumerates the set without a scan box.  Membership is exact:
+    (x, y) is in S' iff n_e divides x + y and x has a factorization in S of
+    length at most (x + y) / n_e, the balance being copies of (0, n_e).
+
+    The set is built once per semigroup object; a search cut short by the
+    deadline raises and stores nothing.
+    """
+    if not isinstance(s, NumericalSemigroup):
+        raise InputError("the closure Apery set needs a numerical semigroup")
+    memo = s._closure_apery_memo
+    if memo:
+        return memo[0]
+    top = s.generators[-1]
+    steps = _closure_steps(s)
+    minlen = [0]  # shortest factorization length in S, inf off S
+
+    def member(x: int, y: int) -> bool:
+        if x < 0 or y < 0 or (x + y) % top:
+            return False
+        while len(minlen) <= x:
+            v = len(minlen)
+            if not v & 4095:
+                tick(deadline)
+            minlen.append(1 + min((minlen[v - g] for g in s.generators if g <= v),
+                                  default=math.inf))
+        return minlen[x] <= (x + y) // top
+
+    found = {(0, 0)}
+    queue = deque(found)
+    pops = 0
+    while queue:
+        if not pops & 4095:
+            tick(deadline)
+        pops += 1
+        x, y = queue.popleft()
+        for dx, dy in steps:
+            p = (x + dx, y + dy)
+            if p in found or member(p[0] - top, p[1]) or member(p[0], p[1] - top):
+                continue
+            found.add(p)
+            queue.append(p)
+    memo.append(frozenset(found))
+    return memo[0]
+
+
+def _closure_steps(s: NumericalSemigroup) -> list[Vec]:
+    top = s.generators[-1]
+    return [(n, top - n) for n in s.generators[:-1]]
+
+
+def _apery_symmetry(ap: frozenset, top_gen: int) -> tuple[bool, str]:
+    """Gorenstein reading from the set alone: n_e elements, and w -> t - w
+    maps the set into itself for its single element t of largest degree."""
+    if len(ap) != top_gen:
+        return False, f"|Ap(closure, E)| = {len(ap)}, not n_e = {top_gen}"
+    high = max(map(sum, ap))
+    tops = [w for w in ap if sum(w) == high]
+    if len(tops) != 1:
+        return False, f"{len(tops)} elements of Ap(closure, E) share the top degree"
+    t = tops[0]
+    odd = next((w for w in sorted(ap) if (t[0] - w[0], t[1] - w[1]) not in ap), None)
+    if odd is None:
+        return True, f"Ap(closure, E) is symmetric about {t}"
+    return False, f"Ap(closure, E) is not symmetric about {t}: {t} - {odd} is missing"
+
+
 def closure_resolution(s, deadline=None):
     """Betti table and summary of the projective closure semigroup.
+
+    No verdict reads it: they decide from `closure_apery`.  The gluing
+    harness quotes its totals, and tests use it as an independent oracle.
 
     Closure generators sit off the coordinate axes, so no scan box is
     provably complete; a single scan can drop top syzygies without leaving
@@ -73,9 +161,9 @@ def closure_resolution(s, deadline=None):
     graded row.  Returns (table, summary, note); both are None when no
     stable pair fit the budget, with the note saying why.
 
-    The result is memoized on the semigroup object, so the verdicts that
-    share one closure scan it once.  A result cut short by the budget is
-    not stored: a later call with more time may still decide.
+    The result is memoized on the semigroup object, so repeated calls scan
+    once.  A result cut short by the budget is not stored: a later call
+    with more time may still decide.
     """
     memo = getattr(s, "_closure_memo", [])  # other inputs are rejected below
     if memo:
@@ -127,9 +215,10 @@ def acm_projective_closure(s: NumericalSemigroup,
 
     Cross-checks: (a) rerun Buchberger on the homogenized basis treated as
     mere generators, so the lead-preservation shortcut used by the primary
-    route is verified mechanically instead of trusted; (b) depth of the
-    closure semigroup ring read off its Betti table (depth 2 is maximal in
-    the two-dimensional closure).
+    route is verified mechanically instead of trusted; (b) "closure-depth":
+    the closure ring has depth 2, its dimension, exactly when the Apery set
+    of the closure semigroup has n_e elements (see `closure_apery`).  Both
+    always decide.
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("acm_projective_closure expects a numerical semigroup")
@@ -146,9 +235,9 @@ def acm_projective_closure(s: NumericalSemigroup,
     checks = [CrossCheck("homogenized-recompute", alt,
                          "lead sets agree" if same else "lead sets differ")]
 
-    table, summary, note = closure_resolution(s, deadline)
-    checks.append(CrossCheck("closure-depth",
-                             None if summary is None else summary.cm, note))
+    ap, top = closure_apery(s, deadline), s.generators[-1]
+    checks.append(CrossCheck("closure-depth", len(ap) == top,
+                             f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
     return Verdict("acm-projective-closure", result,
                    "initial-ideal divisibility by the largest-generator variable",
                    offender, tuple(checks))
@@ -232,30 +321,34 @@ def gorenstein_numerical(s: NumericalSemigroup,
                    None if bad is None else (bad, f - bad), checks)
 
 
+NOT_ACM = "not arithmetically Cohen-Macaulay"
+
+
 def gorenstein_projective_closure(s: NumericalSemigroup,
                                   deadline: Optional[Deadline] = None) -> Verdict:
     """Is the projective closure's coordinate ring Gorenstein?
 
-    Primary method: the arithmetically Cohen-Macaulay verdict combined with
-    the last total Betti number of the closure semigroup being one.  Not
-    ACM short-circuits to False; an uncertifiable Betti scan leaves the
-    verdict undecided rather than guessed.  Cross-check: the Gorenstein
-    flag of the closure's resolution summary, whose depth reading comes
-    from the Betti table instead of the Groebner basis.
+    Primary method: the arithmetically Cohen-Macaulay verdict (Groebner
+    route) combined with the Apery set of the closure (`closure_apery`)
+    having exactly one maximal element in the semigroup order.  Not ACM
+    short-circuits to False.  For an ACM closure the witness is the sorted
+    maximal elements shifted by the sum of the non-extremal closure
+    generators: the top Betti degrees of the closure ring.  Cross-check:
+    the Apery set read alone, with n_e elements (depth 2) and symmetric
+    about its element of largest degree.  Every answer is decided.
     """
     acm = acm_projective_closure(s, deadline=deadline)
-    table, summary, note = closure_resolution(s, deadline)
-    flag = None if summary is None else summary.gorenstein
+    ap = closure_apery(s, deadline)
+    flag = CrossCheck("closure-gorenstein-flag", *_apery_symmetry(ap, s.generators[-1]))
     if acm.result is False:
-        return Verdict("gorenstein-projective-closure", False,
-                       "not arithmetically Cohen-Macaulay", acm.witness,
-                       (CrossCheck("closure-gorenstein-flag", flag, note),))
-    if table is None:
-        return Verdict("gorenstein-projective-closure", None,
-                       "closure Betti table unavailable", None,
-                       (CrossCheck("closure-gorenstein-flag", None, note),))
-    result = bool(acm.result) and table.total[-1] == 1
-    return Verdict("gorenstein-projective-closure", result,
-                   "arithmetically Cohen-Macaulay and last Betti number one",
-                   table.top_degrees,
-                   (CrossCheck("closure-gorenstein-flag", flag, note),))
+        return Verdict("gorenstein-projective-closure", False, NOT_ACM,
+                       acm.witness, (flag,))
+    steps = _closure_steps(s)
+    sigma = (sum(g[0] for g in steps), sum(g[1] for g in steps))
+    # maximal in the order of the closure semigroup: no non-extremal
+    # generator leads from w to another element of the set
+    maximal = [w for w in ap if not any(vec_add(w, g) in ap for g in steps)]
+    return Verdict("gorenstein-projective-closure", len(maximal) == 1,
+                   "arithmetically Cohen-Macaulay and one maximal element "
+                   "of the closure Apery set",
+                   tuple(sorted(vec_add(w, sigma) for w in maximal)), (flag,))

@@ -119,6 +119,7 @@ def test_glue_projective_closure_not_acm(capsys):
     assert verdict["conflict"] is False
     names = [c["name"] for c in verdict["cross_checks"]]
     assert names == ["homogenized-recompute", "closure-depth"]
+    assert verdict["cross_checks"][1]["result"] is False
 
 
 def test_betti_command(capsys):

