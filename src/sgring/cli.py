@@ -393,7 +393,7 @@ def cmd_pf(args, deadline) -> int:
     if args.box:
         box = _int_list(args.box, "--box")
         # numerical gap sets are always finite; the box only bounds affine scans
-        direct = s.pf_direct(box) if not isinstance(s, NumericalSemigroup) \
+        direct = s.pf_direct(box, deadline) if not isinstance(s, NumericalSemigroup) \
             else [(f,) for f in s.pf_numeric()]
         result["pf_direct"] = [list(d) for d in direct]
         agree = sorted(tuple(d) for d in direct) == sorted(

@@ -4,12 +4,15 @@ Membership, gaps, Apery sets, the max-factorization-length order function and
 the Hilbert function of the associated graded ring, cone geometry, and the
 gluing / extension / join constructors.  Everything is exact integer or
 rational arithmetic.  Numerical membership reads the Apery set of the
-multiplicity, built once per instance; only the order table grows lazily.
+multiplicity; the order function and the Hilbert function read the Apery
+table of the powers of the maximal ideal.  Both are built once per instance
+and never grow.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -26,9 +29,10 @@ from .monomials import Order, Vec, compare, scale, vec_add
 class NumericalSemigroup:
     """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e.
 
-    Membership reads the Apery set of n_1, built once per instance.  Only the
-    order table grows lazily; it belongs to the instance and is not safe to
-    share across threads.
+    Membership reads the Apery set of n_1; `ord`, the Hilbert function and
+    its stabilization index read the Apery table of the powers of the
+    maximal ideal.  Each is built once per instance, in O(n_1) entries per
+    row whatever the size of the integers, and never grows afterwards.
     """
 
     generators: tuple[int, ...]
@@ -85,75 +89,65 @@ class NumericalSemigroup:
                 if all(self.membership(f + g) for g in self.generators)]
 
     @cached_property
-    def _closure_memo(self) -> list:
-        # verdicts.closure_resolution keeps its one result here
-        return []
+    def _memo(self) -> dict:
+        # finished artifacts, each stored once under the name of its builder:
+        # apery_table, verdicts.closure_apery, verdicts.closure_resolution
+        return {}
 
-    @cached_property
-    def _closure_apery_memo(self) -> list:
-        # verdicts.closure_apery keeps its one finished set here
-        return []
-
-    @cached_property
-    def _ord_table(self) -> list[int]:
-        return [0]
-
-    def _ords_upto(self, upto: int, deadline: Optional[Deadline] = None) -> list[int]:
-        # ord[v] = max factorization length, -1 for non-members
-        tab = self._ord_table
-        while len(tab) <= upto:
-            v = len(tab)
-            if not v & 4095:
-                tick(deadline)
-            best = max((tab[v - g] for g in self.generators if v >= g and tab[v - g] >= 0),
-                       default=-1)
-            tab.append(best + 1 if best >= 0 else -1)
-        return tab
+    def apery_table(self, deadline: Optional[Deadline] = None) -> tuple[list[int], ...]:
+        """Rows m_0, ..., m_r of the Apery table of the powers of the maximal
+        ideal M (Cortadellas Benitez, Jafari, Zarzuela, Semigroup Forum 86,
+        2013): m_l(i) is the least element of M^l congruent to i mod n_1, so
+        m_0 = Ap(S, n_1) and m_l(i) = min over generators g of g + m_{l-1}(i - g).
+        Columns step by 0 or n_1; the table stops at the reduction number r,
+        the first row whose successor is the row plus n_1, and r < n_1.  It
+        is built once per object; a build cut short raises and stores nothing.
+        """
+        if "apery_table" in self._memo:
+            return self._memo["apery_table"]
+        n1 = self.multiplicity
+        rows = [self._apery_by_residue]
+        while True:
+            tick(deadline)
+            prev = rows[-1]
+            climbed = [v + n1 for v in prev]
+            row = climbed
+            for g in self.generators[1:]:
+                k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
+                row = [a if a <= b + g else b + g
+                       for a, b in zip(row, prev[k:] + prev[:k])]
+            if row == climbed:
+                break
+            rows.append(row)
+        self._memo["apery_table"] = tuple(rows)
+        return self._memo["apery_table"]
 
     def ord(self, s: int) -> int:
-        """Max factorization length of a member."""
+        """Max factorization length of a member: the last row of the Apery
+        table whose entry in the residue of s is at most s, plus one per n_1
+        past the table."""
         if s < 0 or not self.membership(s):
             raise InputError(f"{s} is not a member")
-        return self._ords_upto(s)[s]
+        rows, r = self.apery_table(), s % self.multiplicity
+        below = bisect_right(rows, s, key=lambda row: row[r])
+        return below - 1 + max(0, s - rows[-1][r]) // self.multiplicity
 
     def hilbert_gr(self, upto: int, deadline: Optional[Deadline] = None) -> list[int]:
-        """Hilbert function of the associated graded ring: H(n) = #{s : ord(s) = n}."""
+        """Hilbert function of the associated graded ring:
+        H(l) = #(M^l minus M^(l+1)) = sum over residues of (m_(l+1) - m_l) / n_1,
+        which is n_1 from the reduction number on."""
         if upto < 0:
             raise InputError("upto must be >= 0")
-        tab = self._ords_upto(upto * self.generators[-1], deadline)
-        counts = [0] * (upto + 1)
-        for o in tab:
-            if 0 <= o <= upto:
-                counts[o] += 1
-        return counts
+        sums = [sum(row) for row in self.apery_table(deadline)]
+        n1 = self.multiplicity
+        return [(sums[l + 1] - sums[l]) // n1 if l + 1 < len(sums) else n1
+                for l in range(upto + 1)]
 
     def hilbert_stabilization(self, deadline: Optional[Deadline] = None) -> int:
-        """Index past which H provably equals the multiplicity n_1.
-
-        Along the ray w + k*n_1 of an Apery element w, the defect
-        ord(w + k*n_1) - k equals max_{j<=k} (L_j - j) where L_j is the longest
-        factorization of w + j*n_1 avoiding n_1.  L_j <= (w + j*n_1)/n_2 caps
-        every improvement at j <= (w - n_2)/(n_2 - n_1), so past that index the
-        ray climbs one level at a time and each of the n_1 rays contributes
-        exactly one element per level.
-        """
-        if self.embedding_dim == 1:
-            return 0
-        n1, n2 = self.generators[0], self.generators[1]
-        bound = 0
-        for w in self._apery_by_residue:
-            if w == 0:
-                continue
-            j = max(0, (w - n2) // (n2 - n1))
-            bound = max(bound, w + j * n1)
-        tab = self._ords_upto(bound, deadline)
-        out = 0
-        for w in self._apery_by_residue:
-            if w == 0:
-                continue
-            j = max(0, (w - n2) // (n2 - n1))
-            out = max(out, tab[w + j * n1])
-        return out
+        """Least index from which H equals the multiplicity n_1: the
+        reduction number, the last row of the Apery table.  Every column
+        step is 0 or n_1, so H(l) < n_1 exactly for l below it."""
+        return len(self.apery_table(deadline)) - 1
 
     def hilbert_nondecreasing(self, upto: Optional[int] = None) -> bool:
         """True iff H is non-decreasing through its certified stabilization index."""
@@ -164,7 +158,6 @@ class NumericalSemigroup:
             raise CertificationError(
                 f"window {upto} too small to certify: stabilization at {stab}")
         h = self.hilbert_gr(upto)
-        assert h[stab] == self.multiplicity or stab == 0
         return all(h[i] <= h[i + 1] for i in range(len(h) - 1))
 
 
@@ -251,14 +244,17 @@ class AffineSemigroup:
     def __contains__(self, x: Sequence[int]) -> bool:
         return self.membership(x).ok
 
-    def members_within(self, box: Sequence[int]) -> set[Vec]:
+    def members_within(self, box: Sequence[int],
+                       deadline: Optional[Deadline] = None) -> set[Vec]:
         """All members componentwise below box, by closure from 0."""
         box = tuple(int(c) for c in box)
         seen: set[Vec] = {(0,) * self.dim}
         frontier = [(0,) * self.dim]
         while frontier:
             nxt = []
-            for pt in frontier:
+            for i, pt in enumerate(frontier):
+                if not i & 4095:
+                    tick(deadline)
                 for g in self.generators:
                     q = vec_add(pt, g)
                     if q not in seen and all(a <= b for a, b in zip(q, box)):
@@ -289,14 +285,17 @@ class AffineSemigroup:
                 rays.append(r)
         return sorted(rays)
 
-    def gap_set(self, box: Sequence[int]) -> "GapScan":
+    def gap_set(self, box: Sequence[int],
+                deadline: Optional[Deadline] = None) -> "GapScan":
         """Cone points below box that are not members, plus a shell-clean flag."""
         box = tuple(int(c) for c in box)
-        members = self.members_within(box)
+        members = self.members_within(box, deadline)
         thickness = max(max(g) for g in self.generators)
         gaps = []
         shell_clean = True
-        for pt in _box_points(box):
+        for i, pt in enumerate(_box_points(box)):
+            if not i & 4095:
+                tick(deadline)
             if pt in members or not self.cone_membership(pt):
                 continue
             gaps.append(pt)
@@ -304,9 +303,10 @@ class AffineSemigroup:
                 shell_clean = False
         return GapScan(tuple(sorted(gaps)), shell_clean, box)
 
-    def pf_direct(self, box: Sequence[int]) -> list[Vec]:
+    def pf_direct(self, box: Sequence[int],
+                  deadline: Optional[Deadline] = None) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition; needs a clean shell."""
-        scan = self.gap_set(box)
+        scan = self.gap_set(box, deadline)
         if not scan.shell_clean:
             raise CertificationError(
                 "gap set not certifiably finite within box: gaps touch the outer shell")

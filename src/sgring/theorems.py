@@ -352,7 +352,7 @@ def verify_extension_pf(spec: ExtensionSpec, box,
     box = tuple(int(c) for c in box)
     t_base = betti_degrees(base, deadline=deadline)
     mpd = t_base.pd == len(base.generators) - 1
-    scan = base.gap_set(box)
+    scan = base.gap_set(box, deadline)
     hyps = (
         HypothesisCheck("base-mpd", mpd,
                         f"pd = {t_base.pd} over {len(base.generators)} generators"),
@@ -391,7 +391,7 @@ def verify_extension_pf(spec: ExtensionSpec, box,
     computed["betti-law"] = law_ok
 
     try:
-        direct = sorted(ext.semigroup.pf_direct(box))
+        direct = sorted(ext.semigroup.pf_direct(box, deadline))
         if computed["pf"] is not None and direct != computed["pf"]:
             notes.append(f"CONFLICT: direct gap-set pseudo-Frobenius set {direct} "
                          f"disagrees with the top-Betti read-off {computed['pf']}")

@@ -90,9 +90,9 @@ def closure_apery(s: NumericalSemigroup,
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("the closure Apery set needs a numerical semigroup")
-    memo = s._closure_apery_memo
-    if memo:
-        return memo[0]
+    memo = s._memo
+    if "closure_apery" in memo:
+        return memo["closure_apery"]
     top = s.generators[-1]
     steps = _closure_steps(s)
     minlen = [0]  # shortest factorization length in S, inf off S
@@ -122,8 +122,8 @@ def closure_apery(s: NumericalSemigroup,
                 continue
             found.add(p)
             queue.append(p)
-    memo.append(frozenset(found))
-    return memo[0]
+    memo["closure_apery"] = frozenset(found)
+    return memo["closure_apery"]
 
 
 def _closure_steps(s: NumericalSemigroup) -> list[Vec]:
@@ -165,12 +165,12 @@ def closure_resolution(s, deadline=None):
     once.  A result cut short by the budget is not stored: a later call
     with more time may still decide.
     """
-    memo = getattr(s, "_closure_memo", [])  # other inputs are rejected below
-    if memo:
-        return memo[0]
+    memo = getattr(s, "_memo", {})  # other inputs are rejected below
+    if "closure_resolution" in memo:
+        return memo["closure_resolution"]
     result = _stable_closure_table(projective_closure_semigroup(s), deadline)
     if result[2] != _EXHAUSTED:
-        memo.append(result)
+        memo["closure_resolution"] = result
     return result
 
 
@@ -244,8 +244,7 @@ def acm_projective_closure(s: NumericalSemigroup,
 
 
 def cm_tangent_cone(s: NumericalSemigroup,
-                    deadline: Optional[Deadline] = None,
-                    ord_bound: Optional[int] = None) -> Verdict:
+                    deadline: Optional[Deadline] = None) -> Verdict:
     """Is the tangent cone at the origin of the monomial curve
     Cohen-Macaulay?
 
@@ -255,13 +254,13 @@ def cm_tangent_cone(s: NumericalSemigroup,
 
     Cross-check: the multiplicity m is a nonzerodivisor on the associated
     graded ring iff order is additive along m: ord(x + m) = ord(x) + 1 for
-    every member x.  Any failure already happens at some
-    x <= m * n_e * (e - 1): a failure means every maximal factorization of
-    x + m omits m (dropping a copy would certify additivity) and uses each
-    other generator fewer than m times (trading m copies of it for more
-    copies of m would lengthen the factorization), so x + m <
-    m * (sum of the other generators).  Scanning members up to the bound is
-    therefore a complete test; ord_bound only widens the audit.
+    every member x.  It is read off the Apery table of the powers of the
+    maximal ideal (`NumericalSemigroup.apery_table`), whose columns step by
+    0 or m from row to row: x fails exactly when x = m_k(i) for a column i
+    that climbs into row k + 1 and is flat into row k + 2.  Past the table
+    every column climbs, so additivity holds iff every column is constant
+    and then climbs by m per row, and the least failing member is the least
+    such m_k(i).
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("cm_tangent_cone expects a numerical semigroup")
@@ -272,17 +271,12 @@ def cm_tangent_cone(s: NumericalSemigroup,
     offender = next((b for b in sb.elements if b.lead[0]), None)
     result = offender is None
 
-    m = s.generators[0]
-    bound = m * s.generators[-1] * (e - 1) if ord_bound is None else ord_bound
-    bad = None
-    for x in range(bound + 1):
-        if not x & 4095:
-            tick(deadline)
-        if x in s and s.ord(x + m) != s.ord(x) + 1:
-            bad = x
-            break
-    note = (f"order additive on members up to {bound}" if bad is None
-            else f"ord({bad} + {m}) != ord({bad}) + 1")
+    m = s.multiplicity
+    rows = s.apery_table(deadline)
+    bad = min((a for lo, mid, hi in zip(rows, rows[1:], rows[2:])
+               for a, b, c in zip(lo, mid, hi) if a + m == b == c), default=None)
+    note = (f"every Apery-table column is constant, then climbs by {m}"
+            if bad is None else f"ord({bad} + {m}) != ord({bad}) + 1")
     checks = (CrossCheck("order-additivity", bad is None, note),)
     return Verdict("cm-tangent-cone", result,
                    "local standard basis divisibility by the multiplicity variable",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,17 @@ def test_pf_command_with_direct_cross_check(capsys):
     assert doc["result"]["direct_agrees"] is True
 
 
+def test_pf_box_scan_honours_deadline(capsys):
+    # the direct gap scan of this box runs for seconds without a deadline
+    start = time.monotonic()
+    code, out, err = run(capsys, "pf", "--affine", "3 0;5 0;0 1;1 3;2 3",
+                         "--box", "900,900", "--deadline", "0.5")
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert "deadline" in err
+    assert time.monotonic() - start < 3
+
+
 def test_pf_affine_unbounded_gaps_is_a_resource_bound(capsys):
     code, out, err = run(capsys, "pf", "--affine", "6 0;10 0;0 2;2 6;4 6;6 9",
                          "--box", "20,20")
@@ -169,7 +181,18 @@ def test_hilbert_command(capsys):
     assert code == EXIT_OK
     assert doc["result"]["values"] == ["1"] + ["3"] * 8
     assert doc["result"]["nondecreasing"] is True
-    assert doc["result"]["stabilization"] == "2"
+    assert doc["result"]["stabilization"] == "1"
+
+
+def test_hilbert_command_at_large_generators(capsys):
+    # the Apery table of the powers of M has 205 rows here, whatever the
+    # size of the integers
+    code, doc = run_json(capsys, "hilbert", "--numerical", "1009,1013,1019",
+                         "--deadline", "5")
+    assert code == EXIT_OK
+    assert doc["result"]["stabilization"] == "204"
+    assert doc["result"]["values"][-1] == "1009"
+    assert doc["result"]["values"][-2] != "1009"
 
 
 def test_join_command_runs_the_sifr_statement(capsys):

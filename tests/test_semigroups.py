@@ -215,6 +215,9 @@ def test_ord_matches_brute():
         pts = [x for x in range(0, 90) if x in s][:12]
         for x in pts:
             assert s.ord(x) == brute_ord(s.generators, x)
+    big = NumericalSemigroup([1009, 1013, 1019])
+    assert big.ord(10**18 + 1009) == big.ord(10**18) + 1
+    assert big.ord(3 * 1019) == 3 and big.ord(1009 * 1019) == 1019
 
 
 def test_ord_superadditive():
@@ -234,16 +237,20 @@ def test_hilbert_stabilizes_at_certified_index():
         stab = s.hilbert_stabilization()
         h = s.hilbert_gr(stab + 8)
         assert all(h[n] == s.multiplicity for n in range(stab, stab + 9))
+        assert stab == 0 or h[stab - 1] < s.multiplicity  # exact, not a bound
 
 
 def test_hilbert_honours_deadline():
-    big = NumericalSemigroup([1009, 1013, 1019])
+    # reduction number 4000: the full Apery table of the powers of M takes
+    # about 32 million steps, seconds of pure Python
+    big = NumericalSemigroup([4001, 4003])
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded):
         big.hilbert_stabilization(Deadline(0.2))
     assert time.monotonic() - start < 5
+    assert "apery_table" not in big._memo  # a table cut short is not kept
     s = NumericalSemigroup([3, 5, 7])
-    assert s.hilbert_gr(s.hilbert_stabilization(Deadline(0.2)), Deadline(0.2)) == [1, 3, 3]
+    assert s.hilbert_gr(s.hilbert_stabilization(Deadline(0.2)), Deadline(0.2)) == [1, 3]
 
 
 def test_hilbert_counts_match_ord():

@@ -85,13 +85,41 @@ def test_cm_tangent_cone_fixtures():
         assert v.witness is None
 
 
-def test_cm_tangent_cone_short_audit_flags_conflict():
-    # an ord audit cut off below the certified bound misses the failure;
-    # the disagreement must surface as a conflict, not vanish
-    v = cm_tangent_cone(NumericalSemigroup([105, 252, 119, 136]), ord_bound=10)
+def test_cm_tangent_cone_short_audit_flags_conflict(monkeypatch):
+    # an order-additivity audit that reads only the first row of the Apery
+    # table misses the failure; the disagreement must surface as a
+    # conflict, not vanish
+    full = NumericalSemigroup.apery_table
+    monkeypatch.setattr(NumericalSemigroup, "apery_table",
+                        lambda self, deadline=None: full(self, deadline)[:1])
+    v = cm_tangent_cone(NumericalSemigroup([105, 252, 119, 136]))
     assert v.result is False
     assert v.cross_checks[0].result is True
     assert v.conflict
+
+
+def brute_ord_table(gens, upto):
+    # longest factorization length by dynamic programming, -1 off S
+    tab = [0] + [-1] * upto
+    for v in range(1, upto + 1):
+        best = max((tab[v - g] for g in gens if g <= v), default=-1)
+        tab[v] = best + 1 if best >= 0 else -1
+    return tab
+
+
+@pytest.mark.parametrize("gens", [(105, 252, 119, 136), (14, 18, 33), (21, 22, 30),
+                                  (4, 9), (3, 5, 7)])
+def test_order_additivity_names_the_least_failing_member(gens):
+    s = NumericalSemigroup(gens)
+    m, top, e = s.multiplicity, s.generators[-1], len(gens)
+    bound = m * top * (e - 1)  # a first failure sits at or below it
+    tab = brute_ord_table(s.generators, bound + m)
+    bad = next((x for x in range(bound + 1)
+                if tab[x] >= 0 and tab[x + m] != tab[x] + 1), None)
+    check = cm_tangent_cone(s).cross_checks[0]
+    assert check.result is (bad is None)
+    if bad is not None:
+        assert check.note == f"ord({bad} + {m}) != ord({bad}) + 1"
 
 
 def test_gorenstein_numerical_fixtures():
