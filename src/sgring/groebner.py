@@ -69,9 +69,14 @@ def normal_form(b: Optional[Binomial], basis, order: Order,
     rewritten to a fixpoint before the tail.
     """
     _require_global(order)
+    return _reduce(b, _elements(basis), order, deadline)
+
+
+def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
+            deadline: Optional[Deadline]) -> Optional[Binomial]:
+    # normal_form on a basis already checked to hold Binomials under a global order
     if b is None:
         return None
-    els = _elements(basis)
     cur = oriented(b.lead, b.tail, order)
     if cur is None:
         return None
@@ -116,7 +121,7 @@ def _interreduce(kept: list[Binomial], order: Order,
     out = []
     for i, b in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        nf = normal_form(b, others, order, deadline)
+        nf = _reduce(b, others, order, deadline)
         assert nf is not None  # leads are pairwise non-dividing
         out.append(nf)
     return out
@@ -151,7 +156,7 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
         if vec_add(f.lead, g.lead) == lcm_monomial(f.lead, g.lead):
             continue  # coprime leads: S-pair reduces to zero
         sp = s_pair(f, g, order)
-        nf = normal_form(sp, basis, order, deadline)
+        nf = _reduce(sp, basis, order, deadline)
         if nf is not None:
             basis.append(nf)
             push_pairs(len(basis) - 1)
@@ -170,7 +175,7 @@ def is_groebner(candidate, order: Order, deadline: Optional[Deadline] = None) ->
         for j in range(i + 1, len(els)):
             tick(deadline)
             sp = s_pair(els[i], els[j], order)
-            if normal_form(sp, els, order, deadline) is not None:
+            if _reduce(sp, els, order, deadline) is not None:
                 return False
     return True
 

@@ -358,8 +358,12 @@ def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
 
 
 def is_prec_symmetric(s: Semigroup, table: BettiTable,
-                      order: Optional[Order] = None, box=None) -> bool:
-    """True iff the unique pseudo-Frobenius element is the order-maximum gap."""
+                      order: Optional[Order] = None, box=None,
+                      deadline: Optional[Deadline] = None) -> bool:
+    """True iff the unique pseudo-Frobenius element is the order-maximum gap.
+
+    For a numerical semigroup that gap is the Frobenius number F, and gaps
+    exist exactly when F >= 1; an affine semigroup needs a gap scan box."""
     gens, d, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         return False
@@ -367,11 +371,11 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
     if len(pf) != 1:
         return False
     if numerical:
-        gaps = s.gaps()
-        return bool(gaps) and pf[0] == max(gaps)
+        f = s.frobenius()
+        return f >= 1 and pf[0] == f
     if box is None:
         raise InputError("a gap scan box is required for an affine semigroup")
-    scan = s.gap_set(box)
+    scan = s.gap_set(box, deadline)
     if not scan.shell_clean:
         raise CertificationError(
             "gap set not certifiably finite within box: gaps touch the outer shell")

@@ -84,9 +84,16 @@ class NumericalSemigroup:
         return [v for v in range(1, self.frobenius() + 1) if not self.membership(v)]
 
     def pf_numeric(self) -> list[int]:
-        """Pseudo-Frobenius numbers: gaps f with f + n_i inside for every generator."""
-        return [f for f in self.gaps()
-                if all(self.membership(f + g) for g in self.generators)]
+        """Pseudo-Frobenius numbers: gaps f with f + n_i inside for every generator.
+
+        They are the w - n_1 over the elements w of Ap(S, n_1) maximal in the
+        semigroup order (Rosales, Garcia-Sanchez, Numerical Semigroups, 2009,
+        Prop. 2.20): w > 0 and no w + n_i, i >= 2, lies in Ap(S, n_1), that is
+        w + n_i - n_1 is a member.  O(n_1 * e) membership tests.
+        """
+        n1, rest = self.multiplicity, self.generators[1:]
+        return sorted(w - n1 for w in self._apery_by_residue
+                      if w and all(self.membership(w + g - n1) for g in rest))
 
     @cached_property
     def _memo(self) -> dict:

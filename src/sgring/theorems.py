@@ -410,12 +410,12 @@ def verify_extension_pf(spec: ExtensionSpec, box,
 
     order = nd_order("graded-lex", base.dim)
     if mpd and scan.shell_clean:
-        base_sym = is_prec_symmetric(base, t_base, order, box)
+        base_sym = is_prec_symmetric(base, t_base, order, box, deadline)
         if base_sym:
             try:
                 predicted["prec-symmetric"] = True
                 computed["prec-symmetric"] = is_prec_symmetric(
-                    ext.semigroup, t_ext, order, box)
+                    ext.semigroup, t_ext, order, box, deadline)
             except CertificationError as exc:
                 del predicted["prec-symmetric"]
                 computed.pop("prec-symmetric", None)

@@ -3,10 +3,11 @@
 toric_ideal computes the kernel of the monomial map attached to a semigroup,
 by one route per semigroup kind.  For a numerical semigroup it links the
 connected components of divisor graphs, which yields a minimal generating set
-directly (Briales, Campillo, Marijuan, Pison, JPAA 124, 1998); divisor graphs
-of degrees past frobenius + 2*max(generator) are complete, so the scan window
-is certified.  For an affine semigroup it eliminates auxiliary variables
-through the Buchberger engine.
+directly (Briales, Campillo, Marijuan, Pison, JPAA 124, 1998).  Only the
+degrees w + n_i with w in Ap(S, n_1) and i >= 2 are tested: every degree with
+a disconnected divisor graph has that form, so at most n_1 * (e - 1) degrees
+are examined whatever the size of the integers.  For an affine semigroup it
+eliminates auxiliary variables through the Buchberger engine.
 """
 from __future__ import annotations
 
@@ -88,6 +89,14 @@ def _toric_by_elimination(vecs: tuple[Vec, ...], deadline) -> list[Binomial]:
 
 
 def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
+    """Link the components of the divisor graph of every degree that can
+    have more than one.  The graph of b has a vertex i when b - n_i is a
+    member and an edge ij when b - n_i - n_j is.  If it has two components,
+    take i in one without n_1: then b - n_i is a member while b - n_i - n_1
+    is not (else i and 1 would be adjacent), so b - n_i lies in Ap(S, n_1)
+    and i >= 2.  Scanning the degrees w + n_i, w in Ap(S, n_1), 2 <= i <= e,
+    all of them members, therefore misses none.
+    """
     gens = s.generators
     e = len(gens)
 
@@ -104,11 +113,8 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
         return fac
 
     out: list[Binomial] = []
-    bound = s.frobenius() + 2 * gens[-1]
-    for b in range(2 * gens[0], bound + 1):
+    for b in sorted({w + g for w in s._apery_by_residue for g in gens[1:]}):
         tick(deadline)
-        if b not in s:
-            continue
         verts = [i for i, g in enumerate(gens) if b >= g and (b - g) in s]
         if len(verts) < 2:
             continue

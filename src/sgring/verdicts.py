@@ -289,14 +289,15 @@ def gorenstein_numerical(s: NumericalSemigroup,
 
     Primary method: gap symmetry about the Frobenius number F — for every
     z in [0, F] exactly one of z, F - z belongs to the semigroup.
-    Cross-check: the Cohen-Macaulay type (the number of pseudo-Frobenius
-    elements) equals one.  The full semigroup has no gaps and an empty
-    pseudo-Frobenius set; its ring is a polynomial ring, so the verdict is
-    True with the type check skipped.
+    Cross-check: the Cohen-Macaulay type equals one, read from Ap(S, n_1) as
+    the number of its elements maximal in the semigroup order (the
+    pseudo-Frobenius numbers plus n_1).  The full semigroup (F = -1) has no
+    gaps and an empty pseudo-Frobenius set; its ring is a polynomial ring,
+    so the verdict is True with the type check skipped.
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("gorenstein_numerical expects a numerical semigroup")
-    if not s.gaps():
+    if s.frobenius() < 0:
         return Verdict("gorenstein-numerical", True, "gap symmetry", None,
                        (CrossCheck("type-one", None,
                                    "no gaps: polynomial ring, type check skipped"),))

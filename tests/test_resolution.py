@@ -225,6 +225,8 @@ def test_matrix_a_paper_values():
     assert not summary.cm
     assert pf_via_betti(MAT_A, t) == [(7, 2)]
     assert is_prec_symmetric(MAT_A, t, box=(20, 12))
+    with pytest.raises(DeadlineExceeded):  # the gap scan checks the deadline
+        is_prec_symmetric(MAT_A, t, box=(20, 12), deadline=Deadline(-1))
 
 
 def test_matrix_b_values():

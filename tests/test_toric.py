@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sgring.errors import InputError
+from sgring.errors import Deadline, InputError
 from sgring.monomials import Binomial, degrevlex
 from sgring.groebner import buchberger, homogenize_ideal, is_groebner
 from sgring.semigroups import (
@@ -15,6 +15,7 @@ from sgring.semigroups import (
 )
 from sgring.toric import (
     BinomialIdeal,
+    _canonical,
     _toric_by_elimination,
     _x_names,
     gamma_degree,
@@ -22,6 +23,7 @@ from sgring.toric import (
     ideal_equals,
     toric_ideal,
 )
+from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES, population
 
 
 def random_numerical(rng, lo=3, hi=30, kmax=4):
@@ -51,6 +53,88 @@ def elimination_ideal(s: NumericalSemigroup) -> BinomialIdeal:
     divisor-graph route."""
     vecs = tuple((g,) for g in s.generators)
     return BinomialIdeal(_x_names(len(vecs)), tuple(_toric_by_elimination(vecs, None)), vecs)
+
+
+def window_scan_generators(s: NumericalSemigroup) -> tuple[Binomial, ...]:
+    """The toric ideal by testing the divisor graph of every degree from 2*n_1
+    to frobenius + 2*n_e, past which every divisor graph is connected: an
+    oracle for the Apery-set scan of toric_ideal."""
+    gens = s.generators
+    e = len(gens)
+
+    def factorization(v: int) -> list[int]:
+        fac = [0] * e
+        while v:
+            i = next(i for i, g in enumerate(gens) if v >= g and (v - g) in s)
+            fac[i] += 1
+            v -= gens[i]
+        return fac
+
+    out = []
+    for b in range(2 * gens[0], s.frobenius() + 2 * gens[-1] + 1):
+        if b not in s:
+            continue
+        verts = [i for i, g in enumerate(gens) if b >= g and (b - g) in s]
+        if len(verts) < 2:
+            continue
+        comp = {i: i for i in verts}
+
+        def find(i: int) -> int:
+            while comp[i] != i:
+                i = comp[i]
+            return i
+
+        for ii, i in enumerate(verts):
+            for j in verts[ii + 1:]:
+                rest = b - gens[i] - gens[j]
+                if rest >= 0 and rest in s:
+                    comp[find(i)] = find(j)
+        roots = sorted({find(i) for i in verts})
+        if len(roots) < 2:
+            continue
+        reps = []
+        for r in roots:
+            fac = factorization(b - gens[r])
+            fac[r] += 1
+            reps.append(tuple(fac))
+        out.extend(Binomial(reps[0], rep) for rep in reps[1:])
+    return _canonical(out, degrevlex(e))
+
+
+def apery_route_instances() -> list[NumericalSemigroup]:
+    """The acceptance population and regressions, small classics, and one
+    seeded draw of 3, 4 and 5 generators in [100, 3000]."""
+    out = list(population())
+    out += [NumericalSemigroup(g) for g in list(CLOSURE_REGRESSIONS) + GLUED_INSTANCES]
+    out += [NumericalSemigroup(g) for g in [(2, 3), (3, 5, 7), (6, 9, 20)]]
+    rng = random.Random(8)
+    for k in (3, 4, 5):
+        while True:
+            try:
+                s = NumericalSemigroup(rng.sample(range(100, 3001), k))
+            except InputError:
+                continue
+            if s.frobenius() < 100_000:
+                out.append(s)
+                break
+    return out
+
+
+def test_toric_ideal_matches_window_scan():
+    for s in apery_route_instances():
+        assert toric_ideal(s).generators == window_scan_generators(s), s.generators
+
+
+def test_pf_numeric_matches_gap_scan():
+    for s in apery_route_instances():
+        pf = [f for f in s.gaps() if all(f + g in s for g in s.generators)]
+        assert s.pf_numeric() == pf, s.generators
+
+
+def test_toric_ideal_cost_follows_multiplicity():
+    # the window scan would test about 10^8 degrees here; the Apery scan tests 10007
+    ideal = toric_ideal(NumericalSemigroup((10007, 10009)), Deadline(2.0))
+    assert ideal.generators == (Binomial((10009, 0), (0, 10007)),)
 
 
 def test_gamma_degree():
