@@ -366,9 +366,9 @@ def _join_semigroup(left, right):
 def cmd_betti(args, deadline) -> int:
     s = _resolve_semigroup(args)
     bound = _int_list(args.bound, "--bound") if args.bound else None
-    if bound is not None and isinstance(s, NumericalSemigroup):
-        bound = bound[0]
     table = betti_degrees(s, degree_bound=bound, deadline=deadline)
+    if bound is not None and isinstance(s, NumericalSemigroup):
+        bound = bound[0]  # reported as a number, like the numerical input
     result = {"totals": table.total, "pd": table.pd, "certified": table.certified,
               "rows": [[list(d) if isinstance(d, tuple) else [d] for d in row]
                        for row in table.rows],

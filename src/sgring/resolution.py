@@ -13,14 +13,14 @@ computed only at the few points whose complex is not a cone over a vertex.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import BoundInsufficient, CertificationError, Deadline, InputError, tick
 from .linalg import rational_rank
 from .monomials import Order, Vec, vec_add
-from .semigroups import AffineSemigroup, NumericalSemigroup, nd_max, nd_order
+from .semigroups import (AffineSemigroup, GapScan, NumericalSemigroup, axis_apery,
+                         nd_max, nd_order)
 
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
@@ -74,8 +74,9 @@ class BettiTable:
     """rows[i] = sorted degrees (with multiplicity) of the i-th free module.
 
     certified is True only when the scan box provably contains every Betti
-    degree; tables from heuristic boxes carry False and callers needing a
-    guarantee must corroborate them (e.g. stability across grown boxes)."""
+    degree, which `betti_degrees` proves when every extremal ray of the
+    semigroup is a coordinate axis; tables from heuristic boxes carry False
+    and callers needing a guarantee must corroborate them."""
     rows: tuple[tuple[Degree, ...], ...]
     nvars: int
     certified: bool = True
@@ -185,41 +186,29 @@ def _member_board(grid: _Grid, gens: tuple[Vec, ...], deadline) -> int:
         board = grown
 
 
-def _axiswise_complete_bound(gens: tuple[Vec, ...], d: int) -> Optional[Vec]:
-    """Degree box past which every divisor complex is the full simplex, when
-    each generator sits on a single coordinate axis (so the semigroup is a
-    direct sum of scaled numerical semigroups); None otherwise.
-
-    On one axis with generators g*k_1..g*k_r (k coprime), any member
-    coordinate past g*frobenius(k) stays a member after subtracting any
-    subset of the axis generators once the sum is added to the bound.
-    """
-    if any(sum(1 for c in g if c) != 1 for g in gens):
-        return None
-    bound = [0] * d
-    for axis in range(d):
-        coeffs = [g[axis] for g in gens if g[axis]]
-        if not coeffs:
-            continue
-        g = math.gcd(*coeffs)
-        frob = NumericalSemigroup([c // g for c in coeffs]).frobenius()
-        bound[axis] = g * frob + sum(coeffs)
-    return tuple(bound)
-
-
 def betti_degrees(s: Semigroup, degree_bound=None,
                   deadline: Optional[Deadline] = None) -> BettiTable:
     """Scan semigroup degrees up to the bound and sum divisor-complex homology.
 
-    When the semigroup decomposes along coordinate axes (numerical semigroups
-    and their axis embeddings and joins), the default bound is frobenius + sum
-    per axis, past which every divisor complex is the full simplex, making the
-    scan provably complete and the table certified.  Any other bound (default
-    (number of generators) * (sum of generators)) is heuristic: a Betti degree
-    within one max-generator of the box raises BoundInsufficient as probable
-    clipping, but consecutive levels can jump by an arbitrary semigroup
-    element, so silence is evidence rather than proof and the table returns
-    with certified=False.
+    When every extremal ray is a coordinate axis (numerical semigroups,
+    their axis embeddings and joins, projective closures), the default
+    bound is b_i = max over w in Ap(S, E) of w_i plus the sum of g_i over
+    the generators g other than e_i, with E = {e_i} the least generator on
+    each axis in use (`axis_apery`), and the table is certified: it holds
+    every Betti degree.  Proof: a Betti degree b of positive level has a
+    divisor complex with reduced homology, so the complex is not a cone
+    over e_i; some face F without e_i has b - sum(F) in S but not
+    b - sum(F) - e_i, so u = b - sum(F) lies in Ap(S, e_i).  Writing
+    u = w + (a combination of E) with w in Ap(S, E), e_i takes no part in
+    it, and the other e_j vanish at i, so u_i = w_i and b_i <= w_i + sum(F)_i.
+    A given bound is certified when it contains that box.
+
+    Any other box (default (number of generators) * (sum of generators)) is
+    heuristic: a Betti degree within one max-generator of the box raises
+    BoundInsufficient as probable clipping, but consecutive levels can jump
+    by an arbitrary semigroup element, so silence is evidence rather than
+    proof and the table returns with certified=False.  A bound is an int or
+    a vector of the ambient dimension, and must be nonnegative.
     """
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
@@ -228,23 +217,21 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     gen_sum = (0,) * d
     for g in gens:
         gen_sum = vec_add(gen_sum, g)
-    complete = _axiswise_complete_bound(gens, d)
-    certified = False
-    if degree_bound is None:
-        if complete is not None:
-            bound = complete
-            certified = True
-        else:
-            bound = tuple(n * c for c in gen_sum)
-    elif numerical and isinstance(degree_bound, int):
-        bound = (degree_bound,)
-        certified = complete is not None and degree_bound >= complete[0]
-    else:
-        bound = tuple(int(c) for c in degree_bound)
+    if degree_bound is not None:
+        bound = ((degree_bound,) if isinstance(degree_bound, int)
+                 else tuple(int(c) for c in degree_bound))
         if len(bound) != d or any(c < 0 for c in bound):
-            raise InputError("degree bound does not match the ambient dimension")
-        certified = (complete is not None and
-                     all(b >= c for b, c in zip(bound, complete)))
+            raise InputError(f"degree bound {degree_bound} is not a nonnegative "
+                             f"vector of the ambient dimension {d}")
+    complete = None
+    axis = axis_apery(gens, deadline)
+    if axis is not None:
+        extremal, apery = axis
+        complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
+                         for i in range(d))
+    if degree_bound is None:
+        bound = complete if complete is not None else tuple(n * c for c in gen_sum)
+    certified = complete is not None and all(b >= c for b, c in zip(bound, complete))
 
     grid = _Grid(bound, gen_sum)
     if (1 << n) * grid.total > _MAX_BOARD_BITS:
@@ -358,12 +345,13 @@ def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
 
 
 def is_prec_symmetric(s: Semigroup, table: BettiTable,
-                      order: Optional[Order] = None, box=None,
-                      deadline: Optional[Deadline] = None) -> bool:
+                      order: Optional[Order] = None,
+                      scan: Optional[GapScan] = None) -> bool:
     """True iff the unique pseudo-Frobenius element is the order-maximum gap.
 
     For a numerical semigroup that gap is the Frobenius number F, and gaps
-    exist exactly when F >= 1; an affine semigroup needs a gap scan box."""
+    exist exactly when F >= 1; an affine semigroup needs the caller's gap
+    scan (`AffineSemigroup.gap_set`), which must be shell-clean."""
     gens, d, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         return False
@@ -373,9 +361,8 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
     if numerical:
         f = s.frobenius()
         return f >= 1 and pf[0] == f
-    if box is None:
-        raise InputError("a gap scan box is required for an affine semigroup")
-    scan = s.gap_set(box, deadline)
+    if scan is None:
+        raise InputError("a gap scan is required for an affine semigroup")
     if not scan.shell_clean:
         raise CertificationError(
             "gap set not certifiably finite within box: gaps touch the outer shell")

@@ -98,7 +98,8 @@ class NumericalSemigroup:
     @cached_property
     def _memo(self) -> dict:
         # finished artifacts, each stored once under the name of its builder:
-        # apery_table, verdicts.closure_apery, verdicts.closure_resolution
+        # apery_table, verdicts.closure_apery, verdicts.closure_resolution;
+        # a build cut short by a deadline raises and stores nothing
         return {}
 
     def apery_table(self, deadline: Optional[Deadline] = None) -> tuple[list[int], ...]:
@@ -313,7 +314,10 @@ class AffineSemigroup:
     def pf_direct(self, box: Sequence[int],
                   deadline: Optional[Deadline] = None) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition; needs a clean shell."""
-        scan = self.gap_set(box, deadline)
+        return self.pf_from_scan(self.gap_set(box, deadline))
+
+    def pf_from_scan(self, scan: "GapScan") -> list[Vec]:
+        """The gaps f of a shell-clean gap scan with f + g a member for every generator g."""
         if not scan.shell_clean:
             raise CertificationError(
                 "gap set not certifiably finite within box: gaps touch the outer shell")
@@ -345,6 +349,57 @@ def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
 
     z = rec(x, 0)
     return Membership(z is not None, tuple(z) if z is not None else None)
+
+
+def axis_apery(gens: Sequence[Vec], deadline: Optional[Deadline] = None
+               ) -> Optional[tuple[tuple[Vec, ...], frozenset]]:
+    """(E, Ap(S, E)) for S = <gens> when every extremal ray of S is a
+    coordinate axis, None otherwise.  E holds the least generator on each
+    axis in use, in axis order; Ap(S, E) is the set of members w with no
+    w - e in S for e in E.
+
+    The rays are the axes exactly when every coordinate some generator uses
+    also carries a generator on its axis.  Removing a generator outside E
+    from an element of Ap(S, E) leaves one, so the set is found by a search
+    from 0 along those generators in order of coordinate sum.  A popped
+    point p is a member; it lies outside Ap(S, E) iff p - e is a member for
+    some e in E, that is iff p = w + (a nonzero combination of E) for some
+    w in Ap(S, E), and such a w has a smaller coordinate sum, so it was
+    found before: p is kept iff no element found so far is componentwise
+    below p and agrees with p modulo each axis generator.  No membership
+    test is needed.  The deadline is checked on the first pop and every
+    256 pops; a search cut short raises and returns nothing.
+    """
+    d = len(gens[0])
+    least: dict[int, Vec] = {}
+    for g in gens:
+        support = [i for i, c in enumerate(g) if c]
+        if len(support) == 1 and (support[0] not in least
+                                  or g < least[support[0]]):
+            least[support[0]] = g
+    axes = sorted(least)
+    if any(g[i] for g in gens for i in range(d) if i not in least):
+        return None
+    extremal = tuple(least[i] for i in axes)
+    steps = [g for g in gens if g not in extremal]
+    origin = (0,) * d
+    found: dict[Vec, list[Vec]] = {}  # residues mod E -> elements
+    heap, seen, pops = [(0, origin)], {origin}, 0
+    while heap:
+        if not pops & 255:
+            tick(deadline)
+        pops += 1
+        _, p = heapq.heappop(heap)
+        peers = found.setdefault(tuple(p[i] % least[i][i] for i in axes), [])
+        if any(all(a <= b for a, b in zip(w, p)) for w in peers):
+            continue
+        peers.append(p)
+        for g in steps:
+            q = vec_add(p, g)
+            if q not in seen:
+                seen.add(q)
+                heapq.heappush(heap, (sum(q), q))
+    return extremal, frozenset(w for peers in found.values() for w in peers)
 
 
 def _box_points(box: Vec):

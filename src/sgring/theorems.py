@@ -361,6 +361,7 @@ def verify_extension_pf(spec: ExtensionSpec, box,
     )
     ext = extend(spec)
     t_ext = betti_degrees(ext.semigroup, deadline=deadline)
+    ext_scan = ext.semigroup.gap_set(box, deadline)
     notes: list[str] = []
     predicted: dict = {"mpd": True, "betti-law": True}
     computed: dict = {"mpd": t_ext.pd == len(ext.semigroup.generators) - 1}
@@ -391,7 +392,7 @@ def verify_extension_pf(spec: ExtensionSpec, box,
     computed["betti-law"] = law_ok
 
     try:
-        direct = sorted(ext.semigroup.pf_direct(box, deadline))
+        direct = sorted(ext.semigroup.pf_from_scan(ext_scan))
         if computed["pf"] is not None and direct != computed["pf"]:
             notes.append(f"CONFLICT: direct gap-set pseudo-Frobenius set {direct} "
                          f"disagrees with the top-Betti read-off {computed['pf']}")
@@ -410,12 +411,12 @@ def verify_extension_pf(spec: ExtensionSpec, box,
 
     order = nd_order("graded-lex", base.dim)
     if mpd and scan.shell_clean:
-        base_sym = is_prec_symmetric(base, t_base, order, box, deadline)
+        base_sym = is_prec_symmetric(base, t_base, order, scan)
         if base_sym:
             try:
                 predicted["prec-symmetric"] = True
                 computed["prec-symmetric"] = is_prec_symmetric(
-                    ext.semigroup, t_ext, order, box, deadline)
+                    ext.semigroup, t_ext, order, ext_scan)
             except CertificationError as exc:
                 del predicted["prec-symmetric"]
                 computed.pop("prec-symmetric", None)

@@ -4,8 +4,7 @@ Every verdict records the primary method's answer together with the outcome
 of one or more cross-checks computed by a different route.  A cross-check
 that completes and disagrees flags the verdict as a conflict; conflicts are
 never silently resolved, callers are expected to surface them.  A
-cross-check that cannot be certified within its budget reports None with a
-note saying why.
+cross-check that cannot be certified reports None with a note saying why.
 
 The projective-closure verdicts read the Apery set of the closure with
 respect to its two extremal generators, enumerated once per semigroup
@@ -13,30 +12,20 @@ without a scan box; the closure Betti scan (`closure_resolution`) is kept
 for the Betti-totals note of the gluing harness and as a test oracle.
 """
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import (BoundInsufficient, Deadline, DeadlineExceeded,
-                     InputError, tick)
+from .errors import Deadline, InputError, tick
 from .monomials import Vec, degrevlex, negdegrevlex, vec_add
 from .groebner import buchberger, homogenize_ideal
 from .groebner import standard_basis_local
-from .semigroups import AffineSemigroup, NumericalSemigroup
+from .semigroups import AffineSemigroup, NumericalSemigroup, axis_apery
 from .resolution import betti_degrees, resolution_summary
 from .toric import toric_ideal
 
-# Budget for the Betti-table cross-checks (seconds, and doubling retries
-# after a too-small certified scan box).
-_DEPTH_BUDGET = 20.0
-_DEPTH_RETRIES = 6
-_EXHAUSTED = "cross-check budget exhausted"
-
-
 class CrossCheck(NamedTuple):
     name: str
-    result: Optional[bool]  # None = did not complete within budget
+    result: Optional[bool]  # None = undecided, the note says why
     note: str = ""
 
 
@@ -75,15 +64,12 @@ def closure_apery(s: NumericalSemigroup,
     and its extremal generators E = {(n_e, 0), (0, n_e)}: the members p of
     S' with neither p - (n_e, 0) nor p - (0, n_e) in S'.
 
-    S' is simplicial, so its ring is Cohen-Macaulay iff |Ap(S', E)| = n_e,
-    the index of the lattice spanned by E in the group of S'
-    (Goto-Suzuki-Watanabe 1976), and a Cohen-Macaulay S' is Gorenstein iff
-    Ap(S', E) has one maximal element (Rosales-Garcia-Sanchez 1998).
-    Removing a non-extremal generator from an element of Ap(S', E) leaves
-    one, so a breadth-first search over those generators from (0, 0)
-    enumerates the set without a scan box.  Membership is exact:
-    (x, y) is in S' iff n_e divides x + y and x has a factorization in S of
-    length at most (x + y) / n_e, the balance being copies of (0, n_e).
+    S' is simplicial with its rays on the axes, so its ring is
+    Cohen-Macaulay iff |Ap(S', E)| = n_e, the index of the lattice spanned
+    by E in the group of S' (Goto-Suzuki-Watanabe 1976), and a
+    Cohen-Macaulay S' is Gorenstein iff Ap(S', E) has one maximal element
+    (Rosales-Garcia-Sanchez 1998).  The set is read from `axis_apery` on
+    the closure generators, without a scan box.
 
     The set is built once per semigroup object; a search cut short by the
     deadline raises and stores nothing.
@@ -91,38 +77,9 @@ def closure_apery(s: NumericalSemigroup,
     if not isinstance(s, NumericalSemigroup):
         raise InputError("the closure Apery set needs a numerical semigroup")
     memo = s._memo
-    if "closure_apery" in memo:
-        return memo["closure_apery"]
-    top = s.generators[-1]
-    steps = _closure_steps(s)
-    minlen = [0]  # shortest factorization length in S, inf off S
-
-    def member(x: int, y: int) -> bool:
-        if x < 0 or y < 0 or (x + y) % top:
-            return False
-        while len(minlen) <= x:
-            v = len(minlen)
-            if not v & 4095:
-                tick(deadline)
-            minlen.append(1 + min((minlen[v - g] for g in s.generators if g <= v),
-                                  default=math.inf))
-        return minlen[x] <= (x + y) // top
-
-    found = {(0, 0)}
-    queue = deque(found)
-    pops = 0
-    while queue:
-        if not pops & 4095:
-            tick(deadline)
-        pops += 1
-        x, y = queue.popleft()
-        for dx, dy in steps:
-            p = (x + dx, y + dy)
-            if p in found or member(p[0] - top, p[1]) or member(p[0], p[1] - top):
-                continue
-            found.add(p)
-            queue.append(p)
-    memo["closure_apery"] = frozenset(found)
+    if "closure_apery" not in memo:
+        gens = projective_closure_semigroup(s).generators
+        memo["closure_apery"] = axis_apery(gens, deadline)[1]
     return memo["closure_apery"]
 
 
@@ -153,54 +110,24 @@ def closure_resolution(s, deadline=None):
     No verdict reads it: they decide from `closure_apery`.  The gluing
     harness quotes its totals, and tests use it as an independent oracle.
 
-    Closure generators sit off the coordinate axes, so no scan box is
-    provably complete; a single scan can drop top syzygies without leaving
-    a trace in the rows it does find (a level can sit an arbitrary
-    semigroup element above the previous one).  A table is therefore
-    accepted only once two successive doublings of the box agree on every
-    graded row.  Returns (table, summary, note); both are None when no
-    stable pair fit the budget, with the note saying why.
+    The closure's extremal rays are the coordinate axes, so one scan of the
+    certified box of `betti_degrees` finds every Betti degree.  Returns
+    (table, summary, note); both are None when the box does not fit the
+    subset boards, with the note saying why.
 
     The result is memoized on the semigroup object, so repeated calls scan
-    once.  A result cut short by the budget is not stored: a later call
-    with more time may still decide.
+    once.  A scan cut short by the deadline raises and stores nothing.
     """
     memo = getattr(s, "_memo", {})  # other inputs are rejected below
-    if "closure_resolution" in memo:
-        return memo["closure_resolution"]
-    result = _stable_closure_table(projective_closure_semigroup(s), deadline)
-    if result[2] != _EXHAUSTED:
-        memo["closure_resolution"] = result
-    return result
-
-
-def _stable_closure_table(sbar, deadline):
-    budget = _DEPTH_BUDGET
-    if deadline is not None:
-        budget = min(budget, deadline.remaining)
-    sub = Deadline(budget)
-    nsum = tuple(sum(c) for c in zip(*sbar.generators))
-    bound = tuple(len(sbar.generators) * c for c in nsum)
-    prev = None
-    prev_bound = bound
-    for _ in range(_DEPTH_RETRIES):
+    if "closure_resolution" not in memo:
+        sbar = projective_closure_semigroup(s)
         try:
-            table = betti_degrees(sbar, degree_bound=bound, deadline=sub)
-            summary = resolution_summary(sbar, table)  # depth > dim refutes the scan
-        except BoundInsufficient:
-            prev = None  # a clipped scan cannot anchor a stable pair
-            bound = tuple(2 * c for c in bound)
-            continue
+            table = betti_degrees(sbar, deadline=deadline)
+            result = table, resolution_summary(sbar, table), "certified scan box"
         except InputError as exc:
-            return None, None, str(exc)
-        except DeadlineExceeded:
-            tick(deadline)  # re-raise when the caller's own deadline is gone
-            return None, None, _EXHAUSTED
-        if prev is not None and prev.rows == table.rows:
-            return table, summary, f"stable across bounds {prev_bound} and {bound}"
-        prev, prev_bound = table, bound
-        bound = tuple(2 * c for c in bound)
-    return None, None, f"rows not stable across doubled bounds up to {prev_bound}"
+            result = None, None, str(exc)
+        memo["closure_resolution"] = result
+    return memo["closure_resolution"]
 
 
 def acm_projective_closure(s: NumericalSemigroup,

@@ -133,6 +133,20 @@ def test_betti_command(capsys):
     assert doc["result"]["top_degrees"] == [["17"], ["19"]]
 
 
+def test_betti_bound_is_checked_for_sign_and_dimension(capsys):
+    # a negative bound, or more entries than the ambient dimension, is an
+    # input error (exit 2), never a crash or a silently truncated box
+    for bound in ("-5", "-1", "1,2,3"):
+        code, out, err = run(capsys, "betti", "--numerical", "3,5,7", f"--bound={bound}")
+        assert code == EXIT_INPUT, (bound, err)
+        assert err.startswith("input error: degree bound"), (bound, err)
+    code, out, err = run(capsys, "betti", "--affine", "3 0;5 0;0 1;1 3;2 3", "--bound=18")
+    assert code == EXIT_INPUT, err
+    code, doc = run_json(capsys, "betti", "--numerical", "3,5,7", "--bound", "19")
+    assert code == EXIT_OK
+    assert doc["params"]["bound"] == "19" and doc["result"]["certified"] is True
+
+
 def test_pf_command_with_direct_cross_check(capsys):
     code, doc = run_json(capsys, "pf", "--numerical", "3,5,7", "--box", "20")
     assert code == EXIT_OK

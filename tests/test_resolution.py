@@ -224,9 +224,11 @@ def test_matrix_a_paper_values():
     assert (summary.pd, summary.depth, summary.dim) == (4, 1, 2)
     assert not summary.cm
     assert pf_via_betti(MAT_A, t) == [(7, 2)]
-    assert is_prec_symmetric(MAT_A, t, box=(20, 12))
+    assert is_prec_symmetric(MAT_A, t, scan=MAT_A.gap_set((20, 12)))
+    with pytest.raises(InputError):  # an affine semigroup needs the caller's scan
+        is_prec_symmetric(MAT_A, t)
     with pytest.raises(DeadlineExceeded):  # the gap scan checks the deadline
-        is_prec_symmetric(MAT_A, t, box=(20, 12), deadline=Deadline(-1))
+        MAT_A.gap_set((20, 12), deadline=Deadline(-1))
 
 
 def test_matrix_b_values():
@@ -323,7 +325,7 @@ def test_pf_via_betti_requires_mpd():
     assert summary.cm and summary.depth == 2
     with pytest.raises(InputError):
         pf_via_betti(j.semigroup, t)
-    assert not is_prec_symmetric(j.semigroup, t, box=(30, 30))
+    assert not is_prec_symmetric(j.semigroup, t, scan=j.semigroup.gap_set((30, 30)))
 
 
 def test_pf_via_betti_equals_direct_on_embedded():
@@ -347,7 +349,7 @@ def test_prec_symmetric_numerical():
 def test_prec_symmetric_uncertifiable_gaps():
     t = betti_degrees(MAT_B)
     with pytest.raises(CertificationError):
-        is_prec_symmetric(MAT_B, t, box=(30, 30))
+        is_prec_symmetric(MAT_B, t, scan=MAT_B.gap_set((30, 30)))
 
 
 def test_sifr_fixtures():
@@ -386,8 +388,13 @@ def test_join_equals_tensor():
 
 
 def test_bound_insufficiency_detected_on_shell():
+    # matrix A's rays are the axes: its certified box is (18, 9), so a
+    # bound of (19, 10) contains it and the table is certified
+    t = betti_degrees(MAT_A, degree_bound=(19, 10))
+    assert t.total == (1, 7, 11, 6, 1) and t.certified
+    # an off-axis ray leaves only the heuristic box, whose rim is linted
     with pytest.raises(BoundInsufficient):
-        betti_degrees(MAT_A, degree_bound=(19, 10))  # top degree (18,9) in the rim
+        betti_degrees(AffineSemigroup([(1, 2), (2, 1), (1, 1)]), degree_bound=(3, 3))
 
 
 def test_depth_above_dim_rejected():

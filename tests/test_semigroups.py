@@ -14,6 +14,7 @@ from sgring.semigroups import (
     ExtensionSpec,
     GluingSpec,
     NumericalSemigroup,
+    axis_apery,
     condition_A,
     condition_B,
     embed_axis,
@@ -386,6 +387,37 @@ def test_pf_direct_matches_pf_numeric_on_axis():
         assert scan.shell_clean
         assert list(scan.gaps) == [(v,) for v in s.gaps()]
         assert a.pf_direct(box) == [(f,) for f in s.pf_numeric()]
+
+
+def brute_apery(s, extremal, box):
+    # Ap(S, E) by its definition over the members inside a box
+    members = s.members_within(box)
+    return {w for w in members
+            if not any(tuple(a - b for a, b in zip(w, e)) in members for e in extremal)}
+
+
+def test_axis_apery_matches_definition():
+    numerical = [(g,) for g in (3, 5, 7)]
+    assert axis_apery(numerical) == (((3,),), {(0,), (5,), (7,)})
+    # two and three generators on the axes, a third coordinate unused
+    for gens, least in [
+            ([(5, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (1, 1, 0)],
+             ((3, 0, 0), (0, 2, 0))),
+            ([(4, 0, 0), (6, 0, 0), (9, 0, 0), (0, 5, 0), (2, 3, 0), (3, 1, 0)],
+             ((4, 0, 0), (0, 5, 0)))]:
+        s = AffineSemigroup(gens)
+        extremal, ap = axis_apery(s.generators)
+        assert extremal == least
+        assert all(w[0] < 30 and w[1] < 30 for w in ap)  # well inside the box
+        assert ap == brute_apery(s, extremal, (60, 60, 0)), gens
+    with pytest.raises(DeadlineExceeded):
+        axis_apery(numerical, Deadline(-1.0))
+
+
+def test_axis_apery_declines_rays_off_the_axes():
+    assert axis_apery(((2, 1), (3, 0), (1, 3))) is None
+    assert axis_apery(((3, 0), (1, 1))) is None  # no generator on the second axis
+    assert axis_apery(MAT_A.generators)[0] == ((3, 0), (0, 1))
 
 
 def test_embed_axis():

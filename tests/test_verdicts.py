@@ -1,10 +1,13 @@
+import math
 import random
+from collections import deque
 
 import pytest
 
 from sgring import verdicts
 from sgring.errors import Deadline, DeadlineExceeded, InputError
-from sgring.semigroups import AffineSemigroup, NumericalSemigroup
+from sgring.resolution import betti_degrees
+from sgring.semigroups import AffineSemigroup, NumericalSemigroup, axis_apery
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
@@ -16,6 +19,7 @@ from sgring.verdicts import (
     gorenstein_projective_closure,
     projective_closure_semigroup,
 )
+from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES, population
 
 
 def random_numerical(rng, max_gens=4, max_val=40):
@@ -170,19 +174,15 @@ def test_gorenstein_closure_decided_where_the_scan_box_was_too_large():
         assert flag.name == "closure-gorenstein-flag" and flag.result is False
 
 
-def _population(count):
-    # the first draws of the acceptance population (same seed and sampler)
-    rng = random.Random(2026)
-    return [random_numerical(rng) for _ in range(count)]
-
-
 def test_gorenstein_witness_matches_closure_betti_top_degrees():
     # the stable closure Betti scan is an independent oracle for the
     # certificate: top Betti degrees = maximal Apery elements + sigma
     instances = [NumericalSemigroup(g) for g in
-                 [(66, 110, 135, 165), (16, 24, 36, 45), (42, 70, 77, 121), (3, 5, 7)]]
+                 [(66, 110, 135, 165), (16, 24, 36, 45), (42, 70, 77, 121), (3, 5, 7),
+                  (56, 57, 95, 96), (87, 126, 145, 154, 203),
+                  (87, 145, 189, 203, 231), (87, 145, 203, 252, 308)]]
     compared = 0
-    for s in instances + _population(20):
+    for s in instances + population()[:20]:
         v = gorenstein_projective_closure(s)
         table, _, note = closure_resolution(s)
         if v.method == verdicts.NOT_ACM or table is None:
@@ -273,20 +273,97 @@ def test_closure_resolution_is_scanned_once_per_object(monkeypatch):
     calls = _count_betti_scans(monkeypatch)
     s = NumericalSemigroup((57, 95, 56, 96))
     first = closure_resolution(s)
-    once = len(calls)
-    assert once > 0 and closure_resolution(s) is first and len(calls) == once
+    assert len(calls) == 1 and closure_resolution(s) is first and len(calls) == 1
     calls.clear()
     # the closure verdicts decide from the Apery set and never scan
     gorenstein_projective_closure(NumericalSemigroup((57, 95, 56, 96)))
     assert calls == []
 
 
-def test_exhausted_closure_budget_is_not_memoized(monkeypatch):
+def test_exhausted_closure_budget_is_not_memoized():
+    # an expired caller deadline raises and stores nothing, so a later call
+    # with time left still returns the table
     s = NumericalSemigroup((3, 5, 7))
-    monkeypatch.setattr(verdicts, "_DEPTH_BUDGET", 0.0)
-    table, summary, note = closure_resolution(s)
-    assert (table, summary, note) == (None, None, "cross-check budget exhausted")
-    monkeypatch.undo()
+    with pytest.raises(DeadlineExceeded):
+        closure_resolution(s, Deadline(-1.0))
+    assert "closure_resolution" not in s._memo
     table, summary, note = closure_resolution(s)
     assert table is not None and summary is not None, note
+    assert table.total == (1, 3, 2) and table.certified
     assert closure_resolution(s)[0] is table
+
+
+def length_table_closure_apery(s):
+    """Ap(S', E) of the projective closure by a breadth-first search over
+    the non-extremal generators, with membership read from a table of
+    shortest factorization lengths in S: (x, y) is in S' iff n_e divides
+    x + y and x has a factorization of length at most (x + y) / n_e."""
+    top = s.generators[-1]
+    minlen = [0]
+
+    def member(x, y):
+        if x < 0 or y < 0 or (x + y) % top:
+            return False
+        while len(minlen) <= x:
+            v = len(minlen)
+            minlen.append(1 + min((minlen[v - g] for g in s.generators if g <= v),
+                                  default=math.inf))
+        return minlen[x] <= (x + y) // top
+
+    found = {(0, 0)}
+    queue = deque(found)
+    while queue:
+        x, y = queue.popleft()
+        for n in s.generators[:-1]:
+            p = (x + n, y + top - n)
+            if p in found or member(p[0] - top, p[1]) or member(p[0], p[1] - top):
+                continue
+            found.add(p)
+            queue.append(p)
+    return found
+
+
+def test_closure_apery_matches_length_table_oracle():
+    gens = [s.generators for s in population()]
+    gens += [tuple(sorted(g)) for g in list(CLOSURE_REGRESSIONS) + GLUED_INSTANCES]
+    for g in gens:
+        s = NumericalSemigroup(g)
+        top = s.generators[-1]
+        extremal, ap = axis_apery(projective_closure_semigroup(s).generators)
+        assert extremal == ((top, 0), (0, top)), g
+        assert ap == length_table_closure_apery(s) == closure_apery(s), g
+
+
+def certified_box(sbar):
+    # b_i = max over Ap(S, E) of w_i + sum of g_i over the generators g != e_i
+    extremal, ap = axis_apery(sbar.generators)
+    return tuple(max(w[i] for w in ap) + sum(g[i] for g in sbar.generators)
+                 - sum(e[i] for e in extremal) for i in range(sbar.dim))
+
+
+@pytest.mark.parametrize("gens", [(3, 5, 7), (16, 24, 36, 45), (42, 70, 77, 121)]
+                         + [s.generators for s in population()[:8]])
+def test_certified_closure_table_is_stable_under_doubling(gens):
+    s = NumericalSemigroup(gens)
+    table, _, note = closure_resolution(s)
+    assert table is not None and table.certified, note
+    sbar = projective_closure_semigroup(s)
+    doubled = betti_degrees(sbar, tuple(2 * c for c in certified_box(sbar)))
+    assert doubled.certified and doubled.rows == table.rows
+
+
+def test_closure_tables_of_the_regressions():
+    expected = {
+        (56, 57, 95, 96): (1, 17, 45, 42, 13),
+        (87, 126, 145, 154, 203): (1, 7, 18, 21, 11, 2),
+        (87, 145, 189, 203, 231): (1, 5, 9, 7, 2),
+        (87, 145, 203, 252, 308): (1, 5, 9, 7, 2),
+    }
+    for gens, totals in expected.items():
+        table, summary, note = closure_resolution(NumericalSemigroup(gens))
+        assert table is not None and table.certified, (gens, note)
+        assert table.total == totals, gens
+        assert summary.pd == len(totals) - 1
+    # the dense scan still refuses this box (ROADMAP: sparse scan)
+    table, _, note = closure_resolution(NumericalSemigroup((250, 350, 425, 476, 550)))
+    assert table is None and note == "scan box too large for the subset boards"
