@@ -377,9 +377,9 @@ def axis_apery(gens: Sequence[Vec], deadline: Optional[Deadline] = None
         if len(support) == 1 and (support[0] not in least
                                   or g < least[support[0]]):
             least[support[0]] = g
-    axes = sorted(least)
     if any(g[i] for g in gens for i in range(d) if i not in least):
         return None
+    axes = sorted(least)
     extremal = tuple(least[i] for i in axes)
     steps = [g for g in gens if g not in extremal]
     origin = (0,) * d
