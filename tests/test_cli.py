@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from sgring.cli import (
 )
 from sgring.errors import InputError
 from sgring.theorems import HypothesisCheck, TheoremReport
+
+# stdout of `sgring fixtures`; an intended output change updates this file
+FIXTURES_JSON = Path(__file__).parent / "data" / "fixtures.json"
 
 
 def run(capsys, *argv):
@@ -297,6 +301,7 @@ def test_json_output_bytes_are_deterministic(capsys):
         assert code == EXIT_OK
         runs.append(out)
     assert runs[0] == runs[1]
+    assert runs[0] == FIXTURES_JSON.read_text()
     assert runs[0].endswith("\n")
     assert json.dumps(json.loads(runs[0]), sort_keys=True,
                       separators=(",", ":")) + "\n" == runs[0]
