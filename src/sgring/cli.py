@@ -23,15 +23,15 @@ from typing import Optional
 
 from .errors import (BoundInsufficient, CertificationError, Deadline,
                      DeadlineExceeded, InputError)
-from .monomials import degrevlex, format_binomial
-from .groebner import buchberger, homogenize_ideal
-from .toric import toric_ideal
+from .monomials import format_binomial
+from .toric import reduced_basis, toric_ideal
 from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
-                         embed_axis, is_nice_gluing, is_star_gluing, glue)
+                         embed_axis, extend, is_nice_gluing, is_star_gluing, glue,
+                         join)
 from .resolution import betti_degrees, pf_via_betti, resolution_summary, sifr_check
 from .verdicts import (acm_projective_closure, cm_tangent_cone,
                        gorenstein_numerical, gorenstein_projective_closure)
-from .theorems import (FIXTURES, THEOREM_IDS, TheoremReport, gluing,
+from .theorems import (THEOREM_IDS, TheoremReport, gluing, run_fixtures,
                        verify_extension_pf, verify_glued_tangent_cone,
                        verify_join_sifr)
 
@@ -234,7 +234,7 @@ def theorem_conflict(rep: TheoremReport) -> bool:
 def cmd_analyze(args, deadline) -> int:
     s = _resolve_semigroup(args)
     ideal = toric_ideal(s, deadline)
-    gb = buchberger(ideal.generators, degrevlex(len(ideal.variables)), deadline)
+    gb = reduced_basis(s, deadline)
     result = {"embedding_dim": len(ideal.variables),
               "ideal": [format_binomial(b, ideal.variables) for b in ideal.generators],
               "reduced_gb": [format_binomial(b, ideal.variables) for b in gb.elements]}
@@ -335,8 +335,7 @@ def cmd_extend(args, deadline) -> int:
         box = tuple(2 * spec.l * max(g[i] for g in spec.base.generators) + 2 * spec.a[i]
                     for i in range(dim))
     rep = verify_extension_pf(spec, box, deadline)
-    from .semigroups import extend as _extend
-    ext = _extend(spec)
+    ext = extend(spec)
     params = {"l": spec.l, "u": spec.u, "a": spec.a, "box": box}
     emit(report_document("extend", ext.semigroup, params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
@@ -352,15 +351,10 @@ def cmd_join(args, deadline) -> int:
     rep = verify_join_sifr(left, right, deadline)
     params = {"left": args.left, "right": args.right, "dim": dim,
               "left_axis": args.left_axis, "right_axis": args.right_axis}
-    carrier = left if rep.computed is None else _join_semigroup(left, right)
+    carrier = left if rep.computed is None else join(left, right).semigroup
     emit(report_document("join", carrier, params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
-
-
-def _join_semigroup(left, right):
-    from .semigroups import join as _join
-    return _join(left, right).semigroup
 
 
 def cmd_betti(args, deadline) -> int:
@@ -438,19 +432,13 @@ def cmd_hilbert(args, deadline) -> int:
     return EXIT_OK
 
 
-def _run_fixture_set(theorem: Optional[str], deadline):
-    picked = [f for f in FIXTURES if theorem is None or f.theorem == theorem]
-    if theorem is not None and not picked:
-        raise InputError(f"unknown check id {theorem!r}; known ids: "
-                         + ", ".join(THEOREM_IDS))
-    return [(f, f.run(deadline)) for f in picked]
-
-
-def _fixture_output(command: str, pairs, fmt: str) -> int:
+def cmd_fixtures(args, deadline) -> int:
+    """`fixtures` runs every curated check, `verify <id>` one statement's."""
+    pairs = run_fixtures(getattr(args, "theorem", None), deadline)
     docs = [theorem_doc(rep, label=fx.label) for fx, rep in pairs]
     conflicts = sum(theorem_conflict(rep) for _, rep in pairs)
     agreements = sum(rep.agree for _, rep in pairs)
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
            "type": "numerical", "generators": [["0"]],
            "params": {"count": str(len(pairs))},
            "result": {"reports": docs,
@@ -463,18 +451,8 @@ def _fixture_output(command: str, pairs, fmt: str) -> int:
             "excused" if not rep.hypotheses_hold else "CONFLICT")
         lines.append(f"{(fx.theorem + ' ' + fx.label).ljust(width)}  {status}")
     lines.append(f"{len(pairs)} checks, {agreements} agree, {conflicts} conflicts")
-    emit(doc, fmt, lines)
+    emit(doc, args.format, lines)
     return EXIT_CONFLICT if conflicts else EXIT_OK
-
-
-def cmd_verify(args, deadline) -> int:
-    return _fixture_output(
-        "verify", _run_fixture_set(args.theorem, deadline), args.format)
-
-
-def cmd_fixtures(args, deadline) -> int:
-    return _fixture_output(
-        "fixtures", _run_fixture_set(None, deadline), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the curated checks for one id")
     p.add_argument("theorem", choices=THEOREM_IDS)
     _add_common(p)
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_fixtures)
 
     p = sub.add_parser("fixtures", help="run every curated check")
     _add_common(p)

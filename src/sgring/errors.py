@@ -19,10 +19,6 @@ class BoundInsufficient(SgringError, RuntimeError):
     """A scan bound was certified too small (nonzero data found on the boundary shell)."""
 
 
-class TorsionError(SgringError, RuntimeError):
-    """A reduction degenerated to a monomial; inputs were not a prime lattice ideal."""
-
-
 class CertificationError(SgringError, RuntimeError):
     """A window or budget was too small to certify the requested property."""
 

@@ -201,14 +201,15 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     b - sum(F) - e_i, so u = b - sum(F) lies in Ap(S, e_i).  Writing
     u = w + (a combination of E) with w in Ap(S, E), e_i takes no part in
     it, and the other e_j vanish at i, so u_i = w_i and b_i <= w_i + sum(F)_i.
-    A given bound is certified when it contains that box.
+    A given bound must contain that box, or BoundInsufficient names both.
 
-    Any other box (default (number of generators) * (sum of generators)) is
-    heuristic: a Betti degree within one max-generator of the box raises
-    BoundInsufficient as probable clipping, but consecutive levels can jump
-    by an arbitrary semigroup element, so silence is evidence rather than
-    proof and the table returns with certified=False.  A bound is an int or
-    a vector of the ambient dimension, and must be nonnegative.
+    With a ray off the axes there is no such box, and the bound (default
+    (number of generators) * (sum of generators)) is heuristic: a Betti
+    degree within one max-generator of the box raises BoundInsufficient as
+    probable clipping, but consecutive levels can jump by an arbitrary
+    semigroup element, so silence is evidence rather than proof and the
+    table returns with certified=False.  A bound is an int or a vector of
+    the ambient dimension, and must be nonnegative.
     """
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
@@ -231,7 +232,10 @@ def betti_degrees(s: Semigroup, degree_bound=None,
                          for i in range(d))
     if degree_bound is None:
         bound = complete if complete is not None else tuple(n * c for c in gen_sum)
-    certified = complete is not None and all(b >= c for b, c in zip(bound, complete))
+    elif complete is not None and any(b < c for b, c in zip(bound, complete)):
+        raise BoundInsufficient(f"degree bound {bound} does not contain the "
+                                f"certified box {complete}")
+    certified = complete is not None
 
     grid = _Grid(bound, gen_sum)
     if (1 << n) * grid.total > _MAX_BOARD_BITS:

@@ -5,21 +5,37 @@ the Hilbert function of the associated graded ring, cone geometry, and the
 gluing / extension / join constructors.  Everything is exact integer or
 rational arithmetic.  Numerical membership reads the Apery set of the
 multiplicity; the order function and the Hilbert function read the Apery
-table of the powers of the maximal ideal.  Both are built once per instance
-and never grow.
+table of the powers of the maximal ideal.  Each derived artifact of an
+instance is built once through `artifact` and never grows.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificationError, Deadline, InputError, tick
 from .linalg import nonneg_solve, rational_rank
 from .monomials import Order, Vec, compare, scale, vec_add
+
+T = TypeVar("T")
+
+
+def artifact(s, name: str, build: Callable[[], T]) -> T:
+    """The artifact `name` of semigroup s, stored in s._memo when build()
+    first returns and never changed; a build cut short by a deadline raises
+    and stores nothing, so a later call with more time can finish it."""
+    try:
+        memo = s._memo
+    except AttributeError:
+        raise InputError(f"expected a semigroup, got {type(s).__name__}") from None
+    if name not in memo:
+        memo[name] = build()
+    return memo[name]
+
 
 # ---------------------------------------------------------------------------
 # numerical semigroups
@@ -31,8 +47,9 @@ class NumericalSemigroup:
 
     Membership reads the Apery set of n_1; `ord`, the Hilbert function and
     its stabilization index read the Apery table of the powers of the
-    maximal ideal.  Each is built once per instance, in O(n_1) entries per
-    row whatever the size of the integers, and never grows afterwards.
+    maximal ideal, in O(n_1) entries per row whatever the size of the
+    integers.  It and the toric ideal with its bases are built once per
+    instance by `artifact`.
     """
 
     generators: tuple[int, ...]
@@ -97,9 +114,7 @@ class NumericalSemigroup:
 
     @cached_property
     def _memo(self) -> dict:
-        # finished artifacts, each stored once under the name of its builder:
-        # apery_table, verdicts.closure_apery, verdicts.closure_resolution;
-        # a build cut short by a deadline raises and stores nothing
+        # finished artifacts by name, filled only through `artifact`
         return {}
 
     def apery_table(self, deadline: Optional[Deadline] = None) -> tuple[list[int], ...]:
@@ -109,26 +124,25 @@ class NumericalSemigroup:
         m_0 = Ap(S, n_1) and m_l(i) = min over generators g of g + m_{l-1}(i - g).
         Columns step by 0 or n_1; the table stops at the reduction number r,
         the first row whose successor is the row plus n_1, and r < n_1.  It
-        is built once per object; a build cut short raises and stores nothing.
+        is an artifact of the instance, checking the deadline once per row.
         """
-        if "apery_table" in self._memo:
-            return self._memo["apery_table"]
-        n1 = self.multiplicity
-        rows = [self._apery_by_residue]
-        while True:
-            tick(deadline)
-            prev = rows[-1]
-            climbed = [v + n1 for v in prev]
-            row = climbed
-            for g in self.generators[1:]:
-                k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
-                row = [a if a <= b + g else b + g
-                       for a, b in zip(row, prev[k:] + prev[:k])]
-            if row == climbed:
-                break
-            rows.append(row)
-        self._memo["apery_table"] = tuple(rows)
-        return self._memo["apery_table"]
+        def build() -> tuple[list[int], ...]:
+            n1 = self.multiplicity
+            rows = [self._apery_by_residue]
+            while True:
+                tick(deadline)
+                prev = rows[-1]
+                climbed = [v + n1 for v in prev]
+                row = climbed
+                for g in self.generators[1:]:
+                    k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
+                    row = [a if a <= b + g else b + g
+                           for a, b in zip(row, prev[k:] + prev[:k])]
+                if row == climbed:
+                    return tuple(rows)
+                rows.append(row)
+
+        return artifact(self, "apery_table", build)
 
     def ord(self, s: int) -> int:
         """Max factorization length of a member: the last row of the Apery
@@ -239,6 +253,11 @@ class AffineSemigroup:
         bad = [g for g in gens if _affine_member(tuple(h for h in gens if h != g), g)[0]]
         if bad:
             raise InputError(f"generating set not minimal: {bad} are redundant")
+
+    @cached_property
+    def _memo(self) -> dict:
+        # finished artifacts by name, filled only through `artifact`
+        return {}
 
     def membership(self, x: Sequence[int]) -> Membership:
         """Exact DFS with componentwise pruning; returns a witness when inside."""

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import CertificationError, Deadline, InputError, tick
 from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex, scale, vec_add
-from .groebner import GroebnerBasis, buchberger, homogenize_ideal, is_groebner, standard_basis_local
-from .toric import glued_ideal_generators, toric_ideal
+from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_local
+from .toric import glued_ideal_generators, local_basis, reduced_basis
 from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec, NumericalSemigroup,
                          condition_A, condition_B, embed_axis, extend, glue,
                          is_nice_gluing, is_star_gluing, join, nd_order)
@@ -81,14 +81,6 @@ def _verdict_notes(tag: str, verdict) -> list[str]:
     return out
 
 
-def _factor_bases(spec: GluingSpec, deadline) -> tuple[GroebnerBasis, GroebnerBasis]:
-    e1 = spec.left.embedding_dim
-    e2 = spec.right.embedding_dim
-    gb1 = buchberger(toric_ideal(spec.left, deadline).generators, degrevlex(e1), deadline)
-    gb2 = buchberger(toric_ideal(spec.right, deadline).generators, degrevlex(e2), deadline)
-    return gb1, gb2
-
-
 # ---------------------------------------------------------------------------
 # assembled homogeneous basis of a glued closure
 
@@ -101,7 +93,7 @@ def verify_glued_basis_homogeneous(spec: GluingSpec,
     e1 = spec.left.embedding_dim
     e2 = spec.right.embedding_dim
     n = e1 + e2
-    gb1, gb2 = _factor_bases(spec, deadline)
+    gb1, gb2 = reduced_basis(spec.left, deadline), reduced_basis(spec.right, deadline)
     hyps = (
         HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
                         f"classification: {is_nice_gluing(spec)}"),
@@ -208,13 +200,13 @@ def verify_glued_closure_acm(spec: GluingSpec,
     """Whether the glued closure is arithmetically Cohen-Macaulay, predicted
     purely by which block carries the largest glued generator (right: yes,
     left: no)."""
-    gb1, _ = _factor_bases(spec, deadline)
     left_acm = acm_projective_closure(spec.left, deadline)
     right_acm = acm_projective_closure(spec.right, deadline)
     hyps = (
         HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
                         f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A", condition_A(spec, gb1)),
+        _condition_hypothesis("condition-A",
+                              condition_A(spec, reduced_basis(spec.left, deadline))),
         HypothesisCheck("left-closure-acm", left_acm.result, left_acm.method),
         HypothesisCheck("right-closure-acm", right_acm.result, right_acm.method),
     )
@@ -243,22 +235,18 @@ def _local_block_order(e1: int, e2: int, lowest_left: bool) -> Order:
     return negdegrevlex(e1 + e2, priority)
 
 
-def _assembled_local_note(spec: GluingSpec, glued, gb1: GroebnerBasis,
-                          gb2: GroebnerBasis, deadline) -> str:
+def _assembled_local_note(spec: GluingSpec, glued, deadline) -> str:
     """Compare the glued ideal's minimal standard-basis leads with the union
     of the factor standard-basis leads plus the bridge lead y^a."""
     e1 = spec.left.embedding_dim
     e2 = spec.right.embedding_dim
-    sb1 = standard_basis_local(toric_ideal(spec.left, deadline).generators,
-                               negdegrevlex(e1, tuple(range(e1 - 1, -1, -1))), deadline)
-    sb2 = standard_basis_local(toric_ideal(spec.right, deadline).generators,
-                               negdegrevlex(e2, tuple(range(e2 - 1, -1, -1))), deadline)
-    expected = {b.lead + (0,) * e2 for b in sb1.elements}
-    expected |= {(0,) * e1 + b.lead for b in sb2.elements}
+    expected = {b.lead + (0,) * e2 for b in local_basis(spec.left, deadline).elements}
+    expected |= {(0,) * e1 + b.lead for b in local_basis(spec.right, deadline).elements}
     expected.add((0,) * e1 + spec.a)
     order = _local_block_order(e1, e2, glued.smallest_side == "left")
-    sb = standard_basis_local(glued_ideal_generators(spec, gb1, gb2).generators,
-                              order, deadline)
+    gens = glued_ideal_generators(spec, reduced_basis(spec.left, deadline),
+                                  reduced_basis(spec.right, deadline))
+    sb = standard_basis_local(gens.generators, order, deadline)
     got = set(sb.leads())
     if got == expected:
         return ("assembled union: the glued ideal's minimal standard basis has "
@@ -279,13 +267,13 @@ def verify_glued_tangent_cone(spec: GluingSpec,
                               deadline: Optional[Deadline] = None) -> TheoremReport:
     """Whether the glued tangent cone is Cohen-Macaulay, predicted purely by
     which block carries the smallest glued generator (left: yes, right: no)."""
-    gb1, gb2 = _factor_bases(spec, deadline)
     left_cm = cm_tangent_cone(spec.left, deadline)
     right_cm = cm_tangent_cone(spec.right, deadline)
     hyps = (
         HypothesisCheck("star-gluing", is_star_gluing(spec),
                         f"sum a = {sum(spec.a)}, sum b = {sum(spec.b)}"),
-        _condition_hypothesis("condition-B", condition_B(spec, gb2)),
+        _condition_hypothesis("condition-B",
+                              condition_B(spec, reduced_basis(spec.right, deadline))),
         HypothesisCheck("left-tangent-cm", left_cm.result, left_cm.method),
         HypothesisCheck("right-tangent-cm", right_cm.result, right_cm.method),
     )
@@ -295,7 +283,7 @@ def verify_glued_tangent_cone(spec: GluingSpec,
     notes = [f"glued generators {glued.generators}; smallest "
              f"{min(glued.generators)} sits in the {glued.smallest_side} block"]
     notes += _verdict_notes("tangent-cone", verdict)
-    notes.append(_assembled_local_note(spec, glued, gb1, gb2, deadline))
+    notes.append(_assembled_local_note(spec, glued, deadline))
     return TheoremReport("glued-tangent-cone", _describe_gluing(spec),
                          hyps, predicted, verdict.result, tuple(notes))
 
@@ -308,13 +296,13 @@ def verify_glued_closure_gorenstein(spec: GluingSpec,
                                     deadline: Optional[Deadline] = None) -> TheoremReport:
     """Gluing two factors whose closures are Gorenstein is predicted to keep
     the glued closure Gorenstein."""
-    gb1, _ = _factor_bases(spec, deadline)
     left_g = gorenstein_projective_closure(spec.left, deadline)
     right_g = gorenstein_projective_closure(spec.right, deadline)
     hyps = (
         HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
                         f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A", condition_A(spec, gb1)),
+        _condition_hypothesis("condition-A",
+                              condition_A(spec, reduced_basis(spec.left, deadline))),
         HypothesisCheck("left-closure-gorenstein", left_g.result, left_g.method),
         HypothesisCheck("right-closure-gorenstein", right_g.result, right_g.method),
     )

@@ -8,6 +8,9 @@ degrees w + n_i with w in Ap(S, n_1) and i >= 2 are tested: every degree with
 a disconnected divisor graph has that form, so at most n_1 * (e - 1) degrees
 are examined whatever the size of the integers.  For an affine semigroup it
 eliminates auxiliary variables through the Buchberger engine.
+
+The toric ideal, its reduced basis and its local standard basis are built
+once per semigroup object; only this module fixes their monomial orders.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
 from .errors import Deadline, InputError, tick
-from .groebner import _elements, buchberger
+from .groebner import GroebnerBasis, _elements, buchberger, standard_basis_local
 from .monomials import (
     Binomial,
     Order,
@@ -24,11 +27,12 @@ from .monomials import (
     compare,
     degrevlex,
     elimination_order,
+    negdegrevlex,
     oriented,
     scale,
     vec_add,
 )
-from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup
+from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifact
 
 
 def gamma_degree(m: Vec, degree_map: Sequence[Vec]) -> Vec:
@@ -148,18 +152,39 @@ def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup],
     """Generators of the kernel of the monomial map x_i -> t^{a_i}.
 
     A numerical semigroup gets a minimal generating set from its divisor
-    graphs; an affine semigroup gets the elimination basis.
+    graphs; an affine semigroup gets the elimination basis.  Built once per
+    semigroup object.
     """
-    if isinstance(s, NumericalSemigroup):
-        vecs = tuple((g,) for g in s.generators)
-        raw = _toric_by_divisor_graphs(s, deadline)
-    elif isinstance(s, AffineSemigroup):
-        vecs = s.generators
-        raw = _toric_by_elimination(vecs, deadline)
-    else:
-        raise InputError("toric_ideal expects a semigroup")
-    e = len(vecs)
-    return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
+    def build() -> BinomialIdeal:
+        if isinstance(s, NumericalSemigroup):
+            vecs = tuple((g,) for g in s.generators)
+            raw = _toric_by_divisor_graphs(s, deadline)
+        else:
+            vecs = s.generators
+            raw = _toric_by_elimination(vecs, deadline)
+        e = len(vecs)
+        return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
+
+    return artifact(s, "toric_ideal", build)
+
+
+def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup],
+                  deadline: Optional[Deadline] = None) -> GroebnerBasis:
+    """Reduced degree-revlex basis of the toric ideal; built once per semigroup object."""
+    return artifact(s, "reduced_basis", lambda: buchberger(
+        toric_ideal(s, deadline).generators, degrevlex(len(s.generators)), deadline))
+
+
+def local_basis(s: Union[NumericalSemigroup, AffineSemigroup],
+                deadline: Optional[Deadline] = None) -> GroebnerBasis:
+    """Minimal standard basis of the toric ideal under negative-degree revlex
+    with x_1 (the multiplicity variable) lowest; built once per semigroup object."""
+    def build() -> GroebnerBasis:
+        e = len(s.generators)
+        local = negdegrevlex(e, tuple(range(e - 1, -1, -1)))
+        return standard_basis_local(toric_ideal(s, deadline).generators, local, deadline)
+
+    return artifact(s, "local_basis", build)
 
 
 def glued_ideal_generators(spec: GluingSpec, gb1, gb2) -> BinomialIdeal:

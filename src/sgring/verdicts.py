@@ -6,22 +6,23 @@ that completes and disagrees flags the verdict as a conflict; conflicts are
 never silently resolved, callers are expected to surface them.  A
 cross-check that cannot be certified reports None with a note saying why.
 
-The projective-closure verdicts read the Apery set of the closure with
-respect to its two extremal generators, enumerated once per semigroup
-without a scan box; the closure Betti scan (`closure_resolution`) is kept
-for the Betti-totals note of the gluing harness and as a test oracle.
+The primary methods read the reduced and local bases of the toric ideal
+from `toric`.  The projective-closure verdicts read the Apery set of the
+closure with respect to its two extremal generators, enumerated without a
+scan box; the closure Betti scan (`closure_resolution`) is kept for the
+Betti-totals note of the gluing harness and as a test oracle.  Both are
+artifacts of the semigroup object (`semigroups.artifact`), built once.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import Deadline, InputError, tick
-from .monomials import Vec, degrevlex, negdegrevlex, vec_add
+from .monomials import Vec, vec_add
 from .groebner import buchberger, homogenize_ideal
-from .groebner import standard_basis_local
-from .semigroups import AffineSemigroup, NumericalSemigroup, axis_apery
+from .semigroups import AffineSemigroup, NumericalSemigroup, artifact, axis_apery
 from .resolution import betti_degrees, resolution_summary
-from .toric import toric_ideal
+from .toric import local_basis, reduced_basis
 
 class CrossCheck(NamedTuple):
     name: str
@@ -71,16 +72,10 @@ def closure_apery(s: NumericalSemigroup,
     (Rosales-Garcia-Sanchez 1998).  The set is read from `axis_apery` on
     the closure generators, without a scan box.
 
-    The set is built once per semigroup object; a search cut short by the
-    deadline raises and stores nothing.
+    The set is built once per semigroup object.
     """
-    if not isinstance(s, NumericalSemigroup):
-        raise InputError("the closure Apery set needs a numerical semigroup")
-    memo = s._memo
-    if "closure_apery" not in memo:
-        gens = projective_closure_semigroup(s).generators
-        memo["closure_apery"] = axis_apery(gens, deadline)[1]
-    return memo["closure_apery"]
+    return artifact(s, "closure_apery", lambda: axis_apery(
+        projective_closure_semigroup(s).generators, deadline)[1])
 
 
 def _closure_steps(s: NumericalSemigroup) -> list[Vec]:
@@ -115,19 +110,18 @@ def closure_resolution(s, deadline=None):
     (table, summary, note); both are None when the box does not fit the
     subset boards, with the note saying why.
 
-    The result is memoized on the semigroup object, so repeated calls scan
-    once.  A scan cut short by the deadline raises and stores nothing.
+    The result is built once per semigroup object, so repeated calls scan
+    once.
     """
-    memo = getattr(s, "_memo", {})  # other inputs are rejected below
-    if "closure_resolution" not in memo:
+    def build():
         sbar = projective_closure_semigroup(s)
         try:
             table = betti_degrees(sbar, deadline=deadline)
-            result = table, resolution_summary(sbar, table), "certified scan box"
+            return table, resolution_summary(sbar, table), "certified scan box"
         except InputError as exc:
-            result = None, None, str(exc)
-        memo["closure_resolution"] = result
-    return memo["closure_resolution"]
+            return None, None, str(exc)
+
+    return artifact(s, "closure_resolution", build)
 
 
 def acm_projective_closure(s: NumericalSemigroup,
@@ -135,8 +129,8 @@ def acm_projective_closure(s: NumericalSemigroup,
     """Is the projective closure of the monomial curve arithmetically
     Cohen-Macaulay?
 
-    Primary method: reduced Groebner basis of the homogenized curve ideal
-    under degree revlex with the balancing variable lowest; the closure is
+    Primary method: the reduced degree-revlex basis (`toric.reduced_basis`)
+    homogenized with the balancing variable lowest; the closure is
     arithmetically Cohen-Macaulay exactly when the variable of the largest
     generator divides no lead monomial.
 
@@ -150,9 +144,7 @@ def acm_projective_closure(s: NumericalSemigroup,
     if not isinstance(s, NumericalSemigroup):
         raise InputError("acm_projective_closure expects a numerical semigroup")
     e = len(s.generators)
-    ti = toric_ideal(s, deadline=deadline)
-    gb = buchberger(ti.generators, degrevlex(e), deadline=deadline)
-    hgb = homogenize_ideal(gb)
+    hgb = homogenize_ideal(reduced_basis(s, deadline))
     offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
     result = offender is None
 
@@ -175,8 +167,8 @@ def cm_tangent_cone(s: NumericalSemigroup,
     """Is the tangent cone at the origin of the monomial curve
     Cohen-Macaulay?
 
-    Primary method: minimal local standard basis under negative-degree
-    revlex with the multiplicity variable lowest; the tangent cone is
+    Primary method: the minimal local standard basis (`toric.local_basis`,
+    negative-degree revlex with the multiplicity variable lowest); the tangent cone is
     Cohen-Macaulay exactly when that variable divides no lead.
 
     Cross-check: the multiplicity m is a nonzerodivisor on the associated
@@ -191,11 +183,7 @@ def cm_tangent_cone(s: NumericalSemigroup,
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("cm_tangent_cone expects a numerical semigroup")
-    e = len(s.generators)
-    ti = toric_ideal(s, deadline=deadline)
-    local = negdegrevlex(e, priority=tuple(range(e - 1, -1, -1)))
-    sb = standard_basis_local(ti.generators, local, deadline=deadline)
-    offender = next((b for b in sb.elements if b.lead[0]), None)
+    offender = next((b for b in local_basis(s, deadline).elements if b.lead[0]), None)
     result = offender is None
 
     m = s.multiplicity

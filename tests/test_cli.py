@@ -151,6 +151,13 @@ def test_betti_bound_is_checked_for_sign_and_dimension(capsys):
     assert doc["params"]["bound"] == "19" and doc["result"]["certified"] is True
 
 
+def test_betti_bound_below_the_certified_box_is_a_resource_bound(capsys):
+    # <3, 5, 7> has its top Betti degree at 19, the edge of its certified box
+    code, out, err = run(capsys, "betti", "--numerical", "3,5,7", "--bound", "18")
+    assert code == EXIT_BOUND and out == ""
+    assert "degree bound (18,) does not contain the certified box (19,)" in err
+
+
 def test_pf_command_with_direct_cross_check(capsys):
     code, doc = run_json(capsys, "pf", "--numerical", "3,5,7", "--box", "20")
     assert code == EXIT_OK

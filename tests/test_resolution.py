@@ -397,12 +397,18 @@ def test_bound_insufficiency_detected_on_shell():
         betti_degrees(AffineSemigroup([(1, 2), (2, 1), (1, 1)]), degree_bound=(3, 3))
 
 
-def test_depth_above_dim_rejected():
+def test_bound_below_the_certified_box_is_refused():
+    # the certified box of <3, 5> is (15,), its one relation's degree
     e = embed_axis(NumericalSemigroup((3, 5)), 1, 0)
-    t = betti_degrees(e, degree_bound=(12,))  # silently misses the degree-15 relation
-    assert t.pd == 0
+    with pytest.raises(BoundInsufficient, match=r"\(12,\).*certified box \(15,\)"):
+        betti_degrees(e, degree_bound=(12,))
+
+
+def test_depth_above_dim_rejected():
+    # a table without the degree-15 relation of <3, 5>: depth 2 exceeds dim 1
+    e = embed_axis(NumericalSemigroup((3, 5)), 1, 0)
     with pytest.raises(BoundInsufficient):
-        resolution_summary(e, t)
+        resolution_summary(e, BettiTable((((0,),),), 2))
 
 
 def test_betti_respects_deadline():

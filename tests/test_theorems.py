@@ -1,6 +1,8 @@
 import pytest
 
+from sgring import theorems, toric
 from sgring.errors import InputError
+from sgring.groebner import standard_basis_local
 from sgring.semigroups import ExtensionSpec, NumericalSemigroup, embed_axis
 from sgring.theorems import (
     FIXTURES,
@@ -325,3 +327,18 @@ def test_gluing_helper_validates():
         gluing((2, 3), (9, 11), (0, 2), (1, 0))  # gcd(p, q) != 1
     spec = gluing((3, 5), (9, 11), (0, 3), (0, 2))
     assert spec.p == 15 and spec.q == 22
+
+
+def test_tangent_cone_verifier_builds_each_local_basis_once(monkeypatch):
+    # one local basis each for the left factor, the right factor and the
+    # glued semigroup, plus the block-order basis of the assembled note
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return standard_basis_local(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "standard_basis_local", counted)
+    monkeypatch.setattr(theorems, "standard_basis_local", counted)
+    verify_glued_tangent_cone(gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1)))
+    assert len(calls) == 4

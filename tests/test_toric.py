@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from sgring.errors import Deadline, InputError
+from sgring import toric
+from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.monomials import Binomial, degrevlex
 from sgring.groebner import buchberger, homogenize_ideal, is_groebner
 from sgring.semigroups import (
@@ -21,6 +22,8 @@ from sgring.toric import (
     gamma_degree,
     glued_ideal_generators,
     ideal_equals,
+    local_basis,
+    reduced_basis,
     toric_ideal,
 )
 from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES, population
@@ -135,6 +138,32 @@ def test_toric_ideal_cost_follows_multiplicity():
     # the window scan would test about 10^8 degrees here; the Apery scan tests 10007
     ideal = toric_ideal(NumericalSemigroup((10007, 10009)), Deadline(2.0))
     assert ideal.generators == (Binomial((10009, 0), (0, 10007)),)
+
+
+@pytest.mark.parametrize("accessor, make", [
+    (toric_ideal, lambda: NumericalSemigroup((3, 5, 7))),
+    (reduced_basis, lambda: NumericalSemigroup((3, 5, 7))),
+    (local_basis, lambda: NumericalSemigroup((3, 5, 7))),
+    (toric_ideal, lambda: AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])),
+    (reduced_basis, lambda: AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])),
+], ids=["toric-numerical", "reduced-numerical", "local-numerical",
+        "toric-affine", "reduced-affine"])
+def test_artifacts_are_built_once_per_object(monkeypatch, accessor, make):
+    s = make()
+    # a build cut short by its deadline raises and stores nothing
+    with pytest.raises(DeadlineExceeded):
+        accessor(s, Deadline(-1.0))
+    assert accessor.__name__ not in s._memo
+    first = accessor(s)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("artifact rebuilt")
+
+    for name in ("_toric_by_divisor_graphs", "_toric_by_elimination",
+                 "buchberger", "standard_basis_local"):
+        monkeypatch.setattr(toric, name, rebuilt)
+    assert accessor(s) is first
+    assert s._memo[accessor.__name__] is first
 
 
 def test_gamma_degree():
