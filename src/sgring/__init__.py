@@ -9,15 +9,14 @@ harness that verifies gluing / extension / join statements on instances.
 
 from .errors import (BoundInsufficient, CertificationError, Deadline,
                      DeadlineExceeded, InputError, SgringError)
-from .monomials import (Binomial, Order, degrevlex, deglex, homogenize,
-                        negdeglex, negdegrevlex)
+from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex
 from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec,
                          NumericalSemigroup, condition_A, condition_B,
                          embed_axis, extend, glue, is_nice_gluing,
                          is_star_gluing, join, nd_order)
 from .toric import BinomialIdeal, glued_ideal_generators, ideal_equals, toric_ideal
-from .groebner import (GroebnerBasis, buchberger, homogenize_ideal,
-                       initial_forms_ideal, is_groebner, standard_basis_local)
+from .groebner import (GroebnerBasis, buchberger, homogenize_ideal, is_groebner,
+                       standard_basis_local)
 from .resolution import (BettiTable, ResolutionSummary, SifrReport,
                          betti_degrees, is_prec_symmetric, pf_via_betti,
                          resolution_summary, sifr_check, tensor_betti)

@@ -7,9 +7,9 @@ conflict (a cross-check or theorem check disagrees), 2 input error,
 
 JSON documents carry {"schema_version", "type", "generators", "params"}
 with every integer as a decimal string; reports add "command" and "result"
-and re-parse under the same input schema.  SGRING_DEADLINE (seconds) and
-SGRING_THREADS set defaults for --deadline and --threads; --threads is
-validated but changes nothing, since fixture batches run serially.
+and re-parse under the same input schema.  SGRING_DEADLINE (seconds) sets
+the default for --deadline; --threads is validated but changes nothing,
+since fixture batches run serially.
 """
 
 from __future__ import annotations
@@ -328,15 +328,9 @@ def cmd_extend(args, deadline) -> int:
     else:
         raise InputError("extend: give the base via --numerical or --affine")
     spec = ExtensionSpec(base, args.l, _int_list(args.u, "--u"))
-    if args.box:
-        box = _int_list(args.box, "--box")
-    else:
-        dim = len(spec.a)
-        box = tuple(2 * spec.l * max(g[i] for g in spec.base.generators) + 2 * spec.a[i]
-                    for i in range(dim))
-    rep = verify_extension_pf(spec, box, deadline)
+    rep = verify_extension_pf(spec, deadline)
     ext = extend(spec)
-    params = {"l": spec.l, "u": spec.u, "a": spec.a, "box": box}
+    params = {"l": spec.l, "u": spec.u, "a": spec.a}
     emit(report_document("extend", ext.semigroup, params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
@@ -384,10 +378,9 @@ def cmd_pf(args, deadline) -> int:
               "method": "top Betti degrees minus the generator sum"}
     lines = [f"pseudo-Frobenius via top Betti degrees: {via_betti}"]
     code = EXIT_OK
-    if args.box:
-        box = _int_list(args.box, "--box")
-        # numerical gap sets are always finite; the box only bounds affine scans
-        direct = s.pf_direct(box, deadline) if not isinstance(s, NumericalSemigroup) \
+    if args.direct:
+        # numerical gap sets are always finite and read off Ap(S, n_1)
+        direct = s.pf_direct(deadline) if not isinstance(s, NumericalSemigroup) \
             else [(f,) for f in s.pf_numeric()]
         result["pf_direct"] = [list(d) for d in direct]
         agree = sorted(tuple(d) for d in direct) == sorted(
@@ -397,7 +390,7 @@ def cmd_pf(args, deadline) -> int:
                      + ("(agrees)" if agree else "(CONFLICT)"))
         if not agree:
             code = EXIT_CONFLICT
-    emit(report_document("pf", s, {"box": args.box}, result), args.format, lines)
+    emit(report_document("pf", s, {"direct": args.direct}, result), args.format, lines)
     return code
 
 
@@ -422,7 +415,7 @@ def cmd_hilbert(args, deadline) -> int:
     stab = s.hilbert_stabilization(deadline)
     upto = args.upto if args.upto is not None else stab
     values = s.hilbert_gr(upto, deadline)
-    nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
+    nondecreasing = s.hilbert_nondecreasing()  # over the whole function
     result = {"upto": upto, "values": values, "stabilization": stab,
               "nondecreasing": nondecreasing}
     emit(report_document("hilbert", s, {"upto": upto}, result), args.format,
@@ -506,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affine", help="base rows, e.g. '3 0;5 0;0 1'")
     p.add_argument("--l", type=int, required=True, help="scaling factor")
     p.add_argument("--u", required=True, help="coefficients of the new member")
-    p.add_argument("--box", help="gap-scan box, comma-separated")
     _add_common(p)
     p.set_defaults(handler=cmd_extend)
 
@@ -527,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pf", help="pseudo-Frobenius elements")
     _add_semigroup_source(p)
-    p.add_argument("--box", help="also run the direct gap-set computation")
+    p.add_argument("--direct", action="store_true",
+                   help="also run the direct gap-set computation")
     _add_common(p)
     p.set_defaults(handler=cmd_pf)
 
@@ -563,16 +556,6 @@ def _env_float(name: str) -> Optional[float]:
         raise InputError(f"{name}: expected a number, got {raw!r}")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{name}: expected an integer, got {raw!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -580,9 +563,7 @@ def main(argv=None) -> int:
         seconds = args.deadline if args.deadline is not None \
             else _env_float("SGRING_DEADLINE")
         deadline = Deadline(seconds) if seconds is not None else None
-        if args.threads is None:
-            args.threads = _env_int("SGRING_THREADS", 1)
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise InputError("--threads: must be at least 1")
         return args.handler(args, deadline)
     except InputError as ex:

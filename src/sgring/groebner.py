@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import Deadline, InputError, tick
 from .monomials import (
@@ -180,7 +180,7 @@ def is_groebner(candidate, order: Order, deadline: Optional[Deadline] = None) ->
     return True
 
 
-def homogenize_ideal(gb: GroebnerBasis, x0: Optional[int] = None) -> GroebnerBasis:
+def homogenize_ideal(gb: GroebnerBasis) -> GroebnerBasis:
     """Homogenize a reduced degree-revlex basis elementwise; x0 sits lowest.
 
     The balancing variable is the fresh slot appended after the existing
@@ -192,9 +192,7 @@ def homogenize_ideal(gb: GroebnerBasis, x0: Optional[int] = None) -> GroebnerBas
     if gb.order.grading != "degree" or gb.order.tiebreak != "revlex" or gb.order.blocks:
         raise InputError("homogenization needs a degree-graded revlex order")
     n = gb.order.nvars
-    if x0 is not None and x0 != n:
-        raise InputError(f"the fresh variable slot is {n}")
-    ext_order = Order("degree", "revlex", gb.order.priority + (n,), homog_index=n)
+    ext_order = Order("degree", "revlex", gb.order.priority + (n,))
     out = []
     for b in gb.elements:
         hb = homogenize(Binomial(b.lead + (0,), b.tail + (0,)), n)
@@ -209,8 +207,7 @@ def lazard_order(local_order: Order) -> Order:
     order's leads: total degree (balancing variable included) first, then the
     local comparison on the original variables."""
     n = local_order.nvars
-    return Order("lazard", local_order.tiebreak, local_order.priority + (n,),
-                 homog_index=n)
+    return Order("lazard", local_order.tiebreak, local_order.priority + (n,))
 
 
 def standard_basis_local(gens, local_order: Order,
@@ -238,34 +235,3 @@ def standard_basis_local(gens, local_order: Order,
     kept.sort(key=cmp_to_key(lambda a, b: compare(local_order, a.lead, b.lead)))
     return GroebnerBasis(local_order, tuple(kept), reduced=False, minimal=True)
 
-
-InitialForm = Union[Binomial, Vec]
-
-
-def initial_forms_ideal(gens, local_order: Order,
-                        deadline: Optional[Deadline] = None) -> list[InitialForm]:
-    """Least-degree homogeneous parts of a standard basis.
-
-    A part is the bare lead monomial when the two sides have different total
-    degrees, the whole binomial when they tie.  Raises when the input's leads
-    do not already generate the initial ideal (i.e. it is not a standard basis).
-    """
-    if not local_order.is_local():
-        raise InputError("initial forms are taken under a local order")
-    els = []
-    for b in _elements(gens):
-        ob = oriented(b.lead, b.tail, local_order)
-        if ob is not None:
-            els.append(ob)
-    sb = standard_basis_local(els, local_order, deadline)
-    for b in sb.elements:
-        if not any(divides(g.lead, b.lead) for g in els):
-            raise InputError("input is not a standard basis: its leads miss "
-                             f"the initial-ideal generator {b.lead}")
-    out: list[InitialForm] = []
-    for b in els:
-        if total_degree(b.lead) < total_degree(b.tail):
-            out.append(b.lead)
-        else:
-            out.append(b)
-    return out

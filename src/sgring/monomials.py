@@ -22,14 +22,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    """Componentwise difference; raises if any entry would go negative."""
-    out = tuple(a - b for a, b in zip(u, v, strict=True))
-    if any(c < 0 for c in out):
-        raise InputError(f"difference {u} - {v} leaves N^d")
-    return out
-
-
 def scale(k: int, u: Vec) -> Vec:
     return tuple(k * a for a in u)
 
@@ -85,7 +77,6 @@ class Order:
     tiebreak: str
     priority: Vec
     blocks: Optional[Vec] = None
-    homog_index: Optional[int] = None
 
     def __post_init__(self):
         if self.grading not in _GRADINGS:
@@ -156,16 +147,8 @@ def degrevlex(nvars: int, priority: Optional[Vec] = None) -> Order:
     return Order("degree", "revlex", _natural(nvars, priority))
 
 
-def deglex(nvars: int, priority: Optional[Vec] = None) -> Order:
-    return Order("degree", "lex", _natural(nvars, priority))
-
-
 def negdegrevlex(nvars: int, priority: Optional[Vec] = None) -> Order:
     return Order("negdegree", "revlex", _natural(nvars, priority))
-
-
-def negdeglex(nvars: int, priority: Optional[Vec] = None) -> Order:
-    return Order("negdegree", "lex", _natural(nvars, priority))
 
 
 def elimination_order(nelim: int, nvars: int) -> Order:

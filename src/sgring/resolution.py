@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import BoundInsufficient, CertificationError, Deadline, InputError, tick
+from .errors import BoundInsufficient, Deadline, InputError, tick
 from .linalg import rational_rank
 from .monomials import Order, Vec, vec_add
-from .semigroups import (AffineSemigroup, GapScan, NumericalSemigroup, axis_apery,
-                         nd_max, nd_order)
+from .semigroups import AffineSemigroup, NumericalSemigroup, axis_apery, nd_max, nd_order
 
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
@@ -350,12 +349,12 @@ def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
 
 def is_prec_symmetric(s: Semigroup, table: BettiTable,
                       order: Optional[Order] = None,
-                      scan: Optional[GapScan] = None) -> bool:
+                      deadline: Optional[Deadline] = None) -> bool:
     """True iff the unique pseudo-Frobenius element is the order-maximum gap.
 
     For a numerical semigroup that gap is the Frobenius number F, and gaps
-    exist exactly when F >= 1; an affine semigroup needs the caller's gap
-    scan (`AffineSemigroup.gap_set`), which must be shell-clean."""
+    exist exactly when F >= 1; an affine semigroup reads its gap set
+    (`AffineSemigroup.gap_set`), which must be certified finite."""
     gens, d, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         return False
@@ -365,14 +364,8 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
     if numerical:
         f = s.frobenius()
         return f >= 1 and pf[0] == f
-    if scan is None:
-        raise InputError("a gap scan is required for an affine semigroup")
-    if not scan.shell_clean:
-        raise CertificationError(
-            "gap set not certifiably finite within box: gaps touch the outer shell")
-    if not scan.gaps:
-        return False
-    return pf[0] == nd_max(order or nd_order("graded-lex", d), scan.gaps)
+    gaps = s.gap_set(deadline).all_gaps()
+    return bool(gaps) and pf[0] == nd_max(order or nd_order("graded-lex", d), gaps)
 
 
 def sifr_check(s: Semigroup, table: BettiTable) -> SifrReport:

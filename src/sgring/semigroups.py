@@ -312,35 +312,61 @@ class AffineSemigroup:
                 rays.append(r)
         return sorted(rays)
 
-    def gap_set(self, box: Sequence[int],
-                deadline: Optional[Deadline] = None) -> "GapScan":
-        """Cone points below box that are not members, plus a shell-clean flag."""
-        box = tuple(int(c) for c in box)
-        members = self.members_within(box, deadline)
-        thickness = max(max(g) for g in self.generators)
-        gaps = []
-        shell_clean = True
-        for i, pt in enumerate(_box_points(box)):
-            if not i & 4095:
-                tick(deadline)
-            if pt in members or not self.cone_membership(pt):
-                continue
-            gaps.append(pt)
-            if any(c + thickness > b for c, b in zip(pt, box)):
-                shell_clean = False
-        return GapScan(tuple(sorted(gaps)), shell_clean, box)
+    def gap_set(self, deadline: Optional[Deadline] = None) -> "GapScan":
+        """Cone points outside the semigroup, scanned over a box derived from
+        the generators, and whether they are finitely many; an artifact.
 
-    def pf_direct(self, box: Sequence[int],
-                  deadline: Optional[Deadline] = None) -> list[Vec]:
-        """Pseudo-Frobenius elements by the gap-set definition; needs a clean shell."""
-        return self.pf_from_scan(self.gap_set(box, deadline))
+        When every extremal ray is a coordinate axis, `axis_apery` gives
+        E = {c_j u_j} and Ap(S, E); let M_j = max over w in Ap(S, E) of w_j.
+        A cone point x is a member iff some w in Ap(S, E) lies below x and
+        agrees with it modulo every c_j, so for x_j >= M_j membership depends
+        on x_j only through x_j mod c_j.  The box is M_j + c_j - 1 on each
+        axis in use and 0 elsewhere, and the answer is exact: a gap with
+        x_j >= M_j repeats every c_j along axis j (finite is False), and
+        otherwise every gap has x_j < M_j on every axis, inside the box.
 
-    def pf_from_scan(self, scan: "GapScan") -> list[Vec]:
-        """The gaps f of a shell-clean gap scan with f + g a member for every generator g."""
-        if not scan.shell_clean:
-            raise CertificationError(
-                "gap set not certifiably finite within box: gaps touch the outer shell")
-        return [f for f in scan.gaps
+        With a ray off the axes the box is (number of generators) times the
+        generator sum.  A cone point with a coordinate above the generator
+        sum has a cone coefficient of at least 1 at some generator g
+        (Caratheodory), so x - g stays in the cone, and is a gap when x is:
+        a gap outside the box walks down to one in the shell one largest
+        generator entry thick.  A clean shell proves every gap inside the
+        box; a dirty one leaves finiteness undecided (finite is None).
+        """
+        def build() -> GapScan:
+            axis = axis_apery(self.generators, deadline)
+            if axis is not None:
+                extremal, apery = axis
+                step = {i: c for e in extremal for i, c in enumerate(e) if c}
+                reach = {i: max(w[i] for w in apery) for i in step}
+                box = tuple(reach[i] + step[i] - 1 if i in step else 0
+                            for i in range(self.dim))
+                in_cone = lambda pt: True  # the box lies in the cone
+                escapes = lambda pt: any(pt[i] >= m for i, m in reach.items())
+            else:
+                n = len(self.generators)
+                box = tuple(n * sum(g[i] for g in self.generators) for i in range(self.dim))
+                thickness = max(max(g) for g in self.generators)
+                in_cone = self.cone_membership
+                escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
+            members = self.members_within(box, deadline)
+            gaps, escaped = [], False
+            for i, pt in enumerate(_box_points(box)):
+                if not i & 4095:
+                    tick(deadline)
+                if pt in members or not in_cone(pt):
+                    continue
+                gaps.append(pt)
+                escaped = escaped or escapes(pt)
+            finite = (False if axis is not None else None) if escaped else True
+            return GapScan(tuple(sorted(gaps)), finite, box)
+
+        return artifact(self, "gap_set", build)
+
+    def pf_direct(self, deadline: Optional[Deadline] = None) -> list[Vec]:
+        """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
+        f + g a member for every generator g; the gap set must be finite."""
+        return [f for f in self.gap_set(deadline).all_gaps()
                 if all(self.membership(vec_add(f, g)).ok for g in self.generators)]
 
 
@@ -433,9 +459,21 @@ def _box_points(box: Vec):
 
 @dataclass(frozen=True)
 class GapScan:
+    """The gaps inside box; finite is True when they are the whole gap set,
+    False when the gap set is infinite, None when the scan cannot tell."""
     gaps: tuple[Vec, ...]
-    shell_clean: bool
+    finite: Optional[bool]
     box: Vec
+
+    def all_gaps(self) -> tuple[Vec, ...]:
+        """The whole gap set, or CertificationError when it is not finite."""
+        if self.finite is False:
+            raise CertificationError(
+                f"gap set is infinite: a gap in box {self.box} repeats along an axis")
+        if self.finite is None:
+            raise CertificationError(
+                f"gap set not certifiably finite: gaps reach the shell of box {self.box}")
+        return self.gaps
 
 
 def embed_axis(s: NumericalSemigroup, dim: int, axis: int) -> AffineSemigroup:

@@ -159,23 +159,29 @@ def test_betti_bound_below_the_certified_box_is_a_resource_bound(capsys):
 
 
 def test_pf_command_with_direct_cross_check(capsys):
-    code, doc = run_json(capsys, "pf", "--numerical", "3,5,7", "--box", "20")
+    code, doc = run_json(capsys, "pf", "--numerical", "3,5,7", "--direct")
     assert code == EXIT_OK
+    assert doc["params"]["direct"] is True
     assert doc["result"]["pf"] == [["2"], ["4"]]
     assert doc["result"]["pf_direct"] == [["2"], ["4"]]
     assert doc["result"]["direct_agrees"] is True
-    code, doc = run_json(capsys, "pf", "--affine", "2 0;3 0;0 2;0 3;1 1",
-                         "--box", "8,8")
+    code, doc = run_json(capsys, "pf", "--affine", "2 0;3 0;0 2;0 3;1 1", "--direct")
     assert code == EXIT_OK
     assert doc["result"]["pf"] == [["1", "2"], ["2", "1"]]
+    assert doc["result"]["direct_agrees"] is True
+    # matrix A: the derived box (12, 3) holds every gap, so PF = {(7, 2)}
+    code, doc = run_json(capsys, "pf", "--affine", "3 0;5 0;0 1;1 3;2 3", "--direct")
+    assert code == EXIT_OK
+    assert doc["result"]["pf_direct"] == [["7", "2"]]
     assert doc["result"]["direct_agrees"] is True
 
 
 def test_pf_box_scan_honours_deadline(capsys):
-    # the direct gap scan of this box runs for seconds without a deadline
+    # the derived box of <1000, 1001> on one axis has about 10^6 points, and
+    # its direct gap scan runs for seconds without a deadline
     start = time.monotonic()
-    code, out, err = run(capsys, "pf", "--affine", "3 0;5 0;0 1;1 3;2 3",
-                         "--box", "900,900", "--deadline", "0.5")
+    code, out, err = run(capsys, "pf", "--affine", "1000;1001",
+                         "--direct", "--deadline", "0.5")
     assert code == EXIT_BOUND
     assert out == ""
     assert "deadline" in err
@@ -184,10 +190,10 @@ def test_pf_box_scan_honours_deadline(capsys):
 
 def test_pf_affine_unbounded_gaps_is_a_resource_bound(capsys):
     code, out, err = run(capsys, "pf", "--affine", "6 0;10 0;0 2;2 6;4 6;6 9",
-                         "--box", "20,20")
+                         "--direct")
     assert code == EXIT_BOUND
     assert out == ""
-    assert err.startswith("resource bound: gap set not certifiably finite")
+    assert err.startswith("resource bound: gap set is infinite")
 
 
 def test_sifr_command(capsys):
@@ -207,6 +213,16 @@ def test_hilbert_command(capsys):
     assert doc["result"]["values"] == ["1"] + ["3"] * 8
     assert doc["result"]["nondecreasing"] is True
     assert doc["result"]["stabilization"] == "1"
+
+
+def test_hilbert_nondecreasing_covers_the_whole_function(capsys):
+    # Herzog-Waldi: H = 1, 10, 9, ..., so a window that stops at index 1
+    # must still report the decrease that follows it
+    code, doc = run_json(capsys, "hilbert", "--numerical",
+                         "30,35,42,47,148,153,157,169,181,193", "--upto", "1")
+    assert code == EXIT_OK
+    assert doc["result"]["values"] == ["1", "10"]
+    assert doc["result"]["nondecreasing"] is False
 
 
 def test_hilbert_command_at_large_generators(capsys):
@@ -239,6 +255,7 @@ def test_extend_command(capsys):
     assert doc["result"]["computed"]["pf"] == [["25"]]
     assert doc["result"]["computed"]["prec-symmetric"] is True
     assert doc["result"]["agree"] is True
+    assert "box" not in doc["params"]  # the gap-scan box is derived, not given
 
 
 def test_star_glue_requires_a_star_gluing(capsys):
@@ -366,10 +383,13 @@ def test_deadline_flag_and_env(capsys, monkeypatch):
 
 
 def test_threads_env(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "fixtures")
-    monkeypatch.setenv("SGRING_THREADS", "3")
-    _, pooled, _ = run(capsys, "fixtures")
-    assert serial == pooled
+    # SGRING_THREADS is not read: even a malformed value changes nothing
+    _, plain, _ = run(capsys, "hilbert", "--numerical", "3,5")
+    monkeypatch.setenv("SGRING_THREADS", "abc")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5")
+    assert (code, out, err) == (EXIT_OK, plain, "")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5", "--threads", "0")
+    assert code == EXIT_INPUT and err == "input error: --threads: must be at least 1\n"
 
 
 def test_theorem_conflict_predicate():

@@ -8,18 +8,18 @@ import pytest
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.monomials import (
     Binomial,
-    deglex,
+    Order,
     degrevlex,
     elimination_order,
     divides,
     negdegrevlex,
+    oriented,
     total_degree,
 )
 from sgring.groebner import (
     GroebnerBasis,
     buchberger,
     homogenize_ideal,
-    initial_forms_ideal,
     is_groebner,
     normal_form,
     standard_basis_local,
@@ -39,6 +39,26 @@ G357 = (
 def local3():
     # tangent-cone order: x1 carries the smallest generator and sits lowest
     return negdegrevlex(3, priority=(2, 1, 0))
+
+
+def deglex(nvars):
+    return Order("degree", "lex", tuple(range(nvars)))
+
+
+def initial_forms_ideal(gens, local_order):
+    """Least-degree homogeneous parts of a standard basis: the bare lead
+    monomial when the two sides have different total degrees, the whole
+    binomial when they tie.  Raises when the input's leads do not already
+    generate the initial ideal (it is not a standard basis)."""
+    if not local_order.is_local():
+        raise InputError("initial forms are taken under a local order")
+    els = [ob for ob in (oriented(b.lead, b.tail, local_order)
+                         for b in getattr(gens, "elements", gens)) if ob is not None]
+    for b in standard_basis_local(els, local_order).elements:
+        if not any(divides(g.lead, b.lead) for g in els):
+            raise InputError("input is not a standard basis: its leads miss "
+                             f"the initial-ideal generator {b.lead}")
+    return [b.lead if total_degree(b.lead) < total_degree(b.tail) else b for b in els]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +183,7 @@ def test_homogenize_ideal_worked():
     gb = buchberger([Binomial((5, 0), (0, 3))], O2)
     h = homogenize_ideal(gb)
     assert h.elements == (Binomial((5, 0, 0), (0, 3, 2)),)
-    assert h.order.priority == (0, 1, 2) and h.order.homog_index == 2
+    assert h.order.priority == (0, 1, 2)  # the balancing variable sits lowest
     assert h.reduced and h.minimal
 
 
@@ -177,9 +197,6 @@ def test_homogenize_ideal_rejects():
     gb = buchberger([Binomial((5, 0), (0, 3))], deglex(2))
     with pytest.raises(InputError):
         homogenize_ideal(gb)
-    ok = buchberger([Binomial((5, 0), (0, 3))], O2)
-    with pytest.raises(InputError):
-        homogenize_ideal(ok, x0=0)
     with pytest.raises(InputError):
         homogenize_ideal(list(G357))
 
@@ -190,7 +207,7 @@ def test_homogenized_basis_recomputes_identically():
     rng = random.Random(32)
     from sgring.semigroups import NumericalSemigroup
     from sgring.toric import toric_ideal
-    from sgring.monomials import Order, homogenize
+    from sgring.monomials import homogenize
 
     for _ in range(12):
         while True:
@@ -203,7 +220,7 @@ def test_homogenized_basis_recomputes_identically():
         e = s.embedding_dim
         gens = buchberger(toric_ideal(s).generators, degrevlex(e)).elements
         direct = homogenize_ideal(buchberger(gens, degrevlex(e)))
-        ext = Order("degree", "revlex", tuple(range(e + 1)), homog_index=e)
+        ext = Order("degree", "revlex", tuple(range(e + 1)))
         hgens = [homogenize(Binomial(b.lead + (0,), b.tail + (0,)), e) for b in gens]
         recomputed = buchberger(hgens, ext)
         assert direct.elements == recomputed.elements

@@ -22,8 +22,16 @@ from sgring.monomials import (
     oriented,
     quotient,
     s_pair,
-    vec_sub,
 )
+
+
+
+def vec_sub(u, v):
+    """Componentwise difference; raises if any entry would go negative."""
+    out = tuple(a - b for a, b in zip(u, v, strict=True))
+    if any(c < 0 for c in out):
+        raise InputError(f"difference {u} - {v} leaves N^d")
+    return out
 
 
 def monomials_upto(nvars, maxdeg):

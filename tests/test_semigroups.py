@@ -340,32 +340,42 @@ GAPS_A = {
 
 
 def test_gap_scan_worked_2d():
-    scan = MAT_A.gap_set((30, 30))
-    assert scan.shell_clean
+    # Ap(S, E) for E = {(3,0), (0,1)} reaches (10, 3), so the box is (12, 3)
+    scan = MAT_A.gap_set()
+    assert scan.finite is True and scan.box == (12, 3)
     assert set(scan.gaps) == GAPS_A
+    assert MAT_A.gap_set() is scan  # an artifact: built once
     members = MAT_A.members_within((30, 30))
     for pt in product(range(31), repeat=2):
         assert (pt in GAPS_A) == (pt not in members)
 
 
 def test_pf_direct_worked_2d():
-    assert MAT_A.pf_direct((30, 30)) == [(7, 2)]
+    assert MAT_A.pf_direct() == [(7, 2)]
+
+
+def test_gap_scan_checks_the_deadline_and_stores_nothing_when_cut():
+    s = AffineSemigroup(MAT_A.generators)
+    with pytest.raises(DeadlineExceeded):
+        s.gap_set(Deadline(-1.0))
+    assert s.gap_set().finite is True
 
 
 def test_extension_gap_set_grows():
     # scaling all but one generator only thins the semigroup out, so the hole
     # set of the extension contains the hole set of the base ...
-    scan_a = MAT_A.gap_set((24, 24))
-    scan_b = MAT_B.gap_set((24, 24))
+    scan_a = MAT_A.gap_set()
+    scan_b = MAT_B.gap_set()
     assert set(scan_a.gaps) <= set(scan_b.gaps)
     assert (3, 0) in set(scan_b.gaps) - set(scan_a.gaps)
     # ... and here it is infinite: no generator but (6,9) has odd second
-    # coordinate, so the whole odd y-axis consists of holes and every box
-    # scan is shell-dirty.
-    assert all((0, y) in scan_b.gaps for y in range(1, 24, 2))
-    assert not scan_b.shell_clean
-    with pytest.raises(CertificationError):
-        MAT_B.pf_direct((24, 24))
+    # coordinate, so the whole odd y-axis consists of holes, and the gap
+    # (0, 15) at M_2 = 15 repeats every 2 up that axis.
+    assert scan_b.box == (31, 16)
+    assert all((0, y) in scan_b.gaps for y in range(1, 17, 2))
+    assert scan_b.finite is False
+    with pytest.raises(CertificationError, match="gap set is infinite"):
+        MAT_B.pf_direct()
 
 
 def test_pf_property_of_extension_candidate():
@@ -382,11 +392,10 @@ def test_pf_direct_matches_pf_numeric_on_axis():
     for _ in range(12):
         s = random_numerical(rng, hi=20)
         a = AffineSemigroup([(g,) for g in s.generators])
-        box = (s.frobenius() + s.generators[-1] + 2,)
-        scan = a.gap_set(box)
-        assert scan.shell_clean
+        scan = a.gap_set()
+        assert scan.finite is True
         assert list(scan.gaps) == [(v,) for v in s.gaps()]
-        assert a.pf_direct(box) == [(f,) for f in s.pf_numeric()]
+        assert a.pf_direct() == [(f,) for f in s.pf_numeric()]
 
 
 def brute_apery(s, extremal, box):
@@ -418,6 +427,57 @@ def test_axis_apery_declines_rays_off_the_axes():
     assert axis_apery(((2, 1), (3, 0), (1, 3))) is None
     assert axis_apery(((3, 0), (1, 1))) is None  # no generator on the second axis
     assert axis_apery(MAT_A.generators)[0] == ((3, 0), (0, 1))
+
+
+def brute_gaps(s, box):
+    # cone points within box outside the semigroup: the members are the sums
+    # of multiples of each generator in turn, as in brute_members
+    members = {(0,) * len(box)}
+    for g in s.generators:
+        members = {tuple(c + k * e for c, e in zip(m, g)) for m in members
+                   for k in range(min((b - c) // e for c, e, b in zip(m, g, box) if e) + 1)}
+    return {pt for pt in product(*(range(b + 1) for b in box))
+            if pt not in members and s.cone_membership(pt)}
+
+
+def random_axis_2d(rng):
+    # generators on both axes plus some off them, so the rays are the axes
+    while True:
+        gens = {(a, 0) for a in rng.sample(range(2, 7), rng.randint(1, 2))}
+        gens |= {(0, b) for b in rng.sample(range(2, 7), rng.randint(1, 2))}
+        gens |= {(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 2))}
+        try:
+            return AffineSemigroup(sorted(gens))
+        except InputError:
+            continue
+
+
+def test_gap_set_matches_brute_oracle():
+    rng = random.Random(11)
+    join_23 = AffineSemigroup([(2, 0), (3, 0), (0, 2), (0, 3)])
+    # c_1 = 1: the gaps (0, odd) reach the box only at y = M_2 = 1
+    unit_axis = AffineSemigroup([(1, 0), (0, 2), (1, 1)])
+    cases = [MAT_A, MAT_B, join_23, unit_axis]
+    cases += [AffineSemigroup([(g,) for g in random_numerical(rng, hi=12, kmax=3).generators])
+              for _ in range(20)]
+    cases += [random_axis_2d(rng) for _ in range(20)]
+    off_axis = [AffineSemigroup([(2, 0), (3, 0), (1, 1), (2, 1)]),  # rays (1,0), (1,1)
+                AffineSemigroup([(2, 1), (3, 0), (1, 3)])]
+    seen = set()
+    for s in cases + off_axis:
+        scan = s.gap_set()
+        oracle = brute_gaps(s, tuple(2 * b for b in scan.box))
+        inside = {g for g in oracle if all(c <= b for c, b in zip(g, scan.box))}
+        assert set(scan.gaps) == inside, s.generators
+        if scan.finite is True:
+            assert oracle == inside, s.generators
+        elif scan.finite is False:
+            assert oracle - inside, s.generators
+        seen.add(scan.finite)
+    assert all(s.gap_set().finite is False for s in (MAT_B, join_23, unit_axis))
+    assert seen == {True, False, None}
+    assert off_axis[0].gap_set().finite is True and off_axis[0].gap_set().gaps == ((1, 0),)
+    assert off_axis[1].gap_set().finite is None  # (k, 0), k = 1, 2 mod 3: a dirty shell
 
 
 def test_embed_axis():
@@ -613,7 +673,7 @@ def test_extension_numerical():
     ext = extend(spec)
     assert set(ext.semigroup.generators) == {(6,), (9,), (10,)}
     # PF transfers as l*f + (l-1)*a: 2*7 + 9 = 23
-    assert ext.semigroup.pf_direct((60,)) == [(23,)]
+    assert ext.semigroup.pf_direct() == [(23,)]
     assert NumericalSemigroup([6, 9, 10]).pf_numeric() == [23]
 
 
@@ -647,11 +707,11 @@ def test_join_of_axes():
     assert j.semigroup.membership((3, 2))
     assert not j.semigroup.membership((1, 1))
     # holes of a join fill a full cylinder over each factor gap: never finite
-    scan = j.semigroup.gap_set((20, 20))
-    assert not scan.shell_clean
-    assert all((1, y) in scan.gaps for y in range(21))
-    with pytest.raises(CertificationError):
-        j.semigroup.pf_direct((20, 20))
+    scan = j.semigroup.gap_set()
+    assert scan.finite is False and scan.box == (12, 4)
+    assert all((1, y) in scan.gaps for y in range(5))
+    with pytest.raises(CertificationError, match="gap set is infinite"):
+        j.semigroup.pf_direct()
 
 
 def test_join_members_are_sums():

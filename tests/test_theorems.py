@@ -276,7 +276,7 @@ def test_extension_rejects_shared_factor():
 
 def test_extension_pf_formula_on_fresh_instance():
     spec = ExtensionSpec(NumericalSemigroup((4, 5)), 3, (1, 2))
-    rep = verify_extension_pf(spec, (60,))
+    rep = verify_extension_pf(spec)
     assert rep.agree
     # PF(E) = l*f + (l-1)*a with f = 11, a = 14
     assert rep.predicted["pf"] == [(3 * 11 + 2 * 14,)]
