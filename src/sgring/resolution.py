@@ -6,10 +6,11 @@ leaving the semigroup; the rank of its reduced homology in degree i-1 is the
 Betti number of the ring's minimal free resolution at homological position i
 and internal degree b.
 
-The degree scan packs the whole box into one big Python int per generator
-subset (one bit per lattice point), so membership closure, face flags, and
-cone detection run as whole-grid bit operations; exact homology over Q is
-computed only at the few points whose complex is not a cone over a vertex.
+The degree scan shifts the member board of `semigroups.member_board` into
+one big Python int per generator subset (one bit per lattice point), so face
+flags and cone detection run as whole-grid bit operations; exact homology
+over Q is computed only at the few points whose complex is not a cone over a
+vertex.  The certified box reads the stored Ap(S, E) of the semigroup.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from typing import NamedTuple, Optional, Union
 from .errors import BoundInsufficient, Deadline, InputError, tick
 from .linalg import rational_rank
 from .monomials import Order, Vec, vec_add
-from .semigroups import AffineSemigroup, NumericalSemigroup, axis_apery, nd_max, nd_order
+from .semigroups import (AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board,
+                         nd_max, nd_order)
 
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
@@ -122,69 +124,6 @@ class SifrReport(NamedTuple):
 # bitboard scan
 
 
-def _replicate(pattern: int, period: int, total: int) -> int:
-    """Tile a one-period bit pattern across a total-bit word."""
-    out = pattern
-    span = period
-    while span < total:
-        out |= out << span
-        span *= 2
-    return out & ((1 << total) - 1)
-
-
-class _Grid:
-    """Row-major linearization of the scan box, padded so that shifting the
-    member board by a subset sum never wraps a real point onto a real point."""
-
-    def __init__(self, bound: Vec, pad: Vec):
-        self.bound = bound
-        self.dims = tuple(b + 1 for b in bound)
-        self.pdims = tuple(d + p for d, p in zip(self.dims, pad))
-        strides = [1] * len(self.pdims)
-        for i in range(len(self.pdims) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.pdims[i + 1]
-        self.strides = tuple(strides)
-        self.total = self.strides[0] * self.pdims[0]
-        real = (1 << self.total) - 1
-        for st, d, p in zip(self.strides, self.dims, self.pdims):
-            real &= _replicate((1 << d * st) - 1, p * st, self.total)
-        self.real = real
-
-    def lin(self, v: Vec) -> int:
-        return sum(c * st for c, st in zip(v, self.strides))
-
-    def coords(self, idx: int) -> Vec:
-        out = []
-        for st in self.strides:
-            out.append(idx // st)
-            idx %= st
-        return tuple(out)
-
-
-def _iter_bits(x: int, total: int):
-    data = x.to_bytes((total + 7) // 8, "little")
-    for byte_idx, byte in enumerate(data):
-        base = byte_idx * 8
-        while byte:
-            low = byte & -byte
-            yield base + low.bit_length() - 1
-            byte ^= low
-
-
-def _member_board(grid: _Grid, gens: tuple[Vec, ...], deadline) -> int:
-    shifts = [grid.lin(g) for g in gens]
-    board = 1  # the origin
-    while True:
-        tick(deadline)
-        grown = board
-        for sh in shifts:
-            grown |= board << sh
-        grown &= grid.real
-        if grown == board:
-            return board
-        board = grown
-
-
 def betti_degrees(s: Semigroup, degree_bound=None,
                   deadline: Optional[Deadline] = None) -> BettiTable:
     """Scan semigroup degrees up to the bound and sum divisor-complex homology.
@@ -224,7 +163,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
             raise InputError(f"degree bound {degree_bound} is not a nonnegative "
                              f"vector of the ambient dimension {d}")
     complete = None
-    axis = axis_apery(gens, deadline)
+    axis = s.axis_apery(deadline)
     if axis is not None:
         extremal, apery = axis
         complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
@@ -236,10 +175,10 @@ def betti_degrees(s: Semigroup, degree_bound=None,
                                 f"certified box {complete}")
     certified = complete is not None
 
-    grid = _Grid(bound, gen_sum)
+    grid = Grid(bound, gen_sum)
     if (1 << n) * grid.total > _MAX_BOARD_BITS:
         raise InputError("scan box too large for the subset boards")
-    members_board = _member_board(grid, gens, deadline)
+    members_board = member_board(grid, gens, deadline)
 
     subset_sums: list[Vec] = [(0,) * d] * (1 << n)
     for k in range(1, 1 << n):
@@ -267,7 +206,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     member_bytes = members_board.to_bytes((grid.total + 7) // 8, "little")
     rows_acc: dict[int, list] = {}
     rank_memo: dict[int, list[int]] = {}
-    for idx in _iter_bits(candidates, grid.total):
+    for idx in iter_bits(candidates, grid.total):
         tick(deadline)
         b = grid.coords(idx)
         bits = 0
@@ -280,7 +219,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
         ranks = rank_memo.get(bits)
         if ranks is None:
             grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-            for k in _iter_bits(bits, 1 << n):
+            for k in iter_bits(bits, 1 << n):
                 face = tuple(i for i in range(n) if k >> i & 1)
                 grouped[len(face)].append(face)
             while not grouped[-1]:

@@ -5,8 +5,10 @@ the Hilbert function of the associated graded ring, cone geometry, and the
 gluing / extension / join constructors.  Everything is exact integer or
 rational arithmetic.  Numerical membership reads the Apery set of the
 multiplicity; the order function and the Hilbert function read the Apery
-table of the powers of the maximal ideal.  Each derived artifact of an
-instance is built once through `artifact` and never grows.
+table of the powers of the maximal ideal.  One bitboard engine
+(`member_board`) gives the members of a box to `members_within`, the gap
+set and the Betti scan.  Each derived artifact of an instance, Ap(S, E)
+included, is built once through `artifact` and never grows.
 """
 from __future__ import annotations
 
@@ -171,16 +173,16 @@ class NumericalSemigroup:
         step is 0 or n_1, so H(l) < n_1 exactly for l below it."""
         return len(self.apery_table(deadline)) - 1
 
-    def hilbert_nondecreasing(self, upto: Optional[int] = None) -> bool:
-        """True iff H is non-decreasing through its certified stabilization index."""
-        stab = self.hilbert_stabilization()
-        if upto is None:
-            upto = stab
-        elif upto < stab:
-            raise CertificationError(
-                f"window {upto} too small to certify: stabilization at {stab}")
-        h = self.hilbert_gr(upto)
+    def hilbert_nondecreasing(self) -> bool:
+        """True iff H is non-decreasing through its stabilization index, and
+        so everywhere: from that index on H is constantly n_1."""
+        h = self.hilbert_gr(self.hilbert_stabilization())
         return all(h[i] <= h[i + 1] for i in range(len(h) - 1))
+
+    def axis_apery(self, deadline: Optional[Deadline] = None) -> tuple:
+        """`axis_apery` of the generators as 1-tuples, read from Ap(S, n_1)."""
+        return artifact(self, "axis_apery", lambda: (
+            ((self.multiplicity,),), frozenset((w,) for w in self._apery_by_residue)))
 
 
 def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
@@ -273,22 +275,21 @@ class AffineSemigroup:
 
     def members_within(self, box: Sequence[int],
                        deadline: Optional[Deadline] = None) -> set[Vec]:
-        """All members componentwise below box, by closure from 0."""
+        """All members componentwise below box, decoded from `member_board`."""
         box = tuple(int(c) for c in box)
-        seen: set[Vec] = {(0,) * self.dim}
-        frontier = [(0,) * self.dim]
-        while frontier:
-            nxt = []
-            for i, pt in enumerate(frontier):
-                if not i & 4095:
-                    tick(deadline)
-                for g in self.generators:
-                    q = vec_add(pt, g)
-                    if q not in seen and all(a <= b for a, b in zip(q, box)):
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return seen
+        if len(box) != self.dim or any(c < 0 for c in box):
+            raise InputError(f"box {box} is not a nonnegative vector of dimension {self.dim}")
+        grid, board = self._board(box, deadline)
+        return {grid.coords(i) for i in iter_bits(board, grid.total, deadline)}
+
+    def _board(self, box: Vec, deadline: Optional[Deadline]) -> tuple[Grid, int]:
+        # padded by the largest entry per axis: one generator shift never wraps
+        grid = Grid(box, tuple(max(c) for c in zip(*self.generators)))
+        return grid, member_board(grid, self.generators, deadline)
+
+    def axis_apery(self, deadline: Optional[Deadline] = None) -> Optional[tuple]:
+        """`axis_apery` of the generators, an artifact."""
+        return artifact(self, "axis_apery", lambda: axis_apery(self.generators, deadline))
 
     def cone_membership(self, x: Sequence[int]) -> bool:
         """x in {sum lambda_i a_i : lambda_i in Q>=0}, decided exactly."""
@@ -334,7 +335,7 @@ class AffineSemigroup:
         box; a dirty one leaves finiteness undecided (finite is None).
         """
         def build() -> GapScan:
-            axis = axis_apery(self.generators, deadline)
+            axis = self.axis_apery(deadline)
             if axis is not None:
                 extremal, apery = axis
                 step = {i: c for e in extremal for i, c in enumerate(e) if c}
@@ -349,25 +350,26 @@ class AffineSemigroup:
                 thickness = max(max(g) for g in self.generators)
                 in_cone = self.cone_membership
                 escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
-            members = self.members_within(box, deadline)
+            grid, board = self._board(box, deadline)
             gaps, escaped = [], False
-            for i, pt in enumerate(_box_points(box)):
-                if not i & 4095:
-                    tick(deadline)
-                if pt in members or not in_cone(pt):
-                    continue
-                gaps.append(pt)
-                escaped = escaped or escapes(pt)
+            # bits run in row-major order, so the gaps come out sorted
+            for idx in iter_bits(grid.real ^ board, grid.total, deadline):
+                pt = grid.coords(idx)
+                if in_cone(pt):
+                    gaps.append(pt)
+                    escaped = escaped or escapes(pt)
             finite = (False if axis is not None else None) if escaped else True
-            return GapScan(tuple(sorted(gaps)), finite, box)
+            return GapScan(tuple(gaps), finite, box)
 
         return artifact(self, "gap_set", build)
 
     def pf_direct(self, deadline: Optional[Deadline] = None) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
-        f + g a member for every generator g; the gap set must be finite."""
-        return [f for f in self.gap_set(deadline).all_gaps()
-                if all(self.membership(vec_add(f, g)).ok for g in self.generators)]
+        f + g a member for every generator g; the gap set must be finite.
+        Then f + g, a cone point, is a member exactly when it is not a gap."""
+        gaps = self.gap_set(deadline).all_gaps()
+        holes = set(gaps)
+        return [f for f in gaps if not any(vec_add(f, g) in holes for g in self.generators)]
 
 
 def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
@@ -447,14 +449,74 @@ def axis_apery(gens: Sequence[Vec], deadline: Optional[Deadline] = None
     return extremal, frozenset(w for peers in found.values() for w in peers)
 
 
-def _box_points(box: Vec):
-    if len(box) == 1:
-        for v in range(box[0] + 1):
-            yield (v,)
-        return
-    for head in range(box[0] + 1):
-        for rest in _box_points(box[1:]):
-            yield (head,) + rest
+# ---------------------------------------------------------------------------
+# bitboard member engine
+
+
+def _replicate(pattern: int, period: int, total: int) -> int:
+    """Tile a one-period bit pattern across a total-bit word."""
+    out = pattern
+    span = period
+    while span < total:
+        out |= out << span
+        span *= 2
+    return out & ((1 << total) - 1)
+
+
+class Grid:
+    """Row-major bit layout of the box [0, bound], padded by pad on each axis
+    so that a shift by a vector at most pad never wraps a real point."""
+
+    def __init__(self, bound: Vec, pad: Vec):
+        dims = [b + 1 for b in bound]
+        pdims = [d + p for d, p in zip(dims, pad)]
+        strides = [1] * len(pdims)
+        for i in range(len(pdims) - 2, -1, -1):
+            strides[i] = strides[i + 1] * pdims[i + 1]
+        self.strides = tuple(strides)
+        self.total = strides[0] * pdims[0]
+        real = (1 << self.total) - 1
+        for st, d, p in zip(strides, dims, pdims):
+            real &= _replicate((1 << d * st) - 1, p * st, self.total)
+        self.real = real
+
+    def lin(self, v: Vec) -> int:
+        return sum(c * st for c, st in zip(v, self.strides))
+
+    def coords(self, idx: int) -> Vec:
+        out = []
+        for st in self.strides:
+            out.append(idx // st)
+            idx %= st
+        return tuple(out)
+
+
+def iter_bits(x: int, total: int, deadline: Optional[Deadline] = None):
+    """Set bits of x in increasing order, checking the deadline per 4 KiB."""
+    data = x.to_bytes((total + 7) // 8, "little")
+    for byte_idx, byte in enumerate(data):
+        if not byte_idx & 4095:
+            tick(deadline)
+        base = byte_idx * 8
+        while byte:
+            low = byte & -byte
+            yield base + low.bit_length() - 1
+            byte ^= low
+
+
+def member_board(grid: Grid, gens: Sequence[Vec], deadline: Optional[Deadline]) -> int:
+    """Members of <gens> in the grid's box; the padding must cover each generator."""
+    shifts = [grid.lin(g) for g in gens]
+    board = 1  # the origin
+    while True:
+        tick(deadline)
+        grown = board
+        for sh in shifts:
+            grown |= board << sh
+        grown &= grid.real
+        if grown == board:
+            return board
+        board = grown
 
 
 @dataclass(frozen=True)

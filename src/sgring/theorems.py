@@ -12,7 +12,6 @@ as a flagged report instead of a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CertificationError, Deadline, InputError, tick
@@ -388,10 +387,9 @@ def verify_extension_pf(spec: ExtensionSpec,
             notes.append("direct gap-set computation matches the top-Betti read-off")
     except CertificationError as exc:
         notes.append(f"direct gap-set computation unavailable: {exc}")
-        box = ext.semigroup.gap_set(deadline).box
-        wit = next((pt for pt in product(*(range(c + 1) for c in box))
-                    if any(pt) and base.membership(pt).ok
-                    and not ext.semigroup.membership(pt).ok), None)
+        # the extension's cone is the base's: such base members are its gaps
+        wit = next((pt for pt in ext.semigroup.gap_set(deadline).gaps
+                    if base.membership(pt).ok), None)
         if wit is not None:
             notes.append(f"base member {wit} is outside the extension, so the "
                          "extension's gap region is not contained in the base's; "

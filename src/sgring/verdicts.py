@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .errors import Deadline, InputError, tick
 from .monomials import Vec, vec_add
 from .groebner import buchberger, homogenize_ideal
-from .semigroups import AffineSemigroup, NumericalSemigroup, artifact, axis_apery
+from .semigroups import AffineSemigroup, NumericalSemigroup, artifact
 from .resolution import betti_degrees, resolution_summary
 from .toric import local_basis, reduced_basis
 
@@ -52,11 +52,13 @@ class Verdict:
 
 def projective_closure_semigroup(s: NumericalSemigroup) -> AffineSemigroup:
     """Degree semigroup of the projective monomial curve: (n_i, n_e - n_i)
-    for each generator plus (0, n_e) for the point at infinity."""
+    for each generator plus (0, n_e) for the point at infinity; an artifact
+    of s, so its own artifacts are shared by every reader of the closure."""
     if not isinstance(s, NumericalSemigroup):
         raise InputError("projective closure needs a numerical semigroup")
     e = s.generators[-1]
-    return AffineSemigroup([(n, e - n) for n in s.generators] + [(0, e)])
+    return artifact(s, "projective_closure", lambda: AffineSemigroup(
+        [(n, e - n) for n in s.generators] + [(0, e)]))
 
 
 def closure_apery(s: NumericalSemigroup,
@@ -69,13 +71,10 @@ def closure_apery(s: NumericalSemigroup,
     Cohen-Macaulay iff |Ap(S', E)| = n_e, the index of the lattice spanned
     by E in the group of S' (Goto-Suzuki-Watanabe 1976), and a
     Cohen-Macaulay S' is Gorenstein iff Ap(S', E) has one maximal element
-    (Rosales-Garcia-Sanchez 1998).  The set is read from `axis_apery` on
-    the closure generators, without a scan box.
-
-    The set is built once per semigroup object.
+    (Rosales-Garcia-Sanchez 1998).  The set is the stored `axis_apery` of
+    the closure object, found without a scan box and built once.
     """
-    return artifact(s, "closure_apery", lambda: axis_apery(
-        projective_closure_semigroup(s).generators, deadline)[1])
+    return projective_closure_semigroup(s).axis_apery(deadline)[1]
 
 
 def _closure_steps(s: NumericalSemigroup) -> list[Vec]:

@@ -137,15 +137,6 @@ def test_membership_errors():
         s.apery(4)
 
 
-def test_hilbert_window_certification():
-    m = NumericalSemigroup([6, 9, 20])
-    stab = m.hilbert_stabilization()
-    assert stab >= 2
-    with pytest.raises(CertificationError):
-        m.hilbert_nondecreasing(upto=1)
-    assert m.hilbert_nondecreasing(upto=stab + 5)
-
-
 # ---------------------------------------------------------------------------
 # numerical semigroups: oracle comparisons
 
@@ -297,15 +288,19 @@ def test_affine_membership_witness():
 
 def test_affine_membership_matches_brute():
     rng = random.Random(19)
-    box = (9, 9)
-    for _ in range(10):
-        while True:
-            cand = rng.sample([(a, b) for a in range(5) for b in range(5) if a or b], rng.randint(2, 4))
-            try:
-                s = AffineSemigroup(cand)
-                break
-            except InputError:
-                continue
+    cases = []
+    while len(cases) < 10:
+        cand = rng.sample([(a, b) for a in range(5) for b in range(5) if a or b], rng.randint(2, 4))
+        try:
+            cases.append((AffineSemigroup(cand), (9, 9)))
+        except InputError:
+            continue
+    # generator entries beyond the box, and boxes of width 0 on one axis:
+    # the board's padding must absorb every shift that leaves the box
+    skew = AffineSemigroup([(7, 1), (2, 5), (1, 0), (0, 11)])
+    cases += [(MAT_A, (4, 2)), (MAT_A, (9, 0)), (MAT_A, (0, 9)),
+              (skew, (3, 3)), (skew, (12, 0)), (skew, (0, 12)), (skew, (0, 0))]
+    for s, box in cases:
         mem = brute_affine_members(s.generators, box)
         assert s.members_within(box) == mem
         for pt in product(range(box[0] + 1), range(box[1] + 1)):
@@ -389,8 +384,7 @@ def test_pf_property_of_extension_candidate():
 
 def test_pf_direct_matches_pf_numeric_on_axis():
     rng = random.Random(20)
-    for _ in range(12):
-        s = random_numerical(rng, hi=20)
+    for s in [random_numerical(rng, hi=20) for _ in range(12)] + [NumericalSemigroup((41, 43, 67))]:
         a = AffineSemigroup([(g,) for g in s.generators])
         scan = a.gap_set()
         assert scan.finite is True
