@@ -173,6 +173,11 @@ def emit(doc: dict, fmt: str, text_lines) -> None:
             sys.stdout.write(line + "\n")
 
 
+def degree_doc(d) -> list:
+    """A degree as a list; numerical degrees are plain ints."""
+    return list(d) if isinstance(d, tuple) else [d]
+
+
 def verdict_doc(v) -> dict:
     return {"check": v.name, "result": v.result, "method": v.method,
             "witness": v.witness, "conflict": v.conflict,
@@ -283,26 +288,26 @@ def _gluing_from_args(args):
 def cmd_glue(args, deadline) -> int:
     spec = _gluing_from_args(args)
     glued = glue(spec)
-    result = {"glued_generators": glued.generators,
+    result = {"glued_generators": spec.glued_generators,
               "p": spec.p, "q": spec.q,
               "classification": is_nice_gluing(spec),
               "star": is_star_gluing(spec),
-              "largest_side": glued.largest_side,
-              "smallest_side": glued.smallest_side}
-    lines = [f"glued semigroup: {glued.generators} (p={spec.p}, q={spec.q}, "
+              "largest_side": spec.largest_side,
+              "smallest_side": spec.smallest_side}
+    lines = [f"glued semigroup: {spec.glued_generators} (p={spec.p}, q={spec.q}, "
              f"{result['classification']}, star={result['star']})"]
     verdicts = []
     if args.projective:
-        verdicts.append(acm_projective_closure(glued.semigroup, deadline))
+        verdicts.append(acm_projective_closure(glued, deadline))
     if args.tangent_cone:
-        verdicts.append(cm_tangent_cone(glued.semigroup, deadline))
+        verdicts.append(cm_tangent_cone(glued, deadline))
     result["verdicts"] = [verdict_doc(v) for v in verdicts]
     for v in verdicts:
         lines += verdict_lines(v)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a,
               "projective": args.projective, "tangent_cone": args.tangent_cone}
-    emit(report_document("glue", glued.semigroup, params, result), args.format, lines)
+    emit(report_document("glue", glued, params, result), args.format, lines)
     return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
 
 
@@ -312,10 +317,9 @@ def cmd_star_glue(args, deadline) -> int:
         raise InputError(f"not a star gluing: sum(a)={sum(spec.a)} is not "
                          f"smaller than sum(b)={sum(spec.b)}")
     rep = verify_glued_tangent_cone(spec, deadline)
-    glued = glue(spec)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a}
-    emit(report_document("star-glue", glued.semigroup, params, theorem_doc(rep)),
+    emit(report_document("star-glue", glue(spec), params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
@@ -329,9 +333,8 @@ def cmd_extend(args, deadline) -> int:
         raise InputError("extend: give the base via --numerical or --affine")
     spec = ExtensionSpec(base, args.l, _int_list(args.u, "--u"))
     rep = verify_extension_pf(spec, deadline)
-    ext = extend(spec)
     params = {"l": spec.l, "u": spec.u, "a": spec.a}
-    emit(report_document("extend", ext.semigroup, params, theorem_doc(rep)),
+    emit(report_document("extend", extend(spec), params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
@@ -345,7 +348,7 @@ def cmd_join(args, deadline) -> int:
     rep = verify_join_sifr(left, right, deadline)
     params = {"left": args.left, "right": args.right, "dim": dim,
               "left_axis": args.left_axis, "right_axis": args.right_axis}
-    carrier = left if rep.computed is None else join(left, right).semigroup
+    carrier = left if rep.computed is None else join(left, right)
     emit(report_document("join", carrier, params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
@@ -358,10 +361,8 @@ def cmd_betti(args, deadline) -> int:
     if bound is not None and isinstance(s, NumericalSemigroup):
         bound = bound[0]  # reported as a number, like the numerical input
     result = {"totals": table.total, "pd": table.pd, "certified": table.certified,
-              "rows": [[list(d) if isinstance(d, tuple) else [d] for d in row]
-                       for row in table.rows],
-              "top_degrees": [list(d) if isinstance(d, tuple) else [d]
-                              for d in table.top_degrees]}
+              "rows": [[degree_doc(d) for d in row] for row in table.rows],
+              "top_degrees": [degree_doc(d) for d in table.top_degrees]}
     lines = [f"betti totals {table.total} (pd {table.pd})"
              + ("" if table.certified else " [heuristic scan box]")]
     for i, row in enumerate(table.rows):
@@ -374,7 +375,7 @@ def cmd_pf(args, deadline) -> int:
     s = _resolve_semigroup(args)
     table = betti_degrees(s, deadline=deadline)
     via_betti = pf_via_betti(s, table)
-    result = {"pf": [list(d) if isinstance(d, tuple) else [d] for d in via_betti],
+    result = {"pf": [degree_doc(d) for d in via_betti],
               "method": "top Betti degrees minus the generator sum"}
     lines = [f"pseudo-Frobenius via top Betti degrees: {via_betti}"]
     code = EXIT_OK
@@ -382,9 +383,8 @@ def cmd_pf(args, deadline) -> int:
         # numerical gap sets are always finite and read off Ap(S, n_1)
         direct = s.pf_direct(deadline) if not isinstance(s, NumericalSemigroup) \
             else [(f,) for f in s.pf_numeric()]
-        result["pf_direct"] = [list(d) for d in direct]
-        agree = sorted(tuple(d) for d in direct) == sorted(
-            tuple(d) if isinstance(d, tuple) else (d,) for d in via_betti)
+        result["pf_direct"] = [degree_doc(d) for d in direct]
+        agree = sorted(result["pf_direct"]) == sorted(result["pf"])
         result["direct_agrees"] = agree
         lines.append(f"direct gap-set computation: {direct} "
                      + ("(agrees)" if agree else "(CONFLICT)"))
@@ -399,8 +399,7 @@ def cmd_sifr(args, deadline) -> int:
     table = betti_degrees(s, deadline=deadline)
     rep = sifr_check(s, table)
     result = {"holds": rep.holds, "level": rep.level,
-              "pair": [list(d) if isinstance(d, tuple) else [d] for d in rep.pair]
-              if rep.pair else None}
+              "pair": [degree_doc(d) for d in rep.pair] if rep.pair else None}
     line = f"[sifr] holds={str(rep.holds).lower()}"
     if not rep.holds:
         line += f" (level {rep.level} degrees {rep.pair} differ by a member)"

@@ -2,8 +2,9 @@
 
 Membership, gaps, Apery sets, the max-factorization-length order function and
 the Hilbert function of the associated graded ring, cone geometry, and the
-gluing / extension / join constructors.  Everything is exact integer or
-rational arithmetic.  Numerical membership reads the Apery set of the
+gluing / extension / join constructors, which return plain semigroups while
+`GluingSpec` and `ExtensionSpec` carry the provenance.  Everything is exact
+integer or rational arithmetic.  Numerical membership reads the Apery set of the
 multiplicity; the order function and the Hilbert function read the Apery
 table of the powers of the maximal ideal.  One bitboard engine
 (`member_board`) gives the members of a box to `members_within`, the gap
@@ -17,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificationError, Deadline, InputError, tick
@@ -366,10 +368,17 @@ class AffineSemigroup:
     def pf_direct(self, deadline: Optional[Deadline] = None) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
         f + g a member for every generator g; the gap set must be finite.
-        Then f + g, a cone point, is a member exactly when it is not a gap."""
+        Then f + g, a cone point, is a member exactly when it is not a gap.
+        The lookups check the deadline every 4096 gaps."""
         gaps = self.gap_set(deadline).all_gaps()
         holes = set(gaps)
-        return [f for f in gaps if not any(vec_add(f, g) in holes for g in self.generators)]
+        out = []
+        for i, f in enumerate(gaps):
+            if not i & 4095:
+                tick(deadline)
+            if not any(tuple(map(add, f, g)) in holes for g in self.generators):
+                out.append(f)
+        return out
 
 
 def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
@@ -597,6 +606,24 @@ class GluingSpec:
     def q(self) -> int:
         return sum(c * n for c, n in zip(self.a, self.right.generators))
 
+    @property
+    def glued_generators(self) -> tuple[int, ...]:
+        """q*m_1, ..., q*m_l, then p*n_1, ..., p*n_k: the glued order."""
+        return (tuple(self.q * m for m in self.left.generators)
+                + tuple(self.p * n for n in self.right.generators))
+
+    @property
+    def largest_side(self) -> str:
+        """The block holding the largest glued generator."""
+        right_wins = self.p * self.right.generators[-1] > self.q * self.left.generators[-1]
+        return "right" if right_wins else "left"
+
+    @property
+    def smallest_side(self) -> str:
+        """The block holding the smallest glued generator."""
+        right_wins = self.p * self.right.generators[0] < self.q * self.left.generators[0]
+        return "right" if right_wins else "left"
+
     def violations(self) -> list[str]:
         out = []
         if len(self.b) != self.left.embedding_dim:
@@ -624,40 +651,11 @@ class GluingSpec:
         return out
 
 
-@dataclass(frozen=True)
-class GluedSemigroup:
-    """Result of a gluing, with generator provenance."""
-
-    spec: GluingSpec
-    left_scaled: tuple[int, ...]   # q*m_1, ..., q*m_l
-    right_scaled: tuple[int, ...]  # p*n_1, ..., p*n_k
-    semigroup: NumericalSemigroup  # sorted minimal generators
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """Generators in glued order: left block then right block."""
-        return self.left_scaled + self.right_scaled
-
-    @property
-    def largest_side(self) -> str:
-        return "right" if max(self.right_scaled) > max(self.left_scaled) else "left"
-
-    @property
-    def smallest_side(self) -> str:
-        return "right" if min(self.right_scaled) < min(self.left_scaled) else "left"
-
-
-def glue(spec: GluingSpec) -> GluedSemigroup:
-    """Build the glued numerical semigroup <q*m_i, p*n_j>."""
-    q, p = spec.q, spec.p
-    left_scaled = tuple(q * m for m in spec.left.generators)
-    right_scaled = tuple(p * n for n in spec.right.generators)
-    gens = left_scaled + right_scaled
-    assert math.gcd(*gens) == 1
-    redundant = _redundant_numeric(tuple(sorted(gens)))
-    if redundant:
-        raise InputError(f"glued generators not minimal: {sorted(redundant)} redundant")
-    return GluedSemigroup(spec, left_scaled, right_scaled, NumericalSemigroup(gens))
+def glue(spec: GluingSpec) -> NumericalSemigroup:
+    """The glued numerical semigroup <q*m_i, p*n_j>.  For a valid spec the
+    glued generators are minimal and coprime (Rosales), which the
+    NumericalSemigroup constructor checks again."""
+    return NumericalSemigroup(spec.glued_generators)
 
 
 def is_nice_gluing(spec: GluingSpec) -> str:
@@ -766,35 +764,12 @@ class ExtensionSpec:
         return out
 
 
-@dataclass(frozen=True)
-class ExtendedSemigroup:
-    spec: ExtensionSpec
-    semigroup: AffineSemigroup
-
-    @property
-    def scaled_base(self) -> tuple[Vec, ...]:
-        return tuple(scale(self.spec.l, g) for g in self.spec.base.generators)
-
-    @property
-    def new_generator(self) -> Vec:
-        return self.spec.a
+def extend(spec: ExtensionSpec) -> AffineSemigroup:
+    """E = <l*a_1, ..., l*a_n, a>: the scaled base generators, then spec.a."""
+    return AffineSemigroup([scale(spec.l, g) for g in spec.base.generators] + [spec.a])
 
 
-def extend(spec: ExtensionSpec) -> ExtendedSemigroup:
-    gens = [scale(spec.l, g) for g in spec.base.generators] + [spec.a]
-    return ExtendedSemigroup(spec, AffineSemigroup(gens))
-
-
-@dataclass(frozen=True)
-class JoinedSemigroup:
-    left: AffineSemigroup
-    right: AffineSemigroup
-    semigroup: AffineSemigroup
-    dim_left: int   # rank of the left factor's span
-    dim_right: int
-
-
-def join(s1: AffineSemigroup, s2: AffineSemigroup) -> JoinedSemigroup:
+def join(s1: AffineSemigroup, s2: AffineSemigroup) -> AffineSemigroup:
     """Semigroup generated by both factors; extremal rays must stay independent."""
     if s1.dim != s2.dim:
         raise InputError("factors must share an ambient N^d")
@@ -804,6 +779,6 @@ def join(s1: AffineSemigroup, s2: AffineSemigroup) -> JoinedSemigroup:
     if rational_rank(rays) != len(rays):
         raise InputError("extremal rays of the factors are linearly dependent over Q")
     joined = AffineSemigroup(s1.generators + s2.generators)
-    r1, r2 = rational_rank(s1.generators), rational_rank(s2.generators)
-    assert rational_rank(joined.generators) == r1 + r2
-    return JoinedSemigroup(s1, s2, joined, r1, r2)
+    assert rational_rank(joined.generators) == (rational_rank(s1.generators)
+                                                + rational_rank(s2.generators))
+    return joined

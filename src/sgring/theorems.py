@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CertificationError, Deadline, InputError, tick
+from .linalg import rational_rank
 from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex, scale, vec_add
 from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_local
 from .toric import glued_ideal_generators, local_basis, reduced_basis
@@ -70,6 +71,26 @@ def _condition_hypothesis(name: str, rep) -> HypothesisCheck:
     return HypothesisCheck(name, rep.holds, note)
 
 
+def _nice_hypotheses(spec: GluingSpec, deadline) -> tuple[HypothesisCheck, ...]:
+    """The generalized-nice classification and condition A on the left basis."""
+    return (
+        HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
+                        f"classification: {is_nice_gluing(spec)}"),
+        _condition_hypothesis("condition-A",
+                              condition_A(spec, reduced_basis(spec.left, deadline))),
+    )
+
+
+def _glued_verdict(spec: GluingSpec, check, name: str, gluing_hyps, deadline):
+    """The hypotheses `gluing_hyps` plus both factor verdicts of `check` as
+    left-/right-`name`, the glued semigroup, and `check` on it."""
+    left, right = check(spec.left, deadline), check(spec.right, deadline)
+    hyps = gluing_hyps + (HypothesisCheck(f"left-{name}", left.result, left.method),
+                          HypothesisCheck(f"right-{name}", right.result, right.method))
+    glued = glue(spec)
+    return hyps, glued, check(glued, deadline)
+
+
 def _verdict_notes(tag: str, verdict) -> list[str]:
     out = []
     if verdict.conflict:
@@ -93,11 +114,7 @@ def verify_glued_basis_homogeneous(spec: GluingSpec,
     e2 = spec.right.embedding_dim
     n = e1 + e2
     gb1, gb2 = reduced_basis(spec.left, deadline), reduced_basis(spec.right, deadline)
-    hyps = (
-        HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
-                        f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A", condition_A(spec, gb1)),
-    )
+    hyps = _nice_hypotheses(spec, deadline)
     union = [homogenize(Binomial(b.lead + (0,) * (e2 + 1), b.tail + (0,) * (e2 + 1)), n)
              for b in gb1.elements]
     union += [homogenize(Binomial((0,) * e1 + b.lead + (0,), (0,) * e1 + b.tail + (0,)), n)
@@ -198,26 +215,16 @@ def verify_glued_closure_acm(spec: GluingSpec,
     """Whether the glued closure is arithmetically Cohen-Macaulay, predicted
     purely by which block carries the largest glued generator (right: yes,
     left: no)."""
-    left_acm = acm_projective_closure(spec.left, deadline)
-    right_acm = acm_projective_closure(spec.right, deadline)
-    hyps = (
-        HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
-                        f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A",
-                              condition_A(spec, reduced_basis(spec.left, deadline))),
-        HypothesisCheck("left-closure-acm", left_acm.result, left_acm.method),
-        HypothesisCheck("right-closure-acm", right_acm.result, right_acm.method),
-    )
-    glued = glue(spec)
-    predicted = glued.largest_side == "right"
-    verdict = acm_projective_closure(glued.semigroup, deadline)
-    notes = [f"glued generators {glued.generators}; largest "
-             f"{max(glued.generators)} sits in the {glued.largest_side} block"]
+    hyps, _, verdict = _glued_verdict(spec, acm_projective_closure, "closure-acm",
+                                      _nice_hypotheses(spec, deadline), deadline)
+    gens = spec.glued_generators
+    notes = [f"glued generators {gens}; largest {max(gens)} sits in the "
+             f"{spec.largest_side} block"]
     notes += _verdict_notes("closure", verdict)
     if verdict.result is False:
         notes.append(f"offending homogenized lead: {verdict.witness.lead}")
     return TheoremReport("glued-closure-acm", _describe_gluing(spec),
-                         hyps, predicted, verdict.result, tuple(notes))
+                         hyps, spec.largest_side == "right", verdict.result, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ def _local_block_order(e1: int, e2: int, lowest_left: bool) -> Order:
     return negdegrevlex(e1 + e2, priority)
 
 
-def _assembled_local_note(spec: GluingSpec, glued, deadline) -> str:
+def _assembled_local_note(spec: GluingSpec, deadline) -> str:
     """Compare the glued ideal's minimal standard-basis leads with the union
     of the factor standard-basis leads plus the bridge lead y^a."""
     e1 = spec.left.embedding_dim
@@ -241,7 +248,7 @@ def _assembled_local_note(spec: GluingSpec, glued, deadline) -> str:
     expected = {b.lead + (0,) * e2 for b in local_basis(spec.left, deadline).elements}
     expected |= {(0,) * e1 + b.lead for b in local_basis(spec.right, deadline).elements}
     expected.add((0,) * e1 + spec.a)
-    order = _local_block_order(e1, e2, glued.smallest_side == "left")
+    order = _local_block_order(e1, e2, spec.smallest_side == "left")
     gens = glued_ideal_generators(spec, reduced_basis(spec.left, deadline),
                                   reduced_basis(spec.right, deadline))
     sb = standard_basis_local(gens.generators, order, deadline)
@@ -265,25 +272,20 @@ def verify_glued_tangent_cone(spec: GluingSpec,
                               deadline: Optional[Deadline] = None) -> TheoremReport:
     """Whether the glued tangent cone is Cohen-Macaulay, predicted purely by
     which block carries the smallest glued generator (left: yes, right: no)."""
-    left_cm = cm_tangent_cone(spec.left, deadline)
-    right_cm = cm_tangent_cone(spec.right, deadline)
-    hyps = (
+    star = (
         HypothesisCheck("star-gluing", is_star_gluing(spec),
                         f"sum a = {sum(spec.a)}, sum b = {sum(spec.b)}"),
         _condition_hypothesis("condition-B",
                               condition_B(spec, reduced_basis(spec.right, deadline))),
-        HypothesisCheck("left-tangent-cm", left_cm.result, left_cm.method),
-        HypothesisCheck("right-tangent-cm", right_cm.result, right_cm.method),
     )
-    glued = glue(spec)
-    predicted = glued.smallest_side == "left"
-    verdict = cm_tangent_cone(glued.semigroup, deadline)
-    notes = [f"glued generators {glued.generators}; smallest "
-             f"{min(glued.generators)} sits in the {glued.smallest_side} block"]
+    hyps, _, verdict = _glued_verdict(spec, cm_tangent_cone, "tangent-cm", star, deadline)
+    gens = spec.glued_generators
+    notes = [f"glued generators {gens}; smallest {min(gens)} sits in the "
+             f"{spec.smallest_side} block"]
     notes += _verdict_notes("tangent-cone", verdict)
-    notes.append(_assembled_local_note(spec, glued, deadline))
+    notes.append(_assembled_local_note(spec, deadline))
     return TheoremReport("glued-tangent-cone", _describe_gluing(spec),
-                         hyps, predicted, verdict.result, tuple(notes))
+                         hyps, spec.smallest_side == "left", verdict.result, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +296,17 @@ def verify_glued_closure_gorenstein(spec: GluingSpec,
                                     deadline: Optional[Deadline] = None) -> TheoremReport:
     """Gluing two factors whose closures are Gorenstein is predicted to keep
     the glued closure Gorenstein."""
-    left_g = gorenstein_projective_closure(spec.left, deadline)
-    right_g = gorenstein_projective_closure(spec.right, deadline)
-    hyps = (
-        HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
-                        f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A",
-                              condition_A(spec, reduced_basis(spec.left, deadline))),
-        HypothesisCheck("left-closure-gorenstein", left_g.result, left_g.method),
-        HypothesisCheck("right-closure-gorenstein", right_g.result, right_g.method),
-    )
-    glued = glue(spec)
-    verdict = gorenstein_projective_closure(glued.semigroup, deadline)
-    notes = [f"glued generators {glued.generators}"]
+    hyps, glued, verdict = _glued_verdict(spec, gorenstein_projective_closure,
+                                          "closure-gorenstein",
+                                          _nice_hypotheses(spec, deadline), deadline)
+    notes = [f"glued generators {spec.glued_generators}"]
     notes += _verdict_notes("glued-closure", verdict)
     if verdict.result is False:
         if verdict.method == NOT_ACM:
             notes.append("the glued closure is not arithmetically Cohen-Macaulay, "
                          "so the Gorenstein conclusion fails with it")
         else:
-            table, _, why = closure_resolution(glued.semigroup, deadline)
+            table, _, why = closure_resolution(glued, deadline)
             if table is None:
                 notes.append(f"closure Betti table unavailable: {why}")
             else:
@@ -348,10 +341,10 @@ def verify_extension_pf(spec: ExtensionSpec,
         HypothesisCheck("base-gaps-certified", scan.finite, gaps_note),
     )
     ext = extend(spec)
-    t_ext = betti_degrees(ext.semigroup, deadline=deadline)
+    t_ext = betti_degrees(ext, deadline=deadline)
     notes: list[str] = []
     predicted: dict = {"mpd": True, "betti-law": True}
-    computed: dict = {"mpd": t_ext.pd == len(ext.semigroup.generators) - 1}
+    computed: dict = {"mpd": t_ext.pd == len(ext.generators) - 1}
 
     if mpd:
         pf_base = pf_via_betti(base, t_base)
@@ -362,7 +355,7 @@ def verify_extension_pf(spec: ExtensionSpec,
         notes.append("base is not of maximal projective dimension; the formula "
                      "predicts nothing (computation still recorded)")
     try:
-        computed["pf"] = sorted(pf_via_betti(ext.semigroup, t_ext))
+        computed["pf"] = sorted(pf_via_betti(ext, t_ext))
     except InputError as exc:
         computed["pf"] = None
         notes.append(f"top-Betti pseudo-Frobenius read-off unavailable: {exc}")
@@ -379,7 +372,7 @@ def verify_extension_pf(spec: ExtensionSpec,
     computed["betti-law"] = law_ok
 
     try:
-        direct = sorted(ext.semigroup.pf_direct(deadline))
+        direct = sorted(ext.pf_direct(deadline))
         if computed["pf"] is not None and direct != computed["pf"]:
             notes.append(f"CONFLICT: direct gap-set pseudo-Frobenius set {direct} "
                          f"disagrees with the top-Betti read-off {computed['pf']}")
@@ -388,7 +381,7 @@ def verify_extension_pf(spec: ExtensionSpec,
     except CertificationError as exc:
         notes.append(f"direct gap-set computation unavailable: {exc}")
         # the extension's cone is the base's: such base members are its gaps
-        wit = next((pt for pt in ext.semigroup.gap_set(deadline).gaps
+        wit = next((pt for pt in ext.gap_set(deadline).gaps
                     if base.membership(pt).ok), None)
         if wit is not None:
             notes.append(f"base member {wit} is outside the extension, so the "
@@ -402,7 +395,7 @@ def verify_extension_pf(spec: ExtensionSpec,
             try:
                 predicted["prec-symmetric"] = True
                 computed["prec-symmetric"] = is_prec_symmetric(
-                    ext.semigroup, t_ext, order, deadline)
+                    ext, t_ext, order, deadline)
             except CertificationError as exc:
                 del predicted["prec-symmetric"]
                 computed.pop("prec-symmetric", None)
@@ -432,11 +425,11 @@ def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup,
         hyp = (HypothesisCheck("join-defined", False, str(exc)),)
         return TheoremReport("join-sifr", instance, hyp, None, None,
                              ("factors do not form a join; nothing computed",))
-    hyps = (HypothesisCheck("join-defined", True,
-                            f"ray ranks {joined.dim_left}+{joined.dim_right}"),)
+    ranks = f"{rational_rank(s1.generators)}+{rational_rank(s2.generators)}"
+    hyps = (HypothesisCheck("join-defined", True, f"ray ranks {ranks}"),)
     notes = []
     reports = {}
-    for tag, s in (("left", s1), ("right", s2), ("join", joined.semigroup)):
+    for tag, s in (("left", s1), ("right", s2), ("join", joined)):
         reports[tag] = sifr_check(s, betti_degrees(s, deadline=deadline))
         if not reports[tag].holds:
             notes.append(f"{tag}: level-{reports[tag].level} degrees "
@@ -467,7 +460,7 @@ _STAR_CATALOGUED = (87, 145, 203, 189, 231)
 def _star_instance(deadline: Optional[Deadline]) -> TheoremReport:
     spec = gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1))
     report = verify_glued_tangent_cone(spec, deadline)
-    got = glue(spec).generators
+    got = spec.glued_generators
     if got != _STAR_CATALOGUED:
         note = (f"discrepancy: the catalogued generator list {_STAR_CATALOGUED} "
                 f"does not match the constructed gluing {got}; the catalogued "
@@ -483,7 +476,7 @@ def _mat_a() -> AffineSemigroup:
 
 def _hypersurface_join_base() -> AffineSemigroup:
     return join(embed_axis(NumericalSemigroup((2, 3)), 2, 0),
-                embed_axis(NumericalSemigroup((2, 3)), 2, 1)).semigroup
+                embed_axis(NumericalSemigroup((2, 3)), 2, 1))
 
 
 FIXTURES: tuple[FixtureSpec, ...] = (

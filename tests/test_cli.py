@@ -19,6 +19,10 @@ from sgring.theorems import HypothesisCheck, TheoremReport
 
 # stdout of `sgring fixtures`; an intended output change updates this file
 FIXTURES_JSON = Path(__file__).parent / "data" / "fixtures.json"
+# argv, exit code and stdout of the construction commands (glue, star-glue,
+# extend, join) in both formats; an intended output change updates this file
+CONSTRUCTIONS = json.loads(
+    (Path(__file__).parent / "data" / "constructions.json").read_text())
 
 
 def run(capsys, *argv):
@@ -329,6 +333,14 @@ def test_json_output_bytes_are_deterministic(capsys):
     assert runs[0].endswith("\n")
     assert json.dumps(json.loads(runs[0]), sort_keys=True,
                       separators=(",", ":")) + "\n" == runs[0]
+
+
+@pytest.mark.parametrize("case", CONSTRUCTIONS,
+                         ids=[c["name"] for c in CONSTRUCTIONS])
+def test_construction_commands_match_pinned_output(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out == case["stdout"]
 
 
 def test_thread_count_does_not_change_output(capsys):

@@ -319,12 +319,12 @@ def test_euler_characteristic_matches_hilbert_series_affine():
 def test_pf_via_betti_requires_mpd():
     j = join(embed_axis(NumericalSemigroup((3, 5)), 2, 0),
              embed_axis(NumericalSemigroup((2, 3)), 2, 1))
-    t = betti_degrees(j.semigroup)
-    summary = resolution_summary(j.semigroup, t)
+    t = betti_degrees(j)
+    summary = resolution_summary(j, t)
     assert summary.cm and summary.depth == 2
     with pytest.raises(InputError):
-        pf_via_betti(j.semigroup, t)
-    assert not is_prec_symmetric(j.semigroup, t)
+        pf_via_betti(j, t)
+    assert not is_prec_symmetric(j, t)
 
 
 def test_pf_via_betti_equals_direct_on_embedded():
@@ -375,10 +375,10 @@ def test_tensor_betti():
 def test_join_equals_tensor():
     pairs = [((3, 5), (2, 3)), ((3, 5, 7), (2, 3)), ((4, 6, 9), (3, 4))]
     for g1, g2 in pairs:
-        j = join(embed_axis(NumericalSemigroup(g1), 2, 0),
-                 embed_axis(NumericalSemigroup(g2), 2, 1))
-        direct = betti_degrees(j.semigroup)
-        tensored = tensor_betti(betti_degrees(j.left), betti_degrees(j.right))
+        left = embed_axis(NumericalSemigroup(g1), 2, 0)
+        right = embed_axis(NumericalSemigroup(g2), 2, 1)
+        direct = betti_degrees(join(left, right))
+        tensored = tensor_betti(betti_degrees(left), betti_degrees(right))
         assert direct.rows == tensored.rows
 
 

@@ -310,12 +310,12 @@ def test_glued_cross_oracle_on_regressions():
 def test_join_ideal_is_union():
     j = join(embed_axis(NumericalSemigroup((3, 5)), 2, 0),
              embed_axis(NumericalSemigroup((2, 3)), 2, 1))
-    whole = toric_ideal(j.semigroup)
+    whole = toric_ideal(j)
     g1 = toric_ideal(NumericalSemigroup((3, 5))).generators
     g2 = toric_ideal(NumericalSemigroup((2, 3))).generators
     union = tuple(Binomial(b.lead + (0, 0), b.tail + (0, 0)) for b in g1)
     union += tuple(Binomial((0, 0) + b.lead, (0, 0) + b.tail) for b in g2)
-    assembled = BinomialIdeal(whole.variables, union, j.semigroup.generators)
+    assembled = BinomialIdeal(whole.variables, union, j.generators)
     assert ideal_equals(whole, assembled)
 
 
