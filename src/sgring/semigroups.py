@@ -4,9 +4,9 @@ Membership, gaps, Apery sets, the max-factorization-length order function and
 the Hilbert function of the associated graded ring, cone geometry, and the
 gluing / extension / join constructors, which return plain semigroups while
 `GluingSpec` and `ExtensionSpec` carry the provenance.  Everything is exact
-integer or rational arithmetic.  Numerical membership reads the Apery set of the
-multiplicity; the order function and the Hilbert function read the Apery
-table of the powers of the maximal ideal.  One bitboard engine
+integer or rational arithmetic.  Numerical membership reads the Apery set of
+the multiplicity; the order function and the Hilbert function read the
+Apery table of the powers of the maximal ideal.  One bitboard engine
 (`member_board`) gives the members of a box to `members_within`, the gap
 set and the Betti scan.  Each derived artifact of an instance, Ap(S, E)
 included, is built once through `artifact` and never grows.
