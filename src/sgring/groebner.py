@@ -1,9 +1,10 @@
 """Buchberger engine for pure-difference binomial ideals.
 
-Global orders get the classic algorithm (normal pair selection, coprime-lead
-skip, full interreduction); local orders go through the homogenization route:
-append a balancing variable, run the global engine under the degree-first
-order, dehomogenize, and minimalize.  Everything stays a pure difference of
+Global orders get the classic algorithm: normal pair selection, Buchberger's
+two pair criteria (the coprime-lead skip and the chain criterion), and full
+interreduction.  Local orders go through the homogenization route: append a
+balancing variable, run the global engine under the degree-first order,
+dehomogenize, and minimalize.  Everything stays a pure difference of
 monomials by construction, so there is no coefficient arithmetic anywhere.
 """
 from __future__ import annotations
@@ -131,7 +132,11 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
     """Reduced Groebner basis under a global order.
 
     Pair selection: smallest lcm total degree first, FIFO on ties, so runs
-    are reproducible.  Pairs with coprime leads are skipped.
+    are reproducible.  Two criteria skip pairs whose S-pair needs no
+    reduction: coprime leads (Buchberger's first criterion), and the chain
+    criterion (his second): (i, j) is skipped when some other element k has
+    a lead dividing lcm(lead_i, lead_j) and neither (i, k) nor (j, k) is
+    still queued.
     """
     _require_global(order)
     basis: list[Binomial] = []
@@ -140,12 +145,16 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
         if ob is not None and ob not in basis:
             basis.append(ob)
     heap: list[tuple[int, int, int, int]] = []
+    pending: list[set[int]] = []   # pending[i]: the k whose pair with i is queued
     seq = 0
     def push_pairs(j: int) -> None:
         nonlocal seq
+        pending.append(set())
         for i in range(j):
             l = lcm_monomial(basis[i].lead, basis[j].lead)
             heapq.heappush(heap, (total_degree(l), seq, i, j))
+            pending[i].add(j)
+            pending[j].add(i)
             seq += 1
     for j in range(len(basis)):
         push_pairs(j)
@@ -153,8 +162,16 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
         tick(deadline)
         _, _, i, j = heapq.heappop(heap)
         f, g = basis[i], basis[j]
-        if vec_add(f.lead, g.lead) == lcm_monomial(f.lead, g.lead):
-            continue  # coprime leads: S-pair reduces to zero
+        l = lcm_monomial(f.lead, g.lead)
+        pi, pj = pending[i], pending[j]
+        # (i, j) is still marked during the scan, which keeps k = i, j out of it
+        skip = vec_add(f.lead, g.lead) == l or any(
+            k not in pi and k not in pj and divides(basis[k].lead, l)
+            for k in range(len(basis)))
+        pi.remove(j)
+        pj.remove(i)
+        if skip:
+            continue
         sp = s_pair(f, g, order)
         nf = _reduce(sp, basis, order, deadline)
         if nf is not None:

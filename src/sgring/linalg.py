@@ -1,8 +1,9 @@
 """Exact rational linear algebra: rank and nonnegative solvability.
 
-Everything runs over Fractions; no floats anywhere.  Sizes are tiny (matrices
-of semigroup generators, boundary matrices of complexes on few vertices), so
-plain Gaussian elimination and a Bland-rule phase-1 simplex are enough.
+No floats anywhere.  Ranks run fraction-free Bareiss elimination over the
+integers; the cone solves run a Bland-rule phase-1 simplex over Fractions.
+Sizes are tiny (matrices of semigroup generators, boundary matrices of
+complexes on few vertices), so nothing cleverer is needed.
 """
 from __future__ import annotations
 
@@ -11,24 +12,29 @@ from typing import Optional, Sequence
 
 
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix."""
-    mat = [[Fraction(a) for a in row] for row in rows]
+    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
+
+    After each pivot p every row below it becomes (p*x - a*y) // prev, prev
+    being the previous pivot.  By Sylvester's identity the entries stay
+    minors of the input, so every division is exact and no Fraction is made.
+    """
+    mat = [list(row) for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])
     rank = 0
+    prev = 1
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
-        inv = 1 / prow[col]
-        mat[rank] = prow = [a * inv for a in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        p = prow[col]
+        for i in range(rank + 1, len(mat)):
+            a = mat[i][col]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], prow)]
+        prev = p
         rank += 1
         if rank == len(mat):
             break

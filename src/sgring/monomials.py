@@ -11,6 +11,7 @@ The same tuples double as points of N^d (semigroup elements and degrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import NamedTuple, Optional
 
 from .errors import InputError
@@ -35,7 +36,9 @@ def lcm_monomial(m1: Vec, m2: Vec) -> Vec:
 
 
 def divides(m1: Vec, m2: Vec) -> bool:
-    return all(a <= b for a, b in zip(m1, m2, strict=True))
+    if len(m1) != len(m2):
+        raise ValueError("monomials of different lengths")
+    return all(map(le, m1, m2))
 
 
 def quotient(m1: Vec, m2: Vec) -> Vec:

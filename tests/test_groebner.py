@@ -1,26 +1,37 @@
 """Buchberger engine: normal forms, reduced bases, homogenization, local orders."""
+import heapq
 import random
-from itertools import product
+from functools import cmp_to_key
+from itertools import count, product
 from math import comb
 
 import pytest
 
 from sgring.errors import Deadline, DeadlineExceeded, InputError
+from sgring import groebner
 from sgring.monomials import (
     Binomial,
     Order,
+    compare,
     degrevlex,
     elimination_order,
     divides,
+    homogenize,
+    lcm_monomial,
     negdegrevlex,
     oriented,
+    s_pair,
     total_degree,
+    vec_add,
 )
 from sgring.groebner import (
     GroebnerBasis,
+    _interreduce,
+    _minimalize,
     buchberger,
     homogenize_ideal,
     is_groebner,
+    lazard_order,
     normal_form,
     standard_basis_local,
 )
@@ -132,6 +143,85 @@ def test_reduced_basis_invariants():
             if i != j:
                 assert not all(x <= y for x, y in zip(other.lead, b.lead))
                 assert not all(x <= y for x, y in zip(other.lead, b.tail))
+
+
+def reference_buchberger(gens, order, deadline=None):
+    """Criterion-free oracle: the engine's pair loop with only the coprime-lead
+    skip.  S-pairs are formed through groebner.s_pair, looked up at call time,
+    so a test can count them."""
+    basis = []
+    for g in gens:
+        ob = oriented(g.lead, g.tail, order)
+        if ob is not None and ob not in basis:
+            basis.append(ob)
+    heap, seq = [], count()
+    def push_pairs(j):
+        for i in range(j):
+            l = lcm_monomial(basis[i].lead, basis[j].lead)
+            heapq.heappush(heap, (total_degree(l), next(seq), i, j))
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        f, g = basis[i], basis[j]
+        if vec_add(f.lead, g.lead) == lcm_monomial(f.lead, g.lead):
+            continue
+        nf = normal_form(groebner.s_pair(f, g, order), basis, order)
+        if nf is not None:
+            basis.append(nf)
+            push_pairs(len(basis) - 1)
+    kept = _interreduce(_minimalize(basis, order), order, None)
+    kept.sort(key=cmp_to_key(lambda a, b: compare(order, a.lead, b.lead)))
+    return GroebnerBasis(order, tuple(kept), reduced=True, minimal=True)
+
+
+def _random_toric_instances(rng, n):
+    # toric ideals of random numerical semigroups, with the input the
+    # elimination route starts from and the homogenized Lazard input
+    from sgring.semigroups import NumericalSemigroup
+    from sgring.toric import toric_ideal
+    out = []
+    while len(out) < n:
+        cand = sorted(rng.sample(range(3, 25), rng.randint(3, 5)))
+        try:
+            s = NumericalSemigroup(cand)
+        except InputError:
+            continue
+        out.append((s, toric_ideal(s).generators))
+    return out
+
+
+def test_chain_criterion_keeps_the_reduced_basis():
+    rng = random.Random(1988)
+    for s, gens in _random_toric_instances(rng, 8):
+        e = len(gens[0].lead)
+        assert buchberger(gens, degrevlex(e)).elements == \
+            reference_buchberger(gens, degrevlex(e)).elements
+        elim = [Binomial((g,) + (0,) * e, (0,) + tuple(int(i == j) for i in range(e)))
+                for j, g in enumerate(s.generators)]
+        eo = elimination_order(1, e + 1)
+        assert buchberger(elim, eo).elements == reference_buchberger(elim, eo).elements
+        lz = lazard_order(negdegrevlex(e, tuple(range(e - 1, -1, -1))))
+        hom = [homogenize(Binomial(b.lead + (0,), b.tail + (0,)), e) for b in gens]
+        assert buchberger(hom, lz).elements == reference_buchberger(hom, lz).elements
+
+
+def test_chain_criterion_forms_fewer_s_pairs(monkeypatch):
+    from sgring.semigroups import NumericalSemigroup
+    from sgring.toric import toric_ideal
+    gens = toric_ideal(NumericalSemigroup((57, 95, 56, 96))).generators
+    lo = negdegrevlex(4, priority=(3, 2, 1, 0))
+    formed = []
+    def counting(f, g, order):
+        formed.append((f, g))
+        return s_pair(f, g, order)
+    monkeypatch.setattr(groebner, "s_pair", counting)
+    engine = standard_basis_local(gens, lo)
+    with_criterion = len(formed)
+    formed.clear()
+    monkeypatch.setattr(groebner, "buchberger", reference_buchberger)
+    assert standard_basis_local(gens, lo) == engine
+    assert 0 < with_criterion < len(formed)
 
 
 def test_buchberger_rejects_local_order():

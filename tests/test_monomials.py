@@ -131,6 +131,8 @@ def test_lcm_divides_quotient():
     assert lcm_monomial((2, 1, 0), (1, 0, 1)) == (2, 1, 1)
     assert divides((1, 0, 0), (2, 1, 0))
     assert not divides((1, 2, 0), (2, 1, 0))
+    with pytest.raises(ValueError):
+        divides((1, 0), (1, 0, 0))   # a prefix must not pass for a divisor
     assert quotient((2, 1, 0), (1, 0, 0)) == (1, 1, 0)
     with pytest.raises(InputError):
         quotient((1, 0, 0), (0, 1, 0))
