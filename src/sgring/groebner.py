@@ -1,11 +1,13 @@
 """Buchberger engine for pure-difference binomial ideals.
 
-Global orders get the classic algorithm: normal pair selection, Buchberger's
-two pair criteria (the coprime-lead skip and the chain criterion), and full
-interreduction.  Local orders go through the homogenization route: append a
-balancing variable, run the global engine under the degree-first order,
-dehomogenize, and minimalize.  Everything stays a pure difference of
-monomials by construction, so there is no coefficient arithmetic anywhere.
+One loop serves both kinds of order: normal pair selection, Buchberger's two
+pair criteria (the coprime-lead skip and the chain criterion), and full
+interreduction.  `buchberger` runs it under a global order, and
+`standard_basis_local` under a local order on an ideal homogeneous for a
+positive weight, which needs no ecart and no extra variable (Greuel and
+Pfister, A Singular Introduction to Commutative Algebra, 2nd ed., 1.6-1.7).
+Everything stays a pure difference of monomials by construction, so there
+is no coefficient arithmetic anywhere.
 """
 from __future__ import annotations
 
@@ -18,12 +20,12 @@ from .errors import Deadline, InputError, tick
 from .monomials import (
     GT,
     Binomial,
+    BinomialIdeal,
     Order,
     Vec,
     compare,
     divides,
     homogenize,
-    dehomogenize,
     lcm_monomial,
     oriented,
     quotient,
@@ -75,7 +77,8 @@ def normal_form(b: Optional[Binomial], basis, order: Order,
 
 def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
             deadline: Optional[Deadline]) -> Optional[Binomial]:
-    # normal_form on a basis already checked to hold Binomials under a global order
+    # normal_form on a basis already checked to hold Binomials, under a global
+    # order or under a local one on weighted-homogeneous input
     if b is None:
         return None
     cur = oriented(b.lead, b.tail, order)
@@ -139,8 +142,14 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
     still queued.
     """
     _require_global(order)
+    return _buchberger(_elements(gens), order, deadline)
+
+
+def _buchberger(gens: Iterable[Binomial], order: Order,
+                deadline: Optional[Deadline]) -> GroebnerBasis:
+    # the loop of `buchberger`, for any order under which _reduce terminates
     basis: list[Binomial] = []
-    for g in _elements(gens):
+    for g in gens:
         ob = oriented(g.lead, g.tail, order)
         if ob is not None and ob not in basis:
             basis.append(ob)
@@ -219,36 +228,30 @@ def homogenize_ideal(gb: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(ext_order, tuple(out), gb.reduced, gb.minimal)
 
 
-def lazard_order(local_order: Order) -> Order:
-    """Global order on one extra variable whose restriction computes the local
-    order's leads: total degree (balancing variable included) first, then the
-    local comparison on the original variables."""
-    n = local_order.nvars
-    return Order("lazard", local_order.tiebreak, local_order.priority + (n,))
-
-
-def standard_basis_local(gens, local_order: Order,
+def standard_basis_local(ideal: BinomialIdeal, local_order: Order,
                          deadline: Optional[Deadline] = None) -> GroebnerBasis:
-    """Minimal standard basis: leads generate the initial ideal of the local order."""
+    """Reduced standard basis of the ideal under a local order: its leads
+    generate the initial ideal.  Elements sorted by lead, as `buchberger`.
+
+    The Buchberger loop runs under the local order itself.  It terminates
+    because the ideal is homogeneous for a positive weight w, the coordinate
+    sums of its degree map (BinomialIdeal has checked every generator
+    homogeneous; this function checks every degree vector is nonnegative and
+    nonzero, else it raises InputError):
+    - an S-pair of w-homogeneous binomials is w-homogeneous, and each
+      reduction step replaces a monomial by an order-smaller one of the same
+      w-degree; a w-degree holds finitely many monomials, so reduction stops,
+      and its remainder is a normal form with no ecart needed;
+    - each nonzero remainder has a lead outside the current lead ideal, so
+      the lead ideal grows strictly and, by Dickson's lemma, the loop ends;
+    - the interreduced result is the reduced standard basis, which is unique,
+      so the output does not depend on the input generators or pair order.
+    """
     if not local_order.is_local():
         raise InputError("standard_basis_local needs a negative-degree order")
-    n = local_order.nvars
-    ext = []
-    for b in _elements(gens):
-        if b.lead == b.tail:
-            continue
-        ext.append(homogenize(Binomial(b.lead + (0,), b.tail + (0,)), n))
-    gb = buchberger(ext, lazard_order(local_order), deadline)
-    out = []
-    for b in gb.elements:
-        db = dehomogenize(b, n)
-        if db is None:
-            continue
-        ob = oriented(db.lead[:n], db.tail[:n], local_order)
-        assert ob is not None
-        if ob not in out:
-            out.append(ob)
-    kept = _minimalize(out, local_order)
-    kept.sort(key=cmp_to_key(lambda a, b: compare(local_order, a.lead, b.lead)))
-    return GroebnerBasis(local_order, tuple(kept), reduced=False, minimal=True)
-
+    if not isinstance(ideal, BinomialIdeal):
+        raise InputError("standard_basis_local expects a BinomialIdeal")
+    if any(not any(d) or min(d) < 0 for d in ideal.degree_map):
+        raise InputError("degree map is not a positive weight: every degree "
+                         "vector must be nonnegative and nonzero")
+    return _buchberger(ideal.generators, local_order, deadline)

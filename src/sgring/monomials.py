@@ -6,13 +6,14 @@ names live with the ideal that owns them, not here.  Coefficients are fixed to
 lattice ideal), so a binomial is an ordered pair of exponent tuples and no
 field arithmetic exists anywhere.
 
-The same tuples double as points of N^d (semigroup elements and degrees).
+The same tuples double as points of N^d (semigroup elements and degrees);
+`BinomialIdeal` ties a generating set to the degree map it is homogeneous for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -57,9 +58,40 @@ class Binomial(NamedTuple):
 
 # The zero marker is None; every constructor that can cancel returns Optional.
 
+
+def gamma_degree(m: Vec, degree_map: Sequence[Vec]) -> Vec:
+    """Image of a monomial under the monomial map: sum of exponent * variable degree."""
+    out = (0,) * len(degree_map[0])
+    for e, d in zip(m, degree_map):
+        if e:
+            out = vec_add(out, scale(e, d))
+    return out
+
+
+@dataclass(frozen=True)
+class BinomialIdeal:
+    """Binomial generators over named variables, each checked homogeneous
+    for the degree map (one degree vector per variable)."""
+
+    variables: tuple[str, ...]
+    generators: tuple[Binomial, ...]
+    degree_map: tuple[Vec, ...]
+
+    def __post_init__(self):
+        if len(self.variables) != len(self.degree_map):
+            raise InputError("one degree vector per variable required")
+        for b in self.generators:
+            if len(b.lead) != len(self.variables):
+                raise InputError("generator does not match the variable set")
+            if gamma_degree(b.lead, self.degree_map) != gamma_degree(b.tail, self.degree_map):
+                raise InputError(f"generator {b} is not homogeneous for the degree map")
+
+    def __iter__(self):
+        return iter(self.generators)
+
 LT, EQ, GT = -1, 0, 1
 
-_GRADINGS = ("degree", "negdegree", "none", "lazard")
+_GRADINGS = ("degree", "negdegree", "none")
 _TIEBREAKS = ("lex", "revlex")
 
 
@@ -68,10 +100,8 @@ class Order:
     """A monomial order: grading, tie-break, and variable priority (highest first).
 
     grading "negdegree" marks a local order (not a well-order); callers must
-    route those through the standard-basis machinery.  grading "lazard" is the
-    internal global order used there: total degree over all variables first,
-    then negdegree + tie-break over the priority list minus its last entry
-    (the homogenizing variable, which sits lowest).  blocks, when set, splits
+    route those through the standard-basis machinery, which runs on ideals
+    homogeneous for a positive weight.  blocks, when set, splits
     the priority list into consecutive blocks compared left to right; the
     first block then eliminates.
     """
@@ -125,11 +155,6 @@ def compare(order: Order, m1: Vec, m2: Vec) -> int:
     """Total order on monomials: returns -1, 0, or 1."""
     if len(m1) != order.nvars or len(m2) != order.nvars:
         raise InputError("monomial does not match the order's variable set")
-    if order.grading == "lazard":
-        d1, d2 = sum(m1), sum(m2)
-        if d1 != d2:
-            return GT if d1 > d2 else LT
-        return _cmp_chunk("negdegree", order.tiebreak, order.priority[:-1], m1, m2)
     if order.blocks is None:
         return _cmp_chunk(order.grading, order.tiebreak, order.priority, m1, m2)
     pos = 0
@@ -192,15 +217,6 @@ def homogenize(b: Binomial, x0: int) -> Binomial:
     if d > 0:
         return Binomial(b.lead, pad(b.tail, d))
     return Binomial(pad(b.lead, -d), b.tail)
-
-
-def dehomogenize(b: Binomial, x0: int) -> Optional[Binomial]:
-    """Zero out x0's exponent on both sides; None if the sides then collide."""
-    zero = lambda m: tuple(0 if i == x0 else e for i, e in enumerate(m))
-    lead, tail = zero(b.lead), zero(b.tail)
-    if lead == tail:
-        return None
-    return Binomial(lead, tail)
 
 
 def format_monomial(m: Vec, names: tuple[str, ...]) -> str:

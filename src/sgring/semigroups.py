@@ -102,7 +102,10 @@ class NumericalSemigroup:
         return max(self._apery_by_residue) - self.multiplicity
 
     def gaps(self) -> list[int]:
-        return [v for v in range(1, self.frobenius() + 1) if not self.membership(v)]
+        """Sorted gaps: the residue class of each w in Ap(S, n_1) has the
+        gaps w - n_1, w - 2 n_1, ... down to w mod n_1."""
+        n1 = self.multiplicity
+        return sorted(v for w in self._apery_by_residue for v in range(w % n1, w, n1))
 
     def pf_numeric(self) -> list[int]:
         """Pseudo-Frobenius numbers: gaps f with f + n_i inside for every generator.

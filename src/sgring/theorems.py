@@ -251,7 +251,7 @@ def _assembled_local_note(spec: GluingSpec, deadline) -> str:
     order = _local_block_order(e1, e2, spec.smallest_side == "left")
     gens = glued_ideal_generators(spec, reduced_basis(spec.left, deadline),
                                   reduced_basis(spec.right, deadline))
-    sb = standard_basis_local(gens.generators, order, deadline)
+    sb = standard_basis_local(gens, order, deadline)
     got = set(sb.leads())
     if got == expected:
         return ("assembled union: the glued ideal's minimal standard basis has "

@@ -14,14 +14,14 @@ once per semigroup object; only this module fixes their monomial orders.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import Deadline, InputError, tick
 from .groebner import GroebnerBasis, _elements, buchberger, standard_basis_local
 from .monomials import (
     Binomial,
+    BinomialIdeal,
     Order,
     Vec,
     compare,
@@ -29,38 +29,8 @@ from .monomials import (
     elimination_order,
     negdegrevlex,
     oriented,
-    scale,
-    vec_add,
 )
 from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifact
-
-
-def gamma_degree(m: Vec, degree_map: Sequence[Vec]) -> Vec:
-    """Image of a monomial under the monomial map: sum of exponent * variable degree."""
-    out = (0,) * len(degree_map[0])
-    for e, d in zip(m, degree_map):
-        if e:
-            out = vec_add(out, scale(e, d))
-    return out
-
-
-@dataclass(frozen=True)
-class BinomialIdeal:
-    variables: tuple[str, ...]
-    generators: tuple[Binomial, ...]
-    degree_map: tuple[Vec, ...]
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.degree_map):
-            raise InputError("one degree vector per variable required")
-        for b in self.generators:
-            if len(b.lead) != len(self.variables):
-                raise InputError("generator does not match the variable set")
-            if gamma_degree(b.lead, self.degree_map) != gamma_degree(b.tail, self.degree_map):
-                raise InputError(f"generator {b} is not homogeneous for the degree map")
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def _canonical(els, order: Order) -> tuple[Binomial, ...]:
@@ -177,12 +147,12 @@ def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup],
 
 def local_basis(s: Union[NumericalSemigroup, AffineSemigroup],
                 deadline: Optional[Deadline] = None) -> GroebnerBasis:
-    """Minimal standard basis of the toric ideal under negative-degree revlex
+    """Reduced standard basis of the toric ideal under negative-degree revlex
     with x_1 (the multiplicity variable) lowest; built once per semigroup object."""
     def build() -> GroebnerBasis:
         e = len(s.generators)
         local = negdegrevlex(e, tuple(range(e - 1, -1, -1)))
-        return standard_basis_local(toric_ideal(s, deadline).generators, local, deadline)
+        return standard_basis_local(toric_ideal(s, deadline), local, deadline)
 
     return artifact(s, "local_basis", build)
 

@@ -138,27 +138,31 @@ def acm_projective_closure(s: NumericalSemigroup,
     route is verified mechanically instead of trusted; (b) "closure-depth":
     the closure ring has depth 2, its dimension, exactly when the Apery set
     of the closure semigroup has n_e elements (see `closure_apery`).  Both
-    always decide.
+    always decide.  The verdict is an artifact of s, so
+    `gorenstein_projective_closure` reuses it.
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("acm_projective_closure expects a numerical semigroup")
-    e = len(s.generators)
-    hgb = homogenize_ideal(reduced_basis(s, deadline))
-    offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
-    result = offender is None
 
-    gb2 = buchberger(hgb.elements, hgb.order, deadline=deadline)
-    alt = not any(m[e - 1] for m in gb2.leads())
-    same = sorted(gb2.leads()) == sorted(hgb.leads())
-    checks = [CrossCheck("homogenized-recompute", alt,
-                         "lead sets agree" if same else "lead sets differ")]
+    def build() -> Verdict:
+        e = len(s.generators)
+        hgb = homogenize_ideal(reduced_basis(s, deadline))
+        offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
 
-    ap, top = closure_apery(s, deadline), s.generators[-1]
-    checks.append(CrossCheck("closure-depth", len(ap) == top,
-                             f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
-    return Verdict("acm-projective-closure", result,
-                   "initial-ideal divisibility by the largest-generator variable",
-                   offender, tuple(checks))
+        gb2 = buchberger(hgb.elements, hgb.order, deadline=deadline)
+        alt = not any(m[e - 1] for m in gb2.leads())
+        same = sorted(gb2.leads()) == sorted(hgb.leads())
+        checks = [CrossCheck("homogenized-recompute", alt,
+                             "lead sets agree" if same else "lead sets differ")]
+
+        ap, top = closure_apery(s, deadline), s.generators[-1]
+        checks.append(CrossCheck("closure-depth", len(ap) == top,
+                                 f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
+        return Verdict("acm-projective-closure", offender is None,
+                       "initial-ideal divisibility by the largest-generator variable",
+                       offender, tuple(checks))
+
+    return artifact(s, "acm_projective_closure", build)
 
 
 def cm_tangent_cone(s: NumericalSemigroup,
@@ -166,7 +170,7 @@ def cm_tangent_cone(s: NumericalSemigroup,
     """Is the tangent cone at the origin of the monomial curve
     Cohen-Macaulay?
 
-    Primary method: the minimal local standard basis (`toric.local_basis`,
+    Primary method: the reduced local standard basis (`toric.local_basis`,
     negative-degree revlex with the multiplicity variable lowest); the tangent cone is
     Cohen-Macaulay exactly when that variable divides no lead.
 

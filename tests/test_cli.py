@@ -23,6 +23,9 @@ FIXTURES_JSON = Path(__file__).parent / "data" / "fixtures.json"
 # extend, join) in both formats; an intended output change updates this file
 CONSTRUCTIONS = json.loads(
     (Path(__file__).parent / "data" / "constructions.json").read_text())
+# the same for `analyze --numerical ... --format json` on the closure
+# regressions, the glued instances and <105,252,119,136>
+ANALYZE = json.loads((Path(__file__).parent / "data" / "analyze.json").read_text())
 
 
 def run(capsys, *argv):
@@ -338,6 +341,13 @@ def test_json_output_bytes_are_deterministic(capsys):
 @pytest.mark.parametrize("case", CONSTRUCTIONS,
                          ids=[c["name"] for c in CONSTRUCTIONS])
 def test_construction_commands_match_pinned_output(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", ANALYZE, ids=[c["name"] for c in ANALYZE])
+def test_analyze_matches_pinned_output(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (case["exit"], "")
     assert out == case["stdout"]

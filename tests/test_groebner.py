@@ -11,6 +11,7 @@ from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring import groebner
 from sgring.monomials import (
     Binomial,
+    BinomialIdeal,
     Order,
     compare,
     degrevlex,
@@ -31,10 +32,10 @@ from sgring.groebner import (
     buchberger,
     homogenize_ideal,
     is_groebner,
-    lazard_order,
     normal_form,
     standard_basis_local,
 )
+from lazard_oracle import lazard_order, lazard_standard_basis
 
 O2 = degrevlex(2)
 O3 = degrevlex(3)
@@ -45,6 +46,8 @@ G357 = (
     Binomial((3, 1, 0), (0, 0, 2)),   # x1^3x2 - x3^2
     Binomial((4, 0, 0), (0, 1, 1)),   # x1^4 - x2x3
 )
+D357 = ((3,), (5,), (7,))
+I357 = BinomialIdeal(("x1", "x2", "x3"), G357, D357)
 
 
 def local3():
@@ -56,16 +59,19 @@ def deglex(nvars):
     return Order("degree", "lex", tuple(range(nvars)))
 
 
-def initial_forms_ideal(gens, local_order):
+def initial_forms_ideal(gens, local_order, degree_map):
     """Least-degree homogeneous parts of a standard basis: the bare lead
     monomial when the two sides have different total degrees, the whole
     binomial when they tie.  Raises when the input's leads do not already
-    generate the initial ideal (it is not a standard basis)."""
+    generate the initial ideal (it is not a standard basis); the input must
+    be homogeneous for the degree map."""
     if not local_order.is_local():
         raise InputError("initial forms are taken under a local order")
     els = [ob for ob in (oriented(b.lead, b.tail, local_order)
                          for b in getattr(gens, "elements", gens)) if ob is not None]
-    for b in standard_basis_local(els, local_order).elements:
+    ideal = BinomialIdeal(tuple(f"x{i}" for i in range(len(degree_map))),
+                          tuple(els), degree_map)
+    for b in standard_basis_local(ideal, local_order).elements:
         if not any(divides(g.lead, b.lead) for g in els):
             raise InputError("input is not a standard basis: its leads miss "
                              f"the initial-ideal generator {b.lead}")
@@ -148,7 +154,8 @@ def test_reduced_basis_invariants():
 def reference_buchberger(gens, order, deadline=None):
     """Criterion-free oracle: the engine's pair loop with only the coprime-lead
     skip.  S-pairs are formed through groebner.s_pair, looked up at call time,
-    so a test can count them."""
+    so a test can count them.  A local order is allowed when the input is
+    homogeneous for a positive weight, where reduction still terminates."""
     basis = []
     for g in gens:
         ob = oriented(g.lead, g.tail, order)
@@ -166,7 +173,7 @@ def reference_buchberger(gens, order, deadline=None):
         f, g = basis[i], basis[j]
         if vec_add(f.lead, g.lead) == lcm_monomial(f.lead, g.lead):
             continue
-        nf = normal_form(groebner.s_pair(f, g, order), basis, order)
+        nf = groebner._reduce(groebner.s_pair(f, g, order), basis, order, deadline)
         if nf is not None:
             basis.append(nf)
             push_pairs(len(basis) - 1)
@@ -175,33 +182,42 @@ def reference_buchberger(gens, order, deadline=None):
     return GroebnerBasis(order, tuple(kept), reduced=True, minimal=True)
 
 
-def _random_toric_instances(rng, n):
-    # toric ideals of random numerical semigroups, with the input the
-    # elimination route starts from and the homogenized Lazard input
+def _random_numerical(rng, n, hi=25):
     from sgring.semigroups import NumericalSemigroup
-    from sgring.toric import toric_ideal
     out = []
     while len(out) < n:
-        cand = sorted(rng.sample(range(3, 25), rng.randint(3, 5)))
+        cand = sorted(rng.sample(range(3, hi), rng.randint(3, 5)))
         try:
-            s = NumericalSemigroup(cand)
+            out.append(NumericalSemigroup(cand))
         except InputError:
             continue
-        out.append((s, toric_ideal(s).generators))
     return out
 
 
+def tangent_order(e):
+    # the order of toric.local_basis: negative-degree revlex, x1 lowest
+    return negdegrevlex(e, tuple(range(e - 1, -1, -1)))
+
+
 def test_chain_criterion_keeps_the_reduced_basis():
+    # toric ideals of random numerical semigroups under degrevlex and under
+    # the local order, the input the elimination route starts from, and the
+    # homogenized input of the Lazard oracle
+    from sgring.toric import toric_ideal
     rng = random.Random(1988)
-    for s, gens in _random_toric_instances(rng, 8):
-        e = len(gens[0].lead)
+    for s in _random_numerical(rng, 8):
+        ideal = toric_ideal(s)
+        gens, e = ideal.generators, s.embedding_dim
         assert buchberger(gens, degrevlex(e)).elements == \
             reference_buchberger(gens, degrevlex(e)).elements
+        lo = tangent_order(e)
+        assert standard_basis_local(ideal, lo).elements == \
+            reference_buchberger(gens, lo).elements
         elim = [Binomial((g,) + (0,) * e, (0,) + tuple(int(i == j) for i in range(e)))
                 for j, g in enumerate(s.generators)]
         eo = elimination_order(1, e + 1)
         assert buchberger(elim, eo).elements == reference_buchberger(elim, eo).elements
-        lz = lazard_order(negdegrevlex(e, tuple(range(e - 1, -1, -1))))
+        lz = lazard_order(lo)
         hom = [homogenize(Binomial(b.lead + (0,), b.tail + (0,)), e) for b in gens]
         assert buchberger(hom, lz).elements == reference_buchberger(hom, lz).elements
 
@@ -209,18 +225,17 @@ def test_chain_criterion_keeps_the_reduced_basis():
 def test_chain_criterion_forms_fewer_s_pairs(monkeypatch):
     from sgring.semigroups import NumericalSemigroup
     from sgring.toric import toric_ideal
-    gens = toric_ideal(NumericalSemigroup((57, 95, 56, 96))).generators
-    lo = negdegrevlex(4, priority=(3, 2, 1, 0))
+    ideal = toric_ideal(NumericalSemigroup((57, 95, 56, 96)))
+    lo = tangent_order(4)
     formed = []
     def counting(f, g, order):
         formed.append((f, g))
         return s_pair(f, g, order)
     monkeypatch.setattr(groebner, "s_pair", counting)
-    engine = standard_basis_local(gens, lo)
+    engine = standard_basis_local(ideal, lo)
     with_criterion = len(formed)
     formed.clear()
-    monkeypatch.setattr(groebner, "buchberger", reference_buchberger)
-    assert standard_basis_local(gens, lo) == engine
+    assert reference_buchberger(ideal.generators, lo) == engine
     assert 0 < with_criterion < len(formed)
 
 
@@ -321,13 +336,14 @@ def test_homogenized_basis_recomputes_identically():
 
 
 def test_standard_basis_principal():
-    sb = standard_basis_local([Binomial((5, 0), (0, 3))], negdegrevlex(2, priority=(1, 0)))
+    ideal = BinomialIdeal(("x1", "x2"), (Binomial((5, 0), (0, 3)),), ((3,), (5,)))
+    sb = standard_basis_local(ideal, negdegrevlex(2, priority=(1, 0)))
     assert sb.elements == (Binomial((0, 3), (5, 0)),)  # x2^3 leads locally
-    assert sb.minimal and not sb.reduced
+    assert sb.minimal and sb.reduced
 
 
 def test_standard_basis_357_avoids_smallest_variable():
-    sb = standard_basis_local(G357, local3())
+    sb = standard_basis_local(I357, local3())
     assert len(sb.elements) == 3
     assert all(b.lead[0] == 0 for b in sb.elements)
     assert {b.lead for b in sb.elements} == {(0, 2, 0), (0, 0, 2), (0, 1, 1)}
@@ -335,12 +351,71 @@ def test_standard_basis_357_avoids_smallest_variable():
 
 def test_standard_basis_rejects_global_order():
     with pytest.raises(InputError):
-        standard_basis_local(G357, O3)
+        standard_basis_local(I357, O3)
+    with pytest.raises(InputError):   # bare generators carry no degree map
+        standard_basis_local(G357, local3())
+
+
+def test_standard_basis_rejects_non_positive_degree_map():
+    # each generator is homogeneous for its map, but no map is a positive
+    # weight, so the local loop's termination is not certified
+    lo = negdegrevlex(2)
+    for gens, dmap in (((Binomial((1, 0), (0, 1)),), ((0,), (0,))),
+                       ((Binomial((1, 1), (0, 0)),), ((1,), (-1,))),
+                       ((Binomial((1, 0), (0, 1)),), ((1, -1), (1, -1)))):
+        with pytest.raises(InputError):
+            standard_basis_local(BinomialIdeal(("x1", "x2"), gens, dmap), lo)
+
+
+def test_local_leads_match_lazard_oracle():
+    # the direct loop against Lazard's homogenized route on 120 random
+    # numerical semigroups: same leads; the elements may differ, because the
+    # direct route interreduces tails and the oracle does not
+    from sgring.toric import toric_ideal
+    rng = random.Random(2024)
+    for s in _random_numerical(rng, 120, hi=40):
+        ideal, lo = toric_ideal(s), tangent_order(s.embedding_dim)
+        sb = standard_basis_local(ideal, lo)
+        oracle = lazard_standard_basis(ideal.generators, lo)
+        assert sb.leads() == oracle.leads(), s.generators
+        assert sb.reduced and not oracle.reduced
+
+
+def test_local_leads_match_lazard_oracle_under_glued_block_orders(monkeypatch):
+    # every standard basis the glued-tangent-cone fixtures ask for under
+    # their block orders, against the oracle
+    from sgring import theorems
+    seen = []
+
+    def recorded(ideal, order, deadline=None):
+        seen.append((ideal, order))
+        return standard_basis_local(ideal, order, deadline)
+
+    monkeypatch.setattr(theorems, "standard_basis_local", recorded)
+    fixtures = [f for f in theorems.FIXTURES if f.theorem == "glued-tangent-cone"]
+    for f in fixtures:
+        f.run(None)
+    assert len(seen) == len(fixtures) == 3
+    for ideal, order in seen:
+        assert standard_basis_local(ideal, order).leads() == \
+            lazard_standard_basis(ideal.generators, order).leads()
+
+
+def test_herzog_waldi_local_basis_under_deadline():
+    # 49 toric generators; Lazard's route took tens of seconds here
+    from sgring.semigroups import NumericalSemigroup
+    from sgring.toric import toric_ideal
+    ideal = toric_ideal(NumericalSemigroup((30, 35, 42, 47, 148, 153, 157, 169, 181, 193)))
+    lo = tangent_order(10)
+    sb = standard_basis_local(ideal, lo, Deadline(5))
+    assert sb.reduced and len(sb) == 57
+    with pytest.raises(DeadlineExceeded):
+        standard_basis_local(ideal, lo, Deadline(0.001))
 
 
 def test_initial_forms_357():
-    sb = standard_basis_local(G357, local3())
-    forms = initial_forms_ideal(sb, local3())
+    sb = standard_basis_local(I357, local3())
+    forms = initial_forms_ideal(sb, local3(), D357)
     assert Binomial((0, 2, 0), (1, 0, 1)) in forms  # homogeneous: kept whole
     monos = {f for f in forms if not isinstance(f, Binomial)}
     assert monos == {(0, 0, 2), (0, 1, 1)}
@@ -348,9 +423,9 @@ def test_initial_forms_357():
 
 def test_initial_forms_principal():
     lo = negdegrevlex(2, priority=(1, 0))
-    assert initial_forms_ideal([Binomial((5, 0), (0, 3))], lo) == [(0, 3)]
+    assert initial_forms_ideal([Binomial((5, 0), (0, 3))], lo, ((3,), (5,))) == [(0, 3)]
     homog = [Binomial((1, 1), (2, 0))]
-    assert initial_forms_ideal(homog, lo) == [Binomial((1, 1), (2, 0))]
+    assert initial_forms_ideal(homog, lo, ((1,), (1,))) == [Binomial((1, 1), (2, 0))]
 
 
 def test_initial_forms_rejects_non_standard_basis():
@@ -358,13 +433,14 @@ def test_initial_forms_rejects_non_standard_basis():
     from sgring.toric import toric_ideal
 
     s = NumericalSemigroup((105, 252, 119, 136))
-    gens = toric_ideal(s).generators
+    ideal = toric_ideal(s)
+    gens = ideal.generators
     lo = negdegrevlex(4, priority=(3, 2, 1, 0))
-    assert len(standard_basis_local(gens, lo).elements) > len(gens)
+    assert len(standard_basis_local(ideal, lo).elements) > len(gens)
     with pytest.raises(InputError):
-        initial_forms_ideal(gens, lo)
+        initial_forms_ideal(gens, lo, ideal.degree_map)
     with pytest.raises(InputError):
-        initial_forms_ideal(gens, degrevlex(4))
+        initial_forms_ideal(gens, degrevlex(4), ideal.degree_map)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +534,9 @@ def test_quotient_hilbert_matches_ord_counts():
                 continue
         e = s.embedding_dim
         lo = negdegrevlex(e, priority=tuple(range(e - 1, -1, -1)))
-        sb = standard_basis_local(toric_ideal(s).generators, lo)
-        forms = initial_forms_ideal(sb, lo)
+        ideal = toric_ideal(s)
+        sb = standard_basis_local(ideal, lo)
+        forms = initial_forms_ideal(sb, lo, ideal.degree_map)
         leads = [f.lead if isinstance(f, Binomial) else f for f in forms]
         upto = s.hilbert_stabilization() + 4
         assert quotient_hilbert(leads, e, upto) == s.hilbert_gr(upto)

@@ -189,6 +189,17 @@ def test_frobenius_and_gaps_match_brute():
         assert len(gaps) >= (max(gaps) + 1) // 2
 
 
+def test_gaps_match_membership_filter():
+    # gaps() reads Ap(S, n_1) class by class; membership tests over [1, F]
+    # give the same sorted list
+    from test_acceptance import population
+    big = NumericalSemigroup((358, 650, 2431))
+    assert big.frobenius() == 49419
+    for s in population() + [big]:
+        f = s.frobenius()
+        assert s.gaps() == [v for v in range(1, f + 1) if v not in s]
+
+
 def test_pf_matches_brute():
     rng = random.Random(15)
     for _ in range(20):

@@ -5,7 +5,7 @@ import pytest
 
 from sgring import toric
 from sgring.errors import Deadline, DeadlineExceeded, InputError
-from sgring.monomials import Binomial, degrevlex
+from sgring.monomials import Binomial, degrevlex, gamma_degree
 from sgring.groebner import buchberger, homogenize_ideal, is_groebner
 from sgring.semigroups import (
     AffineSemigroup,
@@ -19,7 +19,6 @@ from sgring.toric import (
     _canonical,
     _toric_by_elimination,
     _x_names,
-    gamma_degree,
     glued_ideal_generators,
     ideal_equals,
     local_basis,

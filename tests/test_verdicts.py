@@ -280,6 +280,27 @@ def test_closure_resolution_is_scanned_once_per_object(monkeypatch):
     assert calls == []
 
 
+def test_acm_verdict_is_built_once_per_object(monkeypatch):
+    # the reduced basis and the homogenized recompute run once, although
+    # the Gorenstein closure verdict asks for the ACM verdict again
+    from sgring import toric
+    calls = []
+    for mod in (toric, verdicts):
+        engine = mod.buchberger
+
+        def counted(*args, _engine=engine, **kwargs):
+            calls.append(args)
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "buchberger", counted)
+    s = NumericalSemigroup((57, 95, 56, 96))
+    acm = acm_projective_closure(s)
+    gor = gorenstein_projective_closure(s)
+    assert len(calls) == 2
+    assert acm_projective_closure(s) is acm and gor.result is False
+    assert gor.witness == acm.witness
+
+
 def test_exhausted_closure_budget_is_not_memoized():
     # an expired caller deadline raises and stores nothing, so a later call
     # with time left still returns the table
