@@ -13,7 +13,7 @@ from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex
 from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec,
                          NumericalSemigroup, condition_A, condition_B,
                          embed_axis, extend, glue, is_nice_gluing,
-                         is_star_gluing, join, nd_order)
+                         is_star_gluing, join)
 from .toric import BinomialIdeal, glued_ideal_generators, ideal_equals, toric_ideal
 from .groebner import (GroebnerBasis, buchberger, homogenize_ideal, is_groebner,
                        standard_basis_local)

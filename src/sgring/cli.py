@@ -51,7 +51,7 @@ class JobSpec:
 
 
 def _decimal(cell, path: str) -> int:
-    if not isinstance(cell, str) or not cell.isdigit():
+    if not isinstance(cell, str) or not (cell.isascii() and cell.isdigit()):
         raise InputError(f"{path}: expected a decimal string of a nonnegative integer")
     return int(cell)
 

@@ -19,9 +19,8 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import BoundInsufficient, Deadline, InputError, tick
 from .linalg import rational_rank
-from .monomials import Order, Vec, vec_add
-from .semigroups import (AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board,
-                         nd_max, nd_order)
+from .monomials import Vec, vec_add
+from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
 
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
@@ -287,14 +286,14 @@ def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
 
 
 def is_prec_symmetric(s: Semigroup, table: BettiTable,
-                      order: Optional[Order] = None,
                       deadline: Optional[Deadline] = None) -> bool:
-    """True iff the unique pseudo-Frobenius element is the order-maximum gap.
+    """True iff the unique pseudo-Frobenius element is the graded-lex maximum
+    gap: the largest by total degree, ties broken lexicographically.
 
     For a numerical semigroup that gap is the Frobenius number F, and gaps
     exist exactly when F >= 1; an affine semigroup reads its gap set
     (`AffineSemigroup.gap_set`), which must be certified finite."""
-    gens, d, numerical = _gen_vectors(s)
+    gens, _, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         return False
     pf = pf_via_betti(s, table)
@@ -304,7 +303,7 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
         f = s.frobenius()
         return f >= 1 and pf[0] == f
     gaps = s.gap_set(deadline).all_gaps()
-    return bool(gaps) and pf[0] == nd_max(order or nd_order("graded-lex", d), gaps)
+    return bool(gaps) and pf[0] == max(gaps, key=lambda p: (sum(p), p))
 
 
 def sifr_check(s: Semigroup, table: BettiTable) -> SifrReport:

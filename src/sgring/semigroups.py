@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificationError, Deadline, InputError, tick
 from .linalg import nonneg_solve, rational_rank
-from .monomials import Order, Vec, compare, scale, vec_add
+from .monomials import Vec, scale, vec_add
 
 T = TypeVar("T")
 
@@ -49,25 +49,40 @@ def artifact(s, name: str, build: Callable[[], T]) -> T:
 class NumericalSemigroup:
     """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e.
 
-    Membership reads the Apery set of n_1; `ord`, the Hilbert function and
-    its stabilization index read the Apery table of the powers of the
-    maximal ideal, in O(n_1) entries per row whatever the size of the
-    integers.  It and the toric ideal with its bases are built once per
-    instance by `artifact`.
+    Every numerical question reads one engine, Ap(S, n_1) indexed by residue
+    (`_apery_by_residue`), built by the constructor: membership, the
+    Frobenius number, the gaps, minimality and the Gorenstein verdict take
+    O(n_1) entries whatever the size of the integers.  `ord`, the Hilbert
+    function and its stabilization index read the Apery table of the powers
+    of the maximal ideal, whose first row is Ap(S, n_1).  That table and
+    the toric ideal with its bases are built once per instance by
+    `artifact`.
     """
 
     generators: tuple[int, ...]
 
     def __init__(self, generators: Sequence[int]):
+        """Sort and deduplicate the generators and check that they are
+        coprime and minimal.  Ap(S, n_1) of the given generators, with n_1
+        the least, decides minimality in e^2 lookups: g is redundant iff
+        g - h is a member for some generator h < g.  If g = h + t with t a
+        member, a factorization of t < g cannot use g, so g lies in the
+        semigroup of the other generators; conversely a factorization of g
+        by the others uses some h, each of its terms is below g, and g - h
+        is a member.  The least generator is never redundant, so n_1 is the
+        multiplicity and the table is Ap(S, n_1) of the semigroup."""
         gens = tuple(sorted(set(int(g) for g in generators)))
         if not gens or gens[0] <= 0:
             raise InputError("generators must be positive integers")
         if math.gcd(*gens) != 1:
             raise InputError(f"gcd of generators {gens} must be 1")
-        redundant = _redundant_numeric(gens)
+        n1, apery = gens[0], _least_per_residue(gens, gens[0])
+        redundant = [g for g in gens
+                     if any(g - h >= apery[(g - h) % n1] for h in gens if h < g)]
         if redundant:
-            raise InputError(f"generating set not minimal: {sorted(redundant)} are redundant")
+            raise InputError(f"generating set not minimal: {redundant} are redundant")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_apery_by_residue", apery)
 
     @property
     def embedding_dim(self) -> int:
@@ -76,11 +91,6 @@ class NumericalSemigroup:
     @property
     def multiplicity(self) -> int:
         return self.generators[0]
-
-    @cached_property
-    def _apery_by_residue(self) -> list[int]:
-        # Ap(S, n_1) indexed by residue; n_1 is a member, so no check is needed
-        return _least_per_residue(self.generators, self.multiplicity)
 
     def membership(self, x: int) -> bool:
         """True iff x >= Ap(S, n_1)[x mod n_1], the least member congruent to x."""
@@ -207,20 +217,6 @@ def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
                 heapq.heappush(heap, (nd, nr))
     assert all(d is not None for d in dist)
     return dist  # type: ignore[return-value]
-
-
-def _redundant_numeric(gens: tuple[int, ...]) -> list[int]:
-    out = []
-    for g in gens:
-        others = [h for h in gens if h != g]
-        if not others:
-            continue
-        reach = [True] + [False] * g
-        for v in range(1, g + 1):
-            reach[v] = any(v >= h and reach[v - h] for h in others)
-        if reach[g]:
-            out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -556,26 +552,6 @@ def embed_axis(s: NumericalSemigroup, dim: int, axis: int) -> AffineSemigroup:
         raise InputError("axis out of range")
     gens = [tuple(g if i == axis else 0 for i in range(dim)) for g in s.generators]
     return AffineSemigroup(gens)
-
-
-def nd_order(kind: str = "graded-lex", dim: int = 1,
-             priority: Optional[Vec] = None) -> Order:
-    """Term order on N^d used for picking maxima of gap sets."""
-    if kind == "graded-lex":
-        return Order("degree", "lex", tuple(priority) if priority else tuple(range(dim)))
-    if kind == "lex":
-        return Order("none", "lex", tuple(priority) if priority else tuple(range(dim)))
-    raise InputError(f"unknown N^d order kind {kind!r}")
-
-
-def nd_max(order: Order, points: Sequence[Vec]) -> Vec:
-    if not points:
-        raise InputError("empty point set has no maximum")
-    best = points[0]
-    for p in points[1:]:
-        if compare(order, p, best) > 0:
-            best = p
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_
 from .toric import glued_ideal_generators, local_basis, reduced_basis
 from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec, NumericalSemigroup,
                          condition_A, condition_B, embed_axis, extend, glue,
-                         is_nice_gluing, is_star_gluing, join, nd_order)
+                         is_nice_gluing, is_star_gluing, join)
 from .resolution import betti_degrees, is_prec_symmetric, pf_via_betti, sifr_check
 from .verdicts import (NOT_ACM, acm_projective_closure, closure_resolution,
                        cm_tangent_cone, gorenstein_projective_closure)
@@ -389,13 +389,11 @@ def verify_extension_pf(spec: ExtensionSpec,
                          "the reverse containment (base gaps inside extension "
                          "gaps) is the one that holds")
 
-    order = nd_order("graded-lex", base.dim)
     if mpd and scan.finite:
-        if is_prec_symmetric(base, t_base, order, deadline):
+        if is_prec_symmetric(base, t_base, deadline):
             try:
                 predicted["prec-symmetric"] = True
-                computed["prec-symmetric"] = is_prec_symmetric(
-                    ext, t_ext, order, deadline)
+                computed["prec-symmetric"] = is_prec_symmetric(ext, t_ext, deadline)
             except CertificationError as exc:
                 del predicted["prec-symmetric"]
                 computed.pop("prec-symmetric", None)

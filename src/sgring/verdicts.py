@@ -205,8 +205,17 @@ def gorenstein_numerical(s: NumericalSemigroup,
                          deadline: Optional[Deadline] = None) -> Verdict:
     """Is the numerical semigroup ring Gorenstein?
 
-    Primary method: gap symmetry about the Frobenius number F — for every
-    z in [0, F] exactly one of z, F - z belongs to the semigroup.
+    Primary method: gap symmetry about the Frobenius number F, read from
+    Ap(S, n_1) class by class in O(n_1) (Rosales and Garcia-Sanchez,
+    Numerical Semigroups, Springer 2009, section 4).  S is symmetric iff no
+    z has z and F - z both gaps (both members would put F in S); the
+    witness is the least such pair (z, F - z).  The gaps of the class r
+    mod n_1 are r, r + n_1, ..., Ap[r] - n_1.  For such a gap z, F - z >= 0
+    lies in the class c = (F - r) mod n_1 and is a gap iff F - z < Ap[c],
+    that is z > F - Ap[c]; so the least z of class r is the least
+    z = r mod n_1 with z >= max(r, F - Ap[c] + 1), when that z is below
+    Ap[r].
+
     Cross-check: the Cohen-Macaulay type equals one, read from Ap(S, n_1) as
     the number of its elements maximal in the semigroup order (the
     pseudo-Frobenius numbers plus n_1).  The full semigroup (F = -1) has no
@@ -219,14 +228,15 @@ def gorenstein_numerical(s: NumericalSemigroup,
         return Verdict("gorenstein-numerical", True, "gap symmetry", None,
                        (CrossCheck("type-one", None,
                                    "no gaps: polynomial ring, type check skipped"),))
-    f = s.frobenius()
+    f, n1, ap = s.frobenius(), s.multiplicity, s._apery_by_residue
     bad = None
-    for z in range(f + 1):
-        if not z & 4095:
+    for r, top in enumerate(ap):
+        if not r & 4095:
             tick(deadline)
-        if (z in s) == ((f - z) in s):
+        low = max(r, f - ap[(f - r) % n1] + 1)
+        z = low + (r - low) % n1
+        if z < top and (bad is None or z < bad):
             bad = z
-            break
     pf = s.pf_numeric()
     checks = (CrossCheck("type-one", len(pf) == 1,
                          f"pseudo-Frobenius elements {pf}"),)

@@ -74,6 +74,12 @@ def test_parse_job_error_paths_are_json_pointers():
         ({"schema_version": "1", "type": "numerical",
           "generators": [["3"], [5]], "params": {}},
          "/generators/1/0: expected a decimal string of a nonnegative integer"),
+        ({"schema_version": "1", "type": "numerical",
+          "generators": [["3"], ["\u00b2"]], "params": {}},
+         "/generators/1/0: expected a decimal string of a nonnegative integer"),
+        ({"schema_version": "1", "type": "numerical",
+          "generators": [["3"], ["\u0665"]], "params": {}},
+         "/generators/1/0: expected a decimal string of a nonnegative integer"),
         ({"schema_version": "1", "type": "affine",
           "generators": [["3", "0"], ["5"]], "params": {}},
          "/generators/1: expected 2 entries, got 1"),

@@ -224,7 +224,9 @@ def test_matrix_a_paper_values():
     assert (summary.pd, summary.depth, summary.dim) == (4, 1, 2)
     assert not summary.cm
     assert pf_via_betti(MAT_A, t) == [(7, 2)]
-    # the order-maximum gap is read from the derived, certified gap set
+    # the graded-lex maximum gap, read from the derived, certified gap set,
+    # is the pseudo-Frobenius element
+    assert max(MAT_A.gap_set().all_gaps(), key=lambda p: (sum(p), p)) == (7, 2)
     assert is_prec_symmetric(MAT_A, t)
     with pytest.raises(DeadlineExceeded):  # the gap scan checks the deadline
         is_prec_symmetric(AffineSemigroup(MAT_A.generators), t, deadline=Deadline(-1))

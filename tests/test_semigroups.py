@@ -24,9 +24,8 @@ from sgring.semigroups import (
     is_nice_gluing,
     is_star_gluing,
     join,
-    nd_max,
-    nd_order,
 )
+from numerical_oracle import redundant_by_reachability
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: straight enumeration, no shared code with the module
@@ -124,6 +123,26 @@ def test_23_and_mcnugget():
     assert m.frobenius() == 43
     assert len(m.gaps()) == 22
     assert m.pf_numeric() == [43]
+
+
+def test_minimality_matches_reachability_oracle():
+    rng = random.Random(2074)
+    sets = [(1, 2, 3), (3, 5, 8), (4, 6, 9, 10), (6, 9, 20, 29), (2, 3, 4, 5, 6)]
+    while len(sets) < 600:
+        gens = tuple(sorted(rng.sample(range(2, 50), rng.randint(2, 6))))
+        if math.gcd(*gens) == 1:
+            sets.append(gens)
+    with_redundant = 0
+    for gens in sets:
+        redundant = redundant_by_reachability(gens)
+        if not redundant:
+            assert NumericalSemigroup(gens).generators == gens
+            continue
+        with_redundant += 1
+        with pytest.raises(InputError) as exc:
+            NumericalSemigroup(gens)
+        assert str(exc.value) == f"generating set not minimal: {redundant} are redundant"
+    assert 100 <= with_redundant <= len(sets) - 100
 
 
 def test_membership_errors():
@@ -500,17 +519,6 @@ def test_embed_axis():
     assert e.generators == ((0, 2, 0), (0, 3, 0))
     with pytest.raises(InputError):
         embed_axis(NumericalSemigroup([2, 3]), 2, 2)
-
-
-def test_nd_orders():
-    pts = [(3, 0), (0, 2)]
-    assert nd_max(nd_order("graded-lex", 2), pts) == (3, 0)
-    assert nd_max(nd_order("lex", 2, priority=(1, 0)), pts) == (0, 2)
-    assert nd_max(nd_order("graded-lex", 2), sorted(GAPS_A)) == (7, 2)
-    with pytest.raises(InputError):
-        nd_order("weird", 2)
-    with pytest.raises(InputError):
-        nd_max(nd_order("lex", 2), [])
 
 
 # ---------------------------------------------------------------------------

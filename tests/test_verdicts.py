@@ -19,6 +19,7 @@ from sgring.verdicts import (
     gorenstein_projective_closure,
     projective_closure_semigroup,
 )
+from numerical_oracle import gorenstein_by_gap_walk
 from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES, population
 
 
@@ -141,6 +142,27 @@ def test_gorenstein_numerical_whole_line():
     v = gorenstein_numerical(NumericalSemigroup([1]))
     assert v.result is True and not v.conflict
     assert v.cross_checks[0].result is None
+
+
+def test_gorenstein_numerical_matches_gap_walk_oracle():
+    rng = random.Random(1155)
+    sems = [NumericalSemigroup(g) for g in CLOSURE_REGRESSIONS]
+    sems += [random_numerical(rng, max_gens=5, max_val=60) for _ in range(500)]
+    sems += [NumericalSemigroup(g) for g in
+             ((1,), (2, 3), (6, 9, 20), (4, 6, 9), (8, 10, 12, 13), (13, 19), (97, 101))]
+    symmetric = 0
+    for s in sems:
+        got, want = gorenstein_numerical(s), gorenstein_by_gap_walk(s)
+        assert got == want, s.generators
+        symmetric += got.result
+    assert 50 <= symmetric <= len(sems) - 50
+
+
+def test_gorenstein_numerical_under_deadline():
+    for gens in ((4001, 4003), (5, 10**7 + 1)):
+        deadline = Deadline(1)
+        v = gorenstein_numerical(NumericalSemigroup(gens), deadline)
+        assert v.result is True and not v.conflict, gens
 
 
 def test_gorenstein_numerical_matches_type_on_randoms():
