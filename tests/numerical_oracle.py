@@ -3,9 +3,9 @@
 `sgring` answers minimality and the Gorenstein verdict from Ap(S, n_1) in
 O(n_1) lookups.  These oracles answer the same questions by walking the
 integers themselves: a reachability table over [0, g] for each generator g,
-and the gap-symmetry loop over [0, F] with two membership tests per point.
-They share nothing with the Apery reads but `membership`, so agreeing
-answers check those reads.
+which shares no code with the module, and the gap-symmetry loop over
+[0, F], which asks only `membership` point by point.  Agreeing answers
+check the class-by-class reads.
 """
 from typing import Optional
 
