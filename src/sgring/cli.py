@@ -10,6 +10,12 @@ with every integer as a decimal string; reports add "command" and "result"
 and re-parse under the same input schema.  SGRING_DEADLINE (seconds) sets
 the default for --deadline; --threads is validated but changes nothing,
 since fixture batches run serially.
+
+Only the parsing layers (errors, monomials, semigroups) load with this
+module.  Each handler imports the toric, groebner, resolution, verdicts or
+theorems names it calls, so `hilbert` never compiles the Groebner or Betti
+code, and `verify` reads its theorem ids from `theorems` only when its
+arguments are parsed or its help is printed.
 """
 
 from __future__ import annotations
@@ -19,21 +25,17 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (BoundInsufficient, CertificationError, Deadline,
                      DeadlineExceeded, InputError)
 from .monomials import format_binomial
-from .toric import reduced_basis, toric_ideal
 from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
                          embed_axis, extend, is_nice_gluing, is_star_gluing, glue,
                          join)
-from .resolution import betti_degrees, pf_via_betti, resolution_summary, sifr_check
-from .verdicts import (acm_projective_closure, cm_tangent_cone,
-                       gorenstein_numerical, gorenstein_projective_closure)
-from .theorems import (THEOREM_IDS, TheoremReport, gluing, run_fixtures,
-                       verify_extension_pf, verify_glued_tangent_cone,
-                       verify_join_sifr)
+
+if TYPE_CHECKING:
+    from .theorems import TheoremReport
 
 SCHEMA_VERSION = "1"
 EXIT_OK, EXIT_CONFLICT, EXIT_INPUT, EXIT_BOUND = 0, 1, 2, 3
@@ -100,9 +102,9 @@ def parse_job(doc) -> JobSpec:
     return JobSpec(kind, tuple(gens), params)
 
 
-def job_semigroup(job: JobSpec):
+def job_semigroup(job: JobSpec, deadline: Optional[Deadline] = None):
     if job.type == "numerical":
-        return NumericalSemigroup([g[0] for g in job.generators])
+        return NumericalSemigroup([g[0] for g in job.generators], deadline)
     return AffineSemigroup(job.generators)
 
 
@@ -120,15 +122,15 @@ def _matrix(text: str, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _resolve_semigroup(args, what: str = "semigroup"):
+def _resolve_semigroup(args, deadline: Optional[Deadline]):
     """Semigroup from --numerical / --affine / --input, exactly one source."""
     sources = [s for s in (args.numerical, args.affine, args.input) if s]
     if len(sources) != 1:
-        raise InputError(f"{what}: give exactly one of --numerical, --affine, --input")
+        raise InputError("semigroup: give exactly one of --numerical, --affine, --input")
     if args.input:
-        return job_semigroup(parse_input(args.input))
+        return job_semigroup(parse_input(args.input), deadline)
     if args.numerical:
-        return NumericalSemigroup(_int_list(args.numerical, "--numerical"))
+        return NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
     return AffineSemigroup(_matrix(args.affine, "--affine"))
 
 
@@ -237,7 +239,11 @@ def theorem_conflict(rep: TheoremReport) -> bool:
 
 
 def cmd_analyze(args, deadline) -> int:
-    s = _resolve_semigroup(args)
+    from .resolution import betti_degrees, resolution_summary
+    from .toric import reduced_basis, toric_ideal
+    from .verdicts import (acm_projective_closure, cm_tangent_cone,
+                           gorenstein_numerical, gorenstein_projective_closure)
+    s = _resolve_semigroup(args, deadline)
     ideal = toric_ideal(s, deadline)
     gb = reduced_basis(s, deadline)
     result = {"embedding_dim": len(ideal.variables),
@@ -281,11 +287,13 @@ def cmd_analyze(args, deadline) -> int:
 
 
 def _gluing_from_args(args):
+    from .theorems import gluing
     return gluing(_int_list(args.left, "--left"), _int_list(args.right, "--right"),
                   _int_list(args.b, "--b"), _int_list(args.a, "--a"))
 
 
 def cmd_glue(args, deadline) -> int:
+    from .verdicts import acm_projective_closure, cm_tangent_cone
     spec = _gluing_from_args(args)
     glued = glue(spec)
     result = {"glued_generators": spec.glued_generators,
@@ -312,6 +320,7 @@ def cmd_glue(args, deadline) -> int:
 
 
 def cmd_star_glue(args, deadline) -> int:
+    from .theorems import verify_glued_tangent_cone
     spec = _gluing_from_args(args)
     if not is_star_gluing(spec):
         raise InputError(f"not a star gluing: sum(a)={sum(spec.a)} is not "
@@ -325,8 +334,9 @@ def cmd_star_glue(args, deadline) -> int:
 
 
 def cmd_extend(args, deadline) -> int:
+    from .theorems import verify_extension_pf
     if args.numerical:
-        base = NumericalSemigroup(_int_list(args.numerical, "--numerical"))
+        base = NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
     elif args.affine:
         base = AffineSemigroup(_matrix(args.affine, "--affine"))
     else:
@@ -340,10 +350,11 @@ def cmd_extend(args, deadline) -> int:
 
 
 def cmd_join(args, deadline) -> int:
+    from .theorems import verify_join_sifr
     dim = args.dim
-    left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left")),
+    left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left"), deadline),
                       dim, args.left_axis)
-    right = embed_axis(NumericalSemigroup(_int_list(args.right, "--right")),
+    right = embed_axis(NumericalSemigroup(_int_list(args.right, "--right"), deadline),
                        dim, args.right_axis)
     rep = verify_join_sifr(left, right, deadline)
     params = {"left": args.left, "right": args.right, "dim": dim,
@@ -355,7 +366,8 @@ def cmd_join(args, deadline) -> int:
 
 
 def cmd_betti(args, deadline) -> int:
-    s = _resolve_semigroup(args)
+    from .resolution import betti_degrees
+    s = _resolve_semigroup(args, deadline)
     bound = _int_list(args.bound, "--bound") if args.bound else None
     table = betti_degrees(s, degree_bound=bound, deadline=deadline)
     if bound is not None and isinstance(s, NumericalSemigroup):
@@ -372,7 +384,8 @@ def cmd_betti(args, deadline) -> int:
 
 
 def cmd_pf(args, deadline) -> int:
-    s = _resolve_semigroup(args)
+    from .resolution import betti_degrees, pf_via_betti
+    s = _resolve_semigroup(args, deadline)
     table = betti_degrees(s, deadline=deadline)
     via_betti = pf_via_betti(s, table)
     result = {"pf": [degree_doc(d) for d in via_betti],
@@ -395,7 +408,8 @@ def cmd_pf(args, deadline) -> int:
 
 
 def cmd_sifr(args, deadline) -> int:
-    s = _resolve_semigroup(args)
+    from .resolution import betti_degrees, sifr_check
+    s = _resolve_semigroup(args, deadline)
     table = betti_degrees(s, deadline=deadline)
     rep = sifr_check(s, table)
     result = {"holds": rep.holds, "level": rep.level,
@@ -408,7 +422,7 @@ def cmd_sifr(args, deadline) -> int:
 
 
 def cmd_hilbert(args, deadline) -> int:
-    s = _resolve_semigroup(args)
+    s = _resolve_semigroup(args, deadline)
     if not isinstance(s, NumericalSemigroup):
         raise InputError("hilbert: tangent-cone Hilbert functions are numerical-only")
     stab = s.hilbert_stabilization(deadline)
@@ -426,6 +440,7 @@ def cmd_hilbert(args, deadline) -> int:
 
 def cmd_fixtures(args, deadline) -> int:
     """`fixtures` runs every curated check, `verify <id>` one statement's."""
+    from .theorems import run_fixtures
     pairs = run_fixtures(getattr(args, "theorem", None), deadline)
     docs = [theorem_doc(rep, label=fx.label) for fx, rep in pairs]
     conflicts = sum(theorem_conflict(rep) for _, rep in pairs)
@@ -463,6 +478,14 @@ def _add_common(p):
                    help="seconds before aborting with exit code 3")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; fixture batches run serially")
+
+
+class _TheoremIds:
+    """`verify`'s choices: theorems.THEOREM_IDS, imported on first use."""
+
+    def __iter__(self):
+        from .theorems import THEOREM_IDS
+        return iter(THEOREM_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("verify", help="run the curated checks for one id")
-    p.add_argument("theorem", choices=THEOREM_IDS)
+    # set after add_argument, which would iterate choices to check the metavar
+    p.add_argument("theorem").choices = _TheoremIds()
     _add_common(p)
     p.set_defaults(handler=cmd_fixtures)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,22 +62,23 @@ class NumericalSemigroup:
 
     generators: tuple[int, ...]
 
-    def __init__(self, generators: Sequence[int]):
+    def __init__(self, generators: Sequence[int], deadline: Optional[Deadline] = None):
         """Sort and deduplicate the generators and check that they are
         coprime and minimal.  Ap(S, n_1) of the given generators, with n_1
-        the least, decides minimality in e^2 lookups: g is redundant iff
-        g - h is a member for some generator h < g.  If g = h + t with t a
-        member, a factorization of t < g cannot use g, so g lies in the
-        semigroup of the other generators; conversely a factorization of g
-        by the others uses some h, each of its terms is below g, and g - h
-        is a member.  The least generator is never redundant, so n_1 is the
-        multiplicity and the table is Ap(S, n_1) of the semigroup."""
+        the least, is built under the deadline and decides minimality in e^2
+        lookups: g is redundant iff g - h is a member for some generator
+        h < g.  If g = h + t with t a member, a factorization of t < g
+        cannot use g, so g lies in the semigroup of the other generators;
+        conversely a factorization of g by the others uses some h, each of
+        its terms is below g, and g - h is a member.  The least generator is
+        never redundant, so n_1 is the multiplicity and the table is
+        Ap(S, n_1) of the semigroup."""
         gens = tuple(sorted(set(int(g) for g in generators)))
         if not gens or gens[0] <= 0:
             raise InputError("generators must be positive integers")
         if math.gcd(*gens) != 1:
             raise InputError(f"gcd of generators {gens} must be 1")
-        n1, apery = gens[0], _least_per_residue(gens, gens[0])
+        n1, apery = gens[0], _least_per_residue(gens, gens[0], deadline)
         redundant = [g for g in gens
                      if any(g - h >= apery[(g - h) % n1] for h in gens if h < g)]
         if redundant:
@@ -200,13 +202,19 @@ class NumericalSemigroup:
             ((self.multiplicity,),), frozenset((w,) for w in self._apery_by_residue)))
 
 
-def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
+def _least_per_residue(gens: tuple[int, ...], m: int,
+                       deadline: Optional[Deadline] = None) -> list[int]:
     """Least member of <gens> in each residue class mod m, indexed by residue
-    (Dijkstra on the residues, one edge per generator)."""
+    (Dijkstra on the residues, one edge per generator), checking the
+    deadline every 4096 heap pops."""
     dist: list[Optional[int]] = [None] * m
     dist[0] = 0
     heap: list[tuple[int, int]] = [(0, 0)]
+    pops = 0
     while heap:
+        if not pops & 4095:
+            tick(deadline)
+        pops += 1
         d, r = heapq.heappop(heap)
         if dist[r] != d:
             continue
@@ -499,17 +507,23 @@ class Grid:
         return tuple(out)
 
 
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
 def iter_bits(x: int, total: int, deadline: Optional[Deadline] = None):
-    """Set bits of x in increasing order, checking the deadline per 4 KiB."""
+    """Set bits of x in increasing order, checking the deadline per 4 KiB.
+    The regex engine skips the runs of zero bytes, which dominate sparse
+    boards."""
     data = x.to_bytes((total + 7) // 8, "little")
-    for byte_idx, byte in enumerate(data):
-        if not byte_idx & 4095:
-            tick(deadline)
-        base = byte_idx * 8
-        while byte:
-            low = byte & -byte
-            yield base + low.bit_length() - 1
-            byte ^= low
+    for chunk in range(0, len(data), 4096):
+        tick(deadline)
+        for run in _NONZERO_BYTES.finditer(data, chunk, chunk + 4096):
+            for byte_idx, byte in enumerate(run.group(), run.start()):
+                base = byte_idx * 8
+                while byte:
+                    low = byte & -byte
+                    yield base + low.bit_length() - 1
+                    byte ^= low
 
 
 def member_board(grid: Grid, gens: Sequence[Vec], deadline: Optional[Deadline]) -> int:

@@ -1,5 +1,6 @@
 import json
 import time
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,13 @@ from sgring.cli import (
     EXIT_CONFLICT,
     EXIT_INPUT,
     EXIT_OK,
+    _resolve_semigroup,
     main,
     parse_input,
     parse_job,
     theorem_conflict,
 )
-from sgring.errors import InputError
+from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.theorems import HypothesisCheck, TheoremReport
 
 # stdout of `sgring fixtures`; an intended output change updates this file
@@ -387,10 +389,21 @@ def test_input_error_exit_code(capsys):
     assert "generator" in err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
+    ids = ("glued-basis-homogeneous", "glued-closure-acm", "glued-tangent-cone",
+           "glued-closure-gorenstein", "extension-pf", "join-sifr")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-theorem"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("sgring verify: error: argument theorem: invalid choice: "
+                        "'no-such-theorem' (choose from "
+                        + ", ".join(f"'{i}'" for i in ids) + ")\n")
+    assert "{" + ",".join(ids) + "}" in err  # the usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.count("{" + ",".join(ids) + "}") == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -408,6 +421,21 @@ def test_deadline_flag_and_env(capsys, monkeypatch):
     code, doc = run_json(capsys, "analyze", "--numerical", "3,5,7",
                          "--tangent-cone", "--deadline", "60")
     assert code == EXIT_OK
+
+
+def test_deadline_reaches_the_constructor(capsys, tmp_path):
+    # Ap(S, 300007) is built under the command's deadline
+    code, out, err = run(capsys, "hilbert", "--numerical", "300007,300011,300017",
+                         "--deadline", "0.01")
+    assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"schema_version": "1", "type": "numerical",
+                               "generators": [["3"], ["5"]], "params": {}}))
+    for source in ({"numerical": "3,5"}, {"input": str(job)}):
+        args = Namespace(**{"numerical": None, "affine": None, "input": None, **source})
+        assert _resolve_semigroup(args, None).generators == (3, 5)
+        with pytest.raises(DeadlineExceeded):
+            _resolve_semigroup(args, Deadline(-1.0))
 
 
 def test_threads_env(capsys, monkeypatch):

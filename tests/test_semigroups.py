@@ -23,6 +23,7 @@ from sgring.semigroups import (
     glue,
     is_nice_gluing,
     is_star_gluing,
+    iter_bits,
     join,
 )
 from numerical_oracle import redundant_by_reachability
@@ -155,6 +156,15 @@ def test_membership_errors():
         s.apery(0)
     with pytest.raises(InputError):
         s.apery(4)
+
+
+def test_constructor_honours_deadline():
+    # Ap(S, 300007) takes at least 300,007 heap pops: several tenths of a second
+    gens = (300007, 300011, 300017)
+    with pytest.raises(DeadlineExceeded):
+        NumericalSemigroup(gens, Deadline(0.01))
+    built = NumericalSemigroup(gens)
+    assert built._apery_by_residue == NumericalSemigroup(gens, Deadline(60))._apery_by_residue
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +522,30 @@ def test_gap_set_matches_brute_oracle():
     assert seen == {True, False, None}
     assert off_axis[0].gap_set().finite is True and off_axis[0].gap_set().gaps == ((1, 0),)
     assert off_axis[1].gap_set().finite is None  # (k, 0), k = 1, 2 mod 3: a dirty shell
+
+
+def byte_loop_bits(x, total):
+    """Reference for iter_bits: the set bits of x, one byte at a time."""
+    out = []
+    for byte_idx, byte in enumerate(x.to_bytes((total + 7) // 8, "little")):
+        for k in range(8):
+            if byte >> k & 1:
+                out.append(byte_idx * 8 + k)
+    return out
+
+
+def test_iter_bits_matches_byte_loop():
+    rng = random.Random(4096)
+    total = 3 * 8 * 4096 + 5  # over three 4 KiB chunks, ending mid-byte
+    sparse = sum(1 << rng.randrange(total) for _ in range(40))
+    dense = rng.getrandbits(total)
+    boards = [(sparse, total), (dense, total), (0, total), (0, 0),
+              (1 << total - 1, total), (1, 1), ((1 << total) - 1, total),
+              (sparse | (0xFFFF << 8 * 4095), total)]  # a run across a chunk edge
+    for x, n in boards:
+        assert list(iter_bits(x, n)) == byte_loop_bits(x, n)
+    with pytest.raises(DeadlineExceeded):
+        next(iter_bits(sparse, total, Deadline(-1.0)))
 
 
 def test_embed_axis():
