@@ -21,8 +21,8 @@ _EXPORTS = {
                   "negdegrevlex"),
     "semigroups": ("AffineSemigroup", "ExtensionSpec", "GluingSpec",
                    "NumericalSemigroup", "condition_A", "condition_B",
-                   "embed_axis", "extend", "glue", "is_nice_gluing",
-                   "is_star_gluing", "join"),
+                   "embed_axis", "extend", "glue", "gluing",
+                   "is_nice_gluing", "is_star_gluing", "join"),
     "toric": ("glued_ideal_generators", "ideal_equals", "toric_ideal"),
     "groebner": ("GroebnerBasis", "buchberger", "homogenize_ideal", "is_groebner",
                  "standard_basis_local"),
@@ -32,11 +32,10 @@ _EXPORTS = {
     "verdicts": ("Verdict", "acm_projective_closure", "closure_resolution",
                  "cm_tangent_cone", "gorenstein_numerical",
                  "gorenstein_projective_closure", "projective_closure_semigroup"),
-    "theorems": ("FIXTURES", "THEOREM_IDS", "TheoremReport", "gluing",
-                 "run_fixtures", "verify_extension_pf",
-                 "verify_glued_basis_homogeneous", "verify_glued_closure_acm",
-                 "verify_glued_closure_gorenstein", "verify_glued_tangent_cone",
-                 "verify_join_sifr"),
+    "theorems": ("FIXTURES", "THEOREM_IDS", "TheoremReport", "run_fixtures",
+                 "verify_extension_pf", "verify_glued_basis_homogeneous",
+                 "verify_glued_closure_acm", "verify_glued_closure_gorenstein",
+                 "verify_glued_tangent_cone", "verify_join_sifr"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"linalg"}
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

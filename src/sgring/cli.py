@@ -11,11 +11,13 @@ and re-parse under the same input schema.  SGRING_DEADLINE (seconds) sets
 the default for --deadline; --threads is validated but changes nothing,
 since fixture batches run serially.
 
-Only the parsing layers (errors, monomials, semigroups) load with this
-module.  Each handler imports the toric, groebner, resolution, verdicts or
-theorems names it calls, so `hilbert` never compiles the Groebner or Betti
-code, and `verify` reads its theorem ids from `theorems` only when its
-arguments are parsed or its help is printed.
+Only the parsing layers (errors, monomials, linalg, semigroups) load with
+this module.  Each handler imports the toric, groebner, resolution, verdicts
+or theorems names it calls, so `hilbert` and `glue` never compile the
+Groebner or Betti code; `glue` loads verdicts (and through it the Groebner
+stack) only under --projective or --tangent-cone.  `verify` reads its
+theorem ids from `theorems` only when its arguments are parsed or its help
+is printed.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import (BoundInsufficient, CertificationError, Deadline,
                      DeadlineExceeded, InputError)
 from .monomials import format_binomial
 from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
-                         embed_axis, extend, is_nice_gluing, is_star_gluing, glue,
-                         join)
+                         embed_axis, extend, glue, gluing, is_nice_gluing,
+                         is_star_gluing, join)
 
 if TYPE_CHECKING:
     from .theorems import TheoremReport
@@ -105,7 +107,7 @@ def parse_job(doc) -> JobSpec:
 def job_semigroup(job: JobSpec, deadline: Optional[Deadline] = None):
     if job.type == "numerical":
         return NumericalSemigroup([g[0] for g in job.generators], deadline)
-    return AffineSemigroup(job.generators)
+    return AffineSemigroup(job.generators, deadline)
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -131,7 +133,7 @@ def _resolve_semigroup(args, deadline: Optional[Deadline]):
         return job_semigroup(parse_input(args.input), deadline)
     if args.numerical:
         return NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
-    return AffineSemigroup(_matrix(args.affine, "--affine"))
+    return AffineSemigroup(_matrix(args.affine, "--affine"), deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +288,14 @@ def cmd_analyze(args, deadline) -> int:
     return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
 
 
-def _gluing_from_args(args):
-    from .theorems import gluing
+def _gluing_from_args(args, deadline):
     return gluing(_int_list(args.left, "--left"), _int_list(args.right, "--right"),
-                  _int_list(args.b, "--b"), _int_list(args.a, "--a"))
+                  _int_list(args.b, "--b"), _int_list(args.a, "--a"), deadline)
 
 
 def cmd_glue(args, deadline) -> int:
-    from .verdicts import acm_projective_closure, cm_tangent_cone
-    spec = _gluing_from_args(args)
-    glued = glue(spec)
+    spec = _gluing_from_args(args, deadline)
+    glued = glue(spec, deadline)
     result = {"glued_generators": spec.glued_generators,
               "p": spec.p, "q": spec.q,
               "classification": is_nice_gluing(spec),
@@ -306,8 +306,10 @@ def cmd_glue(args, deadline) -> int:
              f"{result['classification']}, star={result['star']})"]
     verdicts = []
     if args.projective:
+        from .verdicts import acm_projective_closure
         verdicts.append(acm_projective_closure(glued, deadline))
     if args.tangent_cone:
+        from .verdicts import cm_tangent_cone
         verdicts.append(cm_tangent_cone(glued, deadline))
     result["verdicts"] = [verdict_doc(v) for v in verdicts]
     for v in verdicts:
@@ -321,14 +323,14 @@ def cmd_glue(args, deadline) -> int:
 
 def cmd_star_glue(args, deadline) -> int:
     from .theorems import verify_glued_tangent_cone
-    spec = _gluing_from_args(args)
+    spec = _gluing_from_args(args, deadline)
     if not is_star_gluing(spec):
         raise InputError(f"not a star gluing: sum(a)={sum(spec.a)} is not "
                          f"smaller than sum(b)={sum(spec.b)}")
     rep = verify_glued_tangent_cone(spec, deadline)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a}
-    emit(report_document("star-glue", glue(spec), params, theorem_doc(rep)),
+    emit(report_document("star-glue", glue(spec, deadline), params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
@@ -338,7 +340,7 @@ def cmd_extend(args, deadline) -> int:
     if args.numerical:
         base = NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
     elif args.affine:
-        base = AffineSemigroup(_matrix(args.affine, "--affine"))
+        base = AffineSemigroup(_matrix(args.affine, "--affine"), deadline)
     else:
         raise InputError("extend: give the base via --numerical or --affine")
     spec = ExtensionSpec(base, args.l, _int_list(args.u, "--u"))

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from .errors import Deadline, InputError, tick
 from .monomials import (
-    GT,
     Binomial,
     BinomialIdeal,
     Order,
     Vec,
-    compare,
     divides,
     homogenize,
     lcm_monomial,
@@ -110,7 +107,7 @@ def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
 def _minimalize(els: Iterable[Binomial], order: Order) -> list[Binomial]:
     # divisibility runs against the order for local orders (a proper divisor
     # has lower degree, hence is order-greater), so scan both directions
-    by_lead = sorted(els, key=cmp_to_key(lambda a, b: compare(order, a.lead, b.lead)))
+    by_lead = sorted(els, key=lambda b: order.key(b.lead))
     kept: list[Binomial] = []
     for b in by_lead:
         if any(divides(k.lead, b.lead) for k in kept):
@@ -187,7 +184,7 @@ def _buchberger(gens: Iterable[Binomial], order: Order,
             basis.append(nf)
             push_pairs(len(basis) - 1)
     kept = _interreduce(_minimalize(basis, order), order, deadline)
-    kept.sort(key=cmp_to_key(lambda a, b: compare(order, a.lead, b.lead)))
+    kept.sort(key=lambda b: order.key(b.lead))
     return GroebnerBasis(order, tuple(kept), reduced=True, minimal=True)
 
 
@@ -222,7 +219,7 @@ def homogenize_ideal(gb: GroebnerBasis) -> GroebnerBasis:
     out = []
     for b in gb.elements:
         hb = homogenize(Binomial(b.lead + (0,), b.tail + (0,)), n)
-        assert compare(ext_order, hb.lead, hb.tail) == GT
+        assert ext_order.key(hb.lead) > ext_order.key(hb.tail)
         assert hb.lead[:n] == b.lead
         out.append(hb)
     return GroebnerBasis(ext_order, tuple(out), gb.reduced, gb.minimal)

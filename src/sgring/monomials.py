@@ -8,6 +8,10 @@ field arithmetic exists anywhere.
 
 The same tuples double as points of N^d (semigroup elements and degrees);
 `BinomialIdeal` ties a generating set to the degree map it is homogeneous for.
+
+A monomial order is its sort key: `Order.key` maps a monomial to a tuple
+whose lexicographic comparison is the order, so callers sort and orient on
+keys, and `compare` is the three-way form of the same comparison.
 """
 from __future__ import annotations
 
@@ -104,6 +108,11 @@ class Order:
     homogeneous for a positive weight.  blocks, when set, splits
     the priority list into consecutive blocks compared left to right; the
     first block then eliminates.
+
+    Every such order is a matrix order (Robbiano, Term orderings on the
+    polynomial ring, EUROCAL 1985): `key` maps a monomial to a tuple whose
+    lexicographic comparison is the order, and is the only code that ranks
+    monomials.
     """
 
     grading: str
@@ -128,43 +137,28 @@ class Order:
     def is_local(self) -> bool:
         return self.grading == "negdegree"
 
-
-def _cmp_chunk(grading: str, tiebreak: str, chunk: Vec, m1: Vec, m2: Vec) -> int:
-    if grading != "none":
-        d1 = sum(m1[i] for i in chunk)
-        d2 = sum(m2[i] for i in chunk)
-        if d1 != d2:
-            bigger_wins = grading == "degree"
-            return (GT if d1 > d2 else LT) if bigger_wins else (LT if d1 > d2 else GT)
-    if tiebreak == "lex":
-        for i in chunk:
-            d = m1[i] - m2[i]
-            if d:
-                return GT if d > 0 else LT
-    else:
-        # revlex: last nonzero entry of the difference, read highest-to-lowest
-        # priority, negative => m1 greater.
-        for i in reversed(chunk):
-            d = m1[i] - m2[i]
-            if d:
-                return GT if d < 0 else LT
-    return EQ
+    def key(self, m: Vec) -> Vec:
+        """Sort key of m: per block, the degree (negated for "negdegree",
+        left out for "none"), then the exponents in priority order for lex,
+        or negated in reverse priority order for revlex."""
+        if len(m) != self.nvars:
+            raise InputError("monomial does not match the order's variable set")
+        out: list[int] = []
+        pos = 0
+        for size in self.blocks or (self.nvars,):
+            chunk = self.priority[pos:pos + size]
+            pos += size
+            part = [m[i] for i in chunk]
+            if self.grading != "none":
+                out.append(sum(part) if self.grading == "degree" else -sum(part))
+            out += part if self.tiebreak == "lex" else [-e for e in reversed(part)]
+        return tuple(out)
 
 
 def compare(order: Order, m1: Vec, m2: Vec) -> int:
-    """Total order on monomials: returns -1, 0, or 1."""
-    if len(m1) != order.nvars or len(m2) != order.nvars:
-        raise InputError("monomial does not match the order's variable set")
-    if order.blocks is None:
-        return _cmp_chunk(order.grading, order.tiebreak, order.priority, m1, m2)
-    pos = 0
-    for size in order.blocks:
-        chunk = order.priority[pos:pos + size]
-        c = _cmp_chunk(order.grading, order.tiebreak, chunk, m1, m2)
-        if c:
-            return c
-        pos += size
-    return EQ
+    """Total order on monomials by `Order.key`: returns LT, EQ or GT."""
+    k1, k2 = order.key(m1), order.key(m2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def _natural(nvars: int, priority: Optional[Vec]) -> Vec:
@@ -186,10 +180,10 @@ def elimination_order(nelim: int, nvars: int) -> Order:
 
 def oriented(lead: Vec, tail: Vec, order: Order) -> Optional[Binomial]:
     """Normalize so lead is order-maximal; None is the zero marker."""
-    c = compare(order, lead, tail)
-    if c == EQ:
+    k1, k2 = order.key(lead), order.key(tail)
+    if k1 == k2:
         return None
-    return Binomial(lead, tail) if c == GT else Binomial(tail, lead)
+    return Binomial(lead, tail) if k1 > k2 else Binomial(tail, lead)
 
 
 def s_pair(f: Binomial, g: Binomial, order: Order) -> Optional[Binomial]:

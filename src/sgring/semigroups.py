@@ -103,11 +103,11 @@ class NumericalSemigroup:
     def __contains__(self, x: int) -> bool:
         return self.membership(x)
 
-    def apery(self, m: int) -> list[int]:
+    def apery(self, m: int, deadline: Optional[Deadline] = None) -> list[int]:
         """Least member in each residue class mod m, sorted; m must be a nonzero member."""
         if m == 0 or not self.membership(m):
             raise InputError(f"{m} is not a nonzero member")
-        return sorted(_least_per_residue(self.generators, m))
+        return sorted(_least_per_residue(self.generators, m, deadline))
 
     def frobenius(self) -> int:
         """Largest integer outside the semigroup; -1 when the semigroup is N."""
@@ -241,12 +241,14 @@ class Membership(NamedTuple):
 
 @dataclass(frozen=True)
 class AffineSemigroup:
-    """Submonoid of N^d given by distinct nonzero minimal generators."""
+    """Submonoid of N^d given by distinct nonzero minimal generators; the
+    constructor's minimality search runs under the deadline."""
 
     generators: tuple[Vec, ...]
     dim: int
 
-    def __init__(self, generators: Sequence[Sequence[int]]):
+    def __init__(self, generators: Sequence[Sequence[int]],
+                 deadline: Optional[Deadline] = None):
         gens = tuple(tuple(int(c) for c in g) for g in generators)
         if not gens:
             raise InputError("at least one generator required")
@@ -261,7 +263,8 @@ class AffineSemigroup:
             raise InputError("generators must be pairwise distinct")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "dim", d)
-        bad = [g for g in gens if _affine_member(tuple(h for h in gens if h != g), g)[0]]
+        bad = [g for g in gens
+               if _affine_member(tuple(h for h in gens if h != g), g, deadline).ok]
         if bad:
             raise InputError(f"generating set not minimal: {bad} are redundant")
 
@@ -388,10 +391,18 @@ class AffineSemigroup:
         return out
 
 
-def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
+def _affine_member(gens: tuple[Vec, ...], x: Vec,
+                   deadline: Optional[Deadline] = None) -> Membership:
+    """Exact DFS over the generators in order, checking the deadline every
+    4096 calls."""
     failed: set[tuple[Vec, int]] = set()
+    calls = 0
 
     def rec(rest: Vec, i: int) -> Optional[list[int]]:
+        nonlocal calls
+        if not calls & 4095:
+            tick(deadline)
+        calls += 1
         if not any(rest):
             return [0] * (len(gens) - i)
         if i == len(gens):
@@ -644,11 +655,18 @@ class GluingSpec:
         return out
 
 
-def glue(spec: GluingSpec) -> NumericalSemigroup:
+def gluing(left, right, b, a, deadline: Optional[Deadline] = None) -> GluingSpec:
+    """GluingSpec from raw generator lists; both factors are built under the
+    deadline."""
+    return GluingSpec(NumericalSemigroup(left, deadline),
+                      NumericalSemigroup(right, deadline), b, a)
+
+
+def glue(spec: GluingSpec, deadline: Optional[Deadline] = None) -> NumericalSemigroup:
     """The glued numerical semigroup <q*m_i, p*n_j>.  For a valid spec the
     glued generators are minimal and coprime (Rosales), which the
-    NumericalSemigroup constructor checks again."""
-    return NumericalSemigroup(spec.glued_generators)
+    NumericalSemigroup constructor checks again under the deadline."""
+    return NumericalSemigroup(spec.glued_generators, deadline)
 
 
 def is_nice_gluing(spec: GluingSpec) -> str:

@@ -21,7 +21,7 @@ from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_
 from .toric import glued_ideal_generators, local_basis, reduced_basis
 from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec, NumericalSemigroup,
                          condition_A, condition_B, embed_axis, extend, glue,
-                         is_nice_gluing, is_star_gluing, join)
+                         gluing, is_nice_gluing, is_star_gluing, join)
 from .resolution import betti_degrees, is_prec_symmetric, pf_via_betti, sifr_check
 from .verdicts import (NOT_ACM, acm_projective_closure, closure_resolution,
                        cm_tangent_cone, gorenstein_projective_closure)
@@ -87,7 +87,7 @@ def _glued_verdict(spec: GluingSpec, check, name: str, gluing_hyps, deadline):
     left, right = check(spec.left, deadline), check(spec.right, deadline)
     hyps = gluing_hyps + (HypothesisCheck(f"left-{name}", left.result, left.method),
                           HypothesisCheck(f"right-{name}", right.result, right.method))
-    glued = glue(spec)
+    glued = glue(spec, deadline)
     return hyps, glued, check(glued, deadline)
 
 
@@ -447,16 +447,11 @@ class FixtureSpec(NamedTuple):
     run: Callable[[Optional[Deadline]], TheoremReport]
 
 
-def gluing(left, right, b, a) -> GluingSpec:
-    """GluingSpec from raw generator lists."""
-    return GluingSpec(NumericalSemigroup(left), NumericalSemigroup(right), b, a)
-
-
 _STAR_CATALOGUED = (87, 145, 203, 189, 231)
 
 
 def _star_instance(deadline: Optional[Deadline]) -> TheoremReport:
-    spec = gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1))
+    spec = gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1), deadline)
     report = verify_glued_tangent_cone(spec, deadline)
     got = spec.glued_generators
     if got != _STAR_CATALOGUED:
@@ -480,44 +475,44 @@ def _hypersurface_join_base() -> AffineSemigroup:
 FIXTURES: tuple[FixtureSpec, ...] = (
     FixtureSpec("glued-basis-homogeneous", "bridge-p21-q29",
                 lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1)), d)),
+                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1), d), d)),
     FixtureSpec("glued-basis-homogeneous", "bridge-p28-q29",
                 lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1)), d)),
+                    gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1), d), d)),
     FixtureSpec("glued-basis-homogeneous", "bridge-p8-q19",
                 lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1)), d)),
+                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
     FixtureSpec("glued-closure-acm", "largest-left-p14",
                 lambda d: verify_glued_closure_acm(
-                    gluing((3, 5, 7), (9, 11), (3, 1, 0), (2, 1)), d)),
+                    gluing((3, 5, 7), (9, 11), (3, 1, 0), (2, 1), d), d)),
     FixtureSpec("glued-closure-acm", "largest-right-p21",
                 lambda d: verify_glued_closure_acm(
-                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1)), d)),
+                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1), d), d)),
     FixtureSpec("glued-closure-acm", "largest-left-p17",
                 lambda d: verify_glued_closure_acm(
-                    gluing((5, 7, 11), (25, 28), (2, 1, 0), (2, 0)), d)),
+                    gluing((5, 7, 11), (25, 28), (2, 1, 0), (2, 0), d), d)),
     FixtureSpec("glued-closure-acm", "equal-sums-p8-q19",
                 lambda d: verify_glued_closure_acm(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1)), d)),
+                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
     FixtureSpec("glued-tangent-cone", "star-p28-q29", _star_instance),
     FixtureSpec("glued-tangent-cone", "smallest-right-p21-q17",
                 lambda d: verify_glued_tangent_cone(
-                    gluing((7, 8), (5, 12), (3, 0), (1, 1)), d)),
+                    gluing((7, 8), (5, 12), (3, 0), (1, 1), d), d)),
     FixtureSpec("glued-tangent-cone", "equal-sums-p8-q25",
                 lambda d: verify_glued_tangent_cone(
-                    gluing((3, 5), (11, 14), (1, 1), (1, 1)), d)),
+                    gluing((3, 5), (11, 14), (1, 1), (1, 1), d), d)),
     FixtureSpec("glued-closure-gorenstein", "two-hypersurfaces-p15-q22",
                 lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (9, 11), (0, 3), (0, 2)), d)),
+                    gluing((3, 5), (9, 11), (0, 3), (0, 2), d), d)),
     FixtureSpec("glued-closure-gorenstein", "two-hypersurfaces-p9-q8",
                 lambda d: verify_glued_closure_gorenstein(
-                    gluing((2, 3), (4, 5), (0, 3), (2, 0)), d)),
+                    gluing((2, 3), (4, 5), (0, 3), (2, 0), d), d)),
     FixtureSpec("glued-closure-gorenstein", "spread-witness-p11-q14",
                 lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (7, 11), (2, 1), (2, 0)), d)),
+                    gluing((3, 5), (7, 11), (2, 1), (2, 0), d), d)),
     FixtureSpec("glued-closure-gorenstein", "equal-sums-p8-q19",
                 lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1)), d)),
+                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
     FixtureSpec("extension-pf", "planar-5-to-6-generators",
                 lambda d: verify_extension_pf(
                     ExtensionSpec(_mat_a(), 2, (1, 0, 3, 1, 1)), d)),

@@ -14,7 +14,6 @@ once per semigroup object; only this module fixes their monomial orders.
 """
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Optional, Union
 
 from .errors import Deadline, InputError, tick
@@ -24,7 +23,6 @@ from .monomials import (
     BinomialIdeal,
     Order,
     Vec,
-    compare,
     degrevlex,
     elimination_order,
     negdegrevlex,
@@ -34,13 +32,10 @@ from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifac
 
 
 def _canonical(els, order: Order) -> tuple[Binomial, ...]:
-    def cmp(a: Binomial, b: Binomial) -> int:
-        return compare(order, a.lead, b.lead) or compare(order, a.tail, b.tail)
-
     out = [oriented(b.lead, b.tail, order) for b in els]
     if any(b is None for b in out):
         raise InputError("zero binomial in generating set")
-    return tuple(sorted(set(out), key=cmp_to_key(cmp)))
+    return tuple(sorted(set(out), key=lambda b: (order.key(b.lead), order.key(b.tail))))
 
 
 def _x_names(e: int) -> tuple[str, ...]:

@@ -436,6 +436,28 @@ def test_deadline_reaches_the_constructor(capsys, tmp_path):
         assert _resolve_semigroup(args, None).generators == (3, 5)
         with pytest.raises(DeadlineExceeded):
             _resolve_semigroup(args, Deadline(-1.0))
+    # an affine semigroup checks minimality under the deadline
+    args = Namespace(numerical=None, affine="2 0;0 2;1 1", input=None)
+    assert _resolve_semigroup(args, None).generators == ((2, 0), (0, 2), (1, 1))
+    assert _resolve_semigroup(args, Deadline(60)).generators == ((2, 0), (0, 2), (1, 1))
+    with pytest.raises(DeadlineExceeded):
+        _resolve_semigroup(args, Deadline(-1.0))
+
+
+@pytest.mark.parametrize("argv", [
+    # glued multiplicity 600018: the build alone takes over a second
+    ["glue", "--left", "3,5", "--right", "100003,100019", "--b", "3,0", "--a", "2,0"],
+    # Ap(S, 300007) of the left factor is built before the gluing is rejected
+    ["glue", "--left", "300007,300011,300017", "--right", "2,3", "--b", "1,0,0",
+     "--a", "1,0"],
+    # the affine minimality search
+    ["sifr", "--affine", "2 0;0 2;1 1;2000001 0"],
+])
+def test_deadline_reaches_the_constructions(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--deadline", "0.05")
+    assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
+    assert time.monotonic() - start < 2
 
 
 def test_threads_env(capsys, monkeypatch):

@@ -41,12 +41,41 @@ def test_import_sgring_loads_no_submodule():
     assert loaded_after("import sgring") == set()
 
 
-def test_hilbert_loads_only_the_parsing_layers():
-    loaded = loaded_after("""
+# the parsing layers, which load with sgring.cli
+PARSING = {"errors", "monomials", "linalg", "semigroups", "cli"}
+VERDICTS = PARSING | {"groebner", "toric", "resolution", "verdicts"}
+HARNESS = VERDICTS | {"theorems"}
+GLUE = ["glue", "--left", "3,5", "--right", "7,12", "--b", "1,1", "--a", "1,1"]
+
+# exactly the sgring modules each command loads: a new eager import fails a
+# named case
+COMMAND_MODULES = [
+    pytest.param(["analyze", "--numerical", "3,5,7"], VERDICTS, id="analyze"),
+    pytest.param(GLUE, PARSING, id="glue"),
+    pytest.param(GLUE + ["--projective"], VERDICTS, id="glue-projective"),
+    pytest.param(["star-glue", "--left", "3,5,7", "--right", "9,11", "--b", "0,0,4",
+                  "--a", "2,1"], HARNESS, id="star-glue"),
+    pytest.param(["extend", "--numerical", "3,5", "--l", "2", "--u", "2,1"], HARNESS,
+                 id="extend"),
+    pytest.param(["join", "--left", "2,3", "--right", "4,5"], HARNESS, id="join"),
+    pytest.param(["betti", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="betti"),
+    pytest.param(["pf", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="pf"),
+    pytest.param(["sifr", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="sifr"),
+    pytest.param(["hilbert", "--numerical", "3,5,7"], PARSING, id="hilbert"),
+    pytest.param(["verify", "join-sifr"], HARNESS, id="verify"),
+    pytest.param(["fixtures"], HARNESS, id="fixtures"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
+def test_command_loads_exactly(argv, modules):
+    loaded = loaded_after(f"""
+        import contextlib, io
         from sgring import cli
-        assert cli.main(["hilbert", "--numerical", "3,5,7"]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
         """)
-    assert loaded == {"errors", "monomials", "linalg", "semigroups", "cli"}
+    assert loaded == modules
 
 
 def test_verify_loads_theorems_only_when_parsed():

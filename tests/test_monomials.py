@@ -1,6 +1,6 @@
 import itertools
 import random
-from functools import partial
+from functools import cmp_to_key, partial
 
 import pytest
 
@@ -69,20 +69,23 @@ def _lazard(n):
     return partial(lazard_compare, Order("negdegree", "revlex", tuple(range(n - 1))))
 
 
+# the Order values of test_global_order_axioms, by number of variables
+GLOBAL_ORDERS = [
+    lambda n: Order("degree", "revlex", tuple(range(n))),
+    lambda n: Order("degree", "lex", tuple(range(n))),
+    lambda n: Order("none", "lex", tuple(range(n))),
+    lambda n: Order("none", "lex", tuple(reversed(range(n)))),
+    lambda n: Order("degree", "revlex", tuple(reversed(range(n)))),
+    lambda n: Order("degree", "revlex", tuple(range(n)), blocks=(1, n - 1)),
+]
+
+
+def _compared_under(make):
+    return lambda n: partial(compare, make(n))
+
+
 @pytest.mark.parametrize("nvars", [2, 3, 4])
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda n: partial(compare, Order("degree", "revlex", tuple(range(n)))),
-        lambda n: partial(compare, Order("degree", "lex", tuple(range(n)))),
-        lambda n: partial(compare, Order("none", "lex", tuple(range(n)))),
-        lambda n: partial(compare, Order("none", "lex", tuple(reversed(range(n))))),
-        lambda n: partial(compare, Order("degree", "revlex", tuple(reversed(range(n))))),
-        lambda n: _lazard(n),
-        lambda n: partial(compare, Order("degree", "revlex", tuple(range(n)),
-                                         blocks=(1, n - 1))),
-    ],
-)
+@pytest.mark.parametrize("make", [*map(_compared_under, GLOBAL_ORDERS), lambda n: _lazard(n)])
 def test_global_order_axioms(nvars, make):
     cmp = make(nvars)
     mons = monomials_upto(nvars, 4 if nvars < 4 else 3)
@@ -92,6 +95,65 @@ def test_global_order_axioms(nvars, make):
     for m in mons:
         if m != zero:
             assert cmp(m, zero) == GT
+
+
+def _reference_chunk(grading, tiebreak, chunk, m1, m2):
+    if grading != "none":
+        d1 = sum(m1[i] for i in chunk)
+        d2 = sum(m2[i] for i in chunk)
+        if d1 != d2:
+            bigger_wins = grading == "degree"
+            return (GT if d1 > d2 else LT) if bigger_wins else (LT if d1 > d2 else GT)
+    if tiebreak == "lex":
+        for i in chunk:
+            d = m1[i] - m2[i]
+            if d:
+                return GT if d > 0 else LT
+    else:
+        # revlex: last nonzero entry of the difference, read highest-to-lowest
+        # priority, negative => m1 greater.
+        for i in reversed(chunk):
+            d = m1[i] - m2[i]
+            if d:
+                return GT if d < 0 else LT
+    return EQ
+
+
+def reference_compare(order, m1, m2):
+    """The order read pair by pair, block by block, as the package did before
+    `Order.key`: the reference the keys are checked against."""
+    pos = 0
+    for size in order.blocks or (order.nvars,):
+        c = _reference_chunk(order.grading, order.tiebreak,
+                             order.priority[pos:pos + size], m1, m2)
+        if c:
+            return c
+        pos += size
+    return EQ
+
+
+KEYED_ORDERS = GLOBAL_ORDERS + [
+    lambda n: negdegrevlex(n),
+    lambda n: negdegrevlex(n, priority=tuple(range(1, n)) + (0,)),
+    lambda n: elimination_order(1, n),
+    lambda n: elimination_order(n - 1, n),
+    lambda n: lazard_order(negdegrevlex(n - 1, priority=tuple(reversed(range(n - 1))))),
+]
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize("make", KEYED_ORDERS)
+def test_key_matches_reference_compare(nvars, make):
+    order = make(nvars)
+    mons = monomials_upto(nvars, 4)
+    for m1 in mons:
+        for m2 in mons:
+            assert compare(order, m1, m2) == reference_compare(order, m1, m2), (m1, m2)
+    shuffled = random.Random(3).sample(mons, len(mons))
+    expected = sorted(shuffled, key=cmp_to_key(partial(reference_compare, order)))
+    assert sorted(shuffled, key=order.key) == expected
+    with pytest.raises(InputError):
+        order.key((0,) * (nvars + 1))
 
 
 def test_lazard_oracle_order_on_equal_degrees():

@@ -167,6 +167,14 @@ def test_constructor_honours_deadline():
     assert built._apery_by_residue == NumericalSemigroup(gens, Deadline(60))._apery_by_residue
 
 
+def test_apery_honours_deadline():
+    # Ap(<2, 3>, 300007) takes at least 300,007 heap pops
+    s = NumericalSemigroup((2, 3))
+    with pytest.raises(DeadlineExceeded):
+        s.apery(300007, Deadline(0.01))
+    assert s.apery(9, Deadline(60)) == s.apery(9) == [0, 2, 3, 4, 5, 6, 7, 8, 10]
+
+
 # ---------------------------------------------------------------------------
 # numerical semigroups: oracle comparisons
 
