@@ -413,7 +413,7 @@ def cmd_sifr(args, deadline) -> int:
     from .resolution import betti_degrees, sifr_check
     s = _resolve_semigroup(args, deadline)
     table = betti_degrees(s, deadline=deadline)
-    rep = sifr_check(s, table)
+    rep = sifr_check(s, table, deadline)
     result = {"holds": rep.holds, "level": rep.level,
               "pair": [degree_doc(d) for d in rep.pair] if rep.pair else None}
     line = f"[sifr] holds={str(rep.holds).lower()}"

@@ -6,11 +6,12 @@ leaving the semigroup; the rank of its reduced homology in degree i-1 is the
 Betti number of the ring's minimal free resolution at homological position i
 and internal degree b.
 
-The degree scan shifts the member board of `semigroups.member_board` into
-one big Python int per generator subset (one bit per lattice point), so face
-flags and cone detection run as whole-grid bit operations; exact homology
-over Q is computed only at the few points whose complex is not a cone over a
-vertex.  The certified box reads the stored Ap(S, E) of the semigroup.
+The degree scan holds a few big Python ints over the box (one bit per
+lattice point): the member board of `semigroups.member_board` and shifts of
+its Apery boards, which drop every point whose complex is a cone over a
+vertex.  Exact homology over Q is computed only at the few points left, with
+faces read from the member bytes at the 2^n subset-sum offsets.  The
+certified box reads the stored Ap(S, E) of the semigroup.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, me
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
 
-_MAX_VERTICES = 16          # subset enumeration is 2^n
-_MAX_BOARD_BITS = 1 << 31   # total bits across all subset boards
+_MAX_VERTICES = 16          # face masks read 2^n subset offsets
+_MAX_BOARD_BITS = 1 << 31   # total bits across the boards the scan holds
+_HELD_BOARDS = 6            # member, grid mask, candidate, reach, two temporaries
 
 
 def _gen_vectors(s: Semigroup) -> tuple[tuple[Vec, ...], int, bool]:
@@ -59,10 +61,11 @@ def _ranks_from_faces(faces_by_size: list[list[tuple[int, ...]]]) -> list[int]:
             for s in range(len(faces_by_size))]
 
 
-def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:
+def _member(s: Semigroup, v: Vec, numerical: bool,
+            deadline: Optional[Deadline] = None) -> bool:
     if numerical:
         return v[0] >= 0 and v[0] in s
-    return all(c >= 0 for c in v) and s.membership(v).ok
+    return all(c >= 0 for c in v) and s.membership(v, deadline).ok
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,13 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     it, and the other e_j vanish at i, so u_i = w_i and b_i <= w_i + sum(F)_i.
     A given bound must contain that box, or BoundInsufficient names both.
 
+    Cone filter: the complex of b is a cone over v, hence acyclic, unless
+    some face F without v misses F + v, i.e. b - sum(F) is in Ap(S, g_v).
+    So only members in A_v + (subset sums of the generators other than g_v)
+    for every v are evaluated, A_v = M & ~(M << g_v) for the member board M;
+    a b - sum(F) with a negative coordinate lands in the zero padding (the
+    generator sum) or below index 0.
+
     With a ray off the axes there is no such box, and the bound (default
     (number of generators) * (sum of generators)) is heuristic: a Betti
     degree within one max-generator of the box raises BoundInsufficient as
@@ -175,46 +185,36 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     certified = complete is not None
 
     grid = Grid(bound, gen_sum)
-    if (1 << n) * grid.total > _MAX_BOARD_BITS:
-        raise InputError("scan box too large for the subset boards")
+    if _HELD_BOARDS * grid.total > _MAX_BOARD_BITS:
+        raise InputError("scan box too large for the scan boards")
     members_board = member_board(grid, gens, deadline)
 
-    subset_sums: list[Vec] = [(0,) * d] * (1 << n)
+    # The cone filter (see above).  Bits that reach past the box never carry
+    # back into it, and the AND with the member board drops them.
+    shifts = [grid.lin(g) for g in gens]
+    candidates = members_board
+    for v, sv in enumerate(shifts):
+        tick(deadline)
+        reach = members_board & ~(members_board << sv)
+        for sh in shifts[:v] + shifts[v + 1:]:
+            reach |= reach << sh
+        candidates &= reach
+        del reach  # before the next Apery board is built
+
+    offsets = [0] * (1 << n)
     for k in range(1, 1 << n):
         low = k & -k
-        subset_sums[k] = vec_add(subset_sums[k ^ low], gens[low.bit_length() - 1])
-    boards = [0] * (1 << n)
-    for k in range(1 << n):
-        tick(deadline)
-        if all(c <= b for c, b in zip(subset_sums[k], bound)):
-            boards[k] = (members_board << grid.lin(subset_sums[k])) & grid.real
-
-    # A complex that is a cone over vertex v is contractible; keep only points
-    # where every vertex has a face whose extension by that vertex is missing.
-    candidates = members_board
-    full = (1 << grid.total) - 1
-    for v in range(n):
-        tick(deadline)
-        bit = 1 << v
-        non_cone = 0
-        for k in range(1 << n):
-            if not k & bit:
-                non_cone |= boards[k] & (boards[k | bit] ^ full)
-        candidates &= non_cone
-
+        offsets[k] = offsets[k ^ low] + shifts[low.bit_length() - 1]
     member_bytes = members_board.to_bytes((grid.total + 7) // 8, "little")
     rows_acc: dict[int, list] = {}
     rank_memo: dict[int, list[int]] = {}
     for idx in iter_bits(candidates, grid.total):
         tick(deadline)
-        b = grid.coords(idx)
         bits = 0
-        for k in range(1 << n):
-            diff = tuple(c - g for c, g in zip(b, subset_sums[k]))
-            if all(c >= 0 for c in diff):
-                at = grid.lin(diff)
-                if member_bytes[at >> 3] >> (at & 7) & 1:
-                    bits |= 1 << k
+        for k, off in enumerate(offsets):
+            at = idx - off
+            if at >= 0 and member_bytes[at >> 3] >> (at & 7) & 1:
+                bits |= 1 << k
         ranks = rank_memo.get(bits)
         if ranks is None:
             grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
@@ -224,6 +224,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
             while not grouped[-1]:
                 grouped.pop()
             ranks = rank_memo[bits] = _ranks_from_faces(grouped)
+        b = grid.coords(idx)
         deg: Degree = b[0] if numerical else b
         for i, r in enumerate(ranks):
             if r:
@@ -306,7 +307,8 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
     return bool(gaps) and pf[0] == max(gaps, key=lambda p: (sum(p), p))
 
 
-def sifr_check(s: Semigroup, table: BettiTable) -> SifrReport:
+def sifr_check(s: Semigroup, table: BettiTable,
+               deadline: Optional[Deadline] = None) -> SifrReport:
     """Strong indispensability criterion: within every homological level, no
     difference of two Betti degrees may land in the semigroup (0 included)."""
     _, d, numerical = _gen_vectors(s)
@@ -318,7 +320,7 @@ def sifr_check(s: Semigroup, table: BettiTable) -> SifrReport:
                 diffs = ([b - c, c - b] if numerical else
                          [tuple(x - y for x, y in zip(b, c)),
                           tuple(y - x for x, y in zip(b, c))])
-                if any(_member(s, (x,) if numerical else x, numerical)
+                if any(_member(s, (x,) if numerical else x, numerical, deadline)
                        for x in diffs):
                     return SifrReport(False, i, (b, c))
     return SifrReport(True, None, None)

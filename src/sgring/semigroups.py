@@ -273,14 +273,15 @@ class AffineSemigroup:
         # finished artifacts by name, filled only through `artifact`
         return {}
 
-    def membership(self, x: Sequence[int]) -> Membership:
+    def membership(self, x: Sequence[int],
+                   deadline: Optional[Deadline] = None) -> Membership:
         """Exact DFS with componentwise pruning; returns a witness when inside."""
         x = tuple(int(c) for c in x)
         if len(x) != self.dim:
             raise InputError("dimension mismatch")
         if any(c < 0 for c in x):
             return Membership(False, None)
-        return _affine_member(self.generators, x)
+        return _affine_member(self.generators, x, deadline)
 
     def __contains__(self, x: Sequence[int]) -> bool:
         return self.membership(x).ok

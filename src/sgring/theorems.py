@@ -382,7 +382,7 @@ def verify_extension_pf(spec: ExtensionSpec,
         notes.append(f"direct gap-set computation unavailable: {exc}")
         # the extension's cone is the base's: such base members are its gaps
         wit = next((pt for pt in ext.gap_set(deadline).gaps
-                    if base.membership(pt).ok), None)
+                    if base.membership(pt, deadline).ok), None)
         if wit is not None:
             notes.append(f"base member {wit} is outside the extension, so the "
                          "extension's gap region is not contained in the base's; "
@@ -428,7 +428,7 @@ def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup,
     notes = []
     reports = {}
     for tag, s in (("left", s1), ("right", s2), ("join", joined)):
-        reports[tag] = sifr_check(s, betti_degrees(s, deadline=deadline))
+        reports[tag] = sifr_check(s, betti_degrees(s, deadline=deadline), deadline)
         if not reports[tag].holds:
             notes.append(f"{tag}: level-{reports[tag].level} degrees "
                          f"{reports[tag].pair} differ by a member")

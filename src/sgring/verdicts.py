@@ -106,8 +106,8 @@ def closure_resolution(s, deadline=None):
 
     The closure's extremal rays are the coordinate axes, so one scan of the
     certified box of `betti_degrees` finds every Betti degree.  Returns
-    (table, summary, note); both are None when the box does not fit the
-    subset boards, with the note saying why.
+    (table, summary, note); both are None when `betti_degrees` refuses the
+    closure (too many generators or bits), with the note saying why.
 
     The result is built once per semigroup object, so repeated calls scan
     once.

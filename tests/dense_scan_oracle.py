@@ -1,0 +1,124 @@
+"""The dense subset-board Betti scan, kept as a test oracle.
+
+It shifts the member board into one board per generator subset (2^n boards
+over the whole box) and finds the points whose divisor complex is a cone
+over no vertex with n * 2^(n-1) AND/XOR steps, then builds each face mask
+from per-subset difference tuples.  `resolution.betti_degrees` finds the
+same points from n Apery boards and reads faces at linear offsets, so equal
+tables and equal exceptions check that filter.  Bound, certification and
+clipping logic are the scan's own, repeated here so that the oracle stands
+alone.
+"""
+from typing import Optional
+
+from sgring.errors import BoundInsufficient, Deadline, InputError, tick
+from sgring.monomials import Vec, vec_add
+from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors, _ranks_from_faces
+from sgring.semigroups import Grid, iter_bits, member_board
+
+MAX_VERTICES = 16
+MAX_BOARD_BITS = 1 << 31   # total bits across all subset boards
+
+
+def dense_betti_degrees(s: Semigroup, degree_bound=None,
+                        deadline: Optional[Deadline] = None) -> BettiTable:
+    """`betti_degrees` by subset boards; same arguments, table and errors,
+    except that its cap counts 2^n boards."""
+    gens, d, numerical = _gen_vectors(s)
+    n = len(gens)
+    if n > MAX_VERTICES:
+        raise InputError(f"{n} generators exceed the subset-enumeration limit")
+    gen_sum = (0,) * d
+    for g in gens:
+        gen_sum = vec_add(gen_sum, g)
+    if degree_bound is not None:
+        bound = ((degree_bound,) if isinstance(degree_bound, int)
+                 else tuple(int(c) for c in degree_bound))
+        if len(bound) != d or any(c < 0 for c in bound):
+            raise InputError(f"degree bound {degree_bound} is not a nonnegative "
+                             f"vector of the ambient dimension {d}")
+    complete = None
+    axis = s.axis_apery(deadline)
+    if axis is not None:
+        extremal, apery = axis
+        complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
+                         for i in range(d))
+    if degree_bound is None:
+        bound = complete if complete is not None else tuple(n * c for c in gen_sum)
+    elif complete is not None and any(b < c for b, c in zip(bound, complete)):
+        raise BoundInsufficient(f"degree bound {bound} does not contain the "
+                                f"certified box {complete}")
+    certified = complete is not None
+
+    grid = Grid(bound, gen_sum)
+    if (1 << n) * grid.total > MAX_BOARD_BITS:
+        raise InputError("scan box too large for the subset boards")
+    members_board = member_board(grid, gens, deadline)
+
+    subset_sums: list[Vec] = [(0,) * d] * (1 << n)
+    for k in range(1, 1 << n):
+        low = k & -k
+        subset_sums[k] = vec_add(subset_sums[k ^ low], gens[low.bit_length() - 1])
+    boards = [0] * (1 << n)
+    for k in range(1 << n):
+        tick(deadline)
+        if all(c <= b for c, b in zip(subset_sums[k], bound)):
+            boards[k] = (members_board << grid.lin(subset_sums[k])) & grid.real
+
+    # A complex that is a cone over vertex v is contractible; keep only points
+    # where every vertex has a face whose extension by that vertex is missing.
+    candidates = members_board
+    full = (1 << grid.total) - 1
+    for v in range(n):
+        tick(deadline)
+        bit = 1 << v
+        non_cone = 0
+        for k in range(1 << n):
+            if not k & bit:
+                non_cone |= boards[k] & (boards[k | bit] ^ full)
+        candidates &= non_cone
+
+    member_bytes = members_board.to_bytes((grid.total + 7) // 8, "little")
+    rows_acc: dict[int, list] = {}
+    rank_memo: dict[int, list[int]] = {}
+    for idx in iter_bits(candidates, grid.total):
+        tick(deadline)
+        b = grid.coords(idx)
+        bits = 0
+        for k in range(1 << n):
+            diff = tuple(c - g for c, g in zip(b, subset_sums[k]))
+            if all(c >= 0 for c in diff):
+                at = grid.lin(diff)
+                if member_bytes[at >> 3] >> (at & 7) & 1:
+                    bits |= 1 << k
+        ranks = rank_memo.get(bits)
+        if ranks is None:
+            grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+            for k in iter_bits(bits, 1 << n):
+                face = tuple(i for i in range(n) if k >> i & 1)
+                grouped[len(face)].append(face)
+            while not grouped[-1]:
+                grouped.pop()
+            ranks = rank_memo[bits] = _ranks_from_faces(grouped)
+        deg: Degree = b[0] if numerical else b
+        for i, r in enumerate(ranks):
+            if r:
+                rows_acc.setdefault(i, []).extend([deg] * r)
+
+    if not certified:
+        rim = tuple(max(g[i] for g in gens) for i in range(d))
+        for i, degs in rows_acc.items():
+            if i == 0:
+                continue
+            for deg in degs:
+                v = (deg,) if numerical else deg
+                if any(c + w >= b for c, w, b in zip(v, rim, bound)):
+                    raise BoundInsufficient(
+                        f"degree bound {bound} insufficient: Betti degree {deg} "
+                        f"at level {i} reaches the boundary shell")
+
+    top = max(rows_acc)
+    if sorted(rows_acc) != list(range(top + 1)):
+        raise BoundInsufficient(f"degree bound {bound} produced a gap in the rows")
+    return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)),
+                      n, certified)

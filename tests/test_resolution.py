@@ -1,12 +1,15 @@
 """Betti tables via divisor-complex homology: oracles, fixtures, invariants."""
 import random
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
 
+from sgring import theorems, verdicts
 from sgring.errors import BoundInsufficient, CertificationError, Deadline, DeadlineExceeded, InputError
-from sgring.semigroups import AffineSemigroup, NumericalSemigroup, embed_axis, join
+from sgring.semigroups import (
+    AffineSemigroup, Grid, NumericalSemigroup, axis_apery, embed_axis, join, member_board)
 from sgring.resolution import (
     BettiTable,
     ResolutionSummary,
@@ -18,6 +21,10 @@ from sgring.resolution import (
     sifr_check,
     tensor_betti,
 )
+from sgring.verdicts import closure_resolution, projective_closure_semigroup
+
+from dense_scan_oracle import dense_betti_degrees
+from test_acceptance import CLOSURE_REGRESSIONS
 
 MAT_A = AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])
 MAT_B = AffineSemigroup([(6, 0), (10, 0), (0, 2), (2, 6), (4, 6), (6, 9)])
@@ -363,6 +370,14 @@ def test_sifr_fixtures():
     assert MAT_A.membership(diff).ok or MAT_A.membership(tuple(y - x for x, y in zip(b, c))).ok
 
 
+def test_sifr_check_honours_deadline():
+    t = betti_degrees(MAT_A)
+    assert sifr_check(MAT_A, t, Deadline(60)) == sifr_check(MAT_A, t)
+    # the first member test on a nonnegative difference ticks in the DFS
+    with pytest.raises(DeadlineExceeded):
+        sifr_check(MAT_A, t, Deadline(-1))
+
+
 def test_tensor_betti():
     t1 = betti_degrees(embed_axis(NumericalSemigroup((3, 5, 7)), 2, 0))
     t2 = betti_degrees(embed_axis(NumericalSemigroup((2, 3)), 2, 1))
@@ -421,3 +436,159 @@ def test_table_validation():
         BettiTable(((0, 0),), 2)  # two copies of degree zero
     with pytest.raises(InputError):
         BettiTable(((0,), ()), 1)  # empty middle row
+
+
+# --- the cone filter against the dense subset-board scan ----------------------
+
+
+def scan_outcome(scan, s, bound=None):
+    """The table, or the type and text of the scan's refusal."""
+    try:
+        t = scan(s, bound)
+    except (InputError, BoundInsufficient) as exc:
+        return type(exc).__name__, str(exc)
+    return t.rows, t.nvars, t.certified
+
+
+def fixture_scans(monkeypatch) -> list:
+    """Every (semigroup, bound) that the curated fixtures scan."""
+    seen = []
+
+    def record(s, degree_bound=None, deadline=None):
+        seen.append((s, degree_bound))
+        return betti_degrees(s, degree_bound, deadline)
+
+    for module in (theorems, verdicts):
+        monkeypatch.setattr(module, "betti_degrees", record)
+    theorems.run_fixtures()
+    return seen
+
+
+def random_off_axis(rng, dim, kmax):
+    while True:
+        gens = {tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(2, kmax))}
+        gens.discard((0,) * dim)
+        if not any(sum(1 for c in g if c) > 1 for g in gens):
+            continue
+        try:
+            return AffineSemigroup(sorted(gens))
+        except InputError:
+            continue
+
+
+def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
+    rng = random.Random(2111)
+    cases = fixture_scans(monkeypatch)
+    assert len(cases) >= 10
+    cases += [(MAT_A, None), (MAT_B, None)]
+    cases += [(projective_closure_semigroup(NumericalSemigroup(g)), None)
+              for g in CLOSURE_REGRESSIONS]
+    for _ in range(40):
+        s = random_numerical(rng, hi=60, kmax=5)
+        cases.append((s, None))
+        cases.append((s, rng.randint(0, 2 * (s.frobenius() + sum(s.generators)))))
+    for dim in (2, 3):
+        for _ in range(6):
+            left = random_numerical(rng, hi=15, kmax=3)
+            right = random_numerical(rng, hi=15, kmax=3)
+            axes = rng.sample(range(dim), 2)
+            cases.append((embed_axis(left, dim, axes[0]), None))
+            cases.append((join(embed_axis(left, dim, axes[0]),
+                               embed_axis(right, dim, axes[1])), None))
+    # heuristic boxes: off-axis rays, alone or joined with an axis factor
+    for _ in range(12):
+        s = random_off_axis(rng, 2, 4)
+        cases.append((s, None))
+        cases.append((s, tuple(rng.randint(1, 8) for _ in range(2))))
+    cases.append((AffineSemigroup([(1, 2), (2, 1), (1, 1)]), (3, 3)))
+    lifted = AffineSemigroup([(1, 2, 0), (2, 1, 0), (1, 1, 0)])
+    cases.append((join(lifted, embed_axis(NumericalSemigroup((2, 3)), 3, 2)), None))
+    cases.append((random_off_axis(rng, 3, 4), None))
+    # explicit bounds around certified boxes: refused below, accepted above
+    cases += [(MAT_A, (18, 9)), (MAT_A, (17, 9)), (MAT_A, (25, 14)), (MAT_B, (60, 40)),
+              (MAT_A, (18,))]
+
+    oracle_refused, kinds = 0, set()
+    for s, bound in cases:
+        want = scan_outcome(dense_betti_degrees, s, bound)
+        if want == ("InputError", "scan box too large for the subset boards"):
+            oracle_refused += 1
+            continue
+        assert scan_outcome(betti_degrees, s, bound) == want, (s.generators, bound)
+        if isinstance(want[0], str):
+            kinds.add("clipped" if "boundary shell" in want[1] else want[0])
+        else:
+            kinds.add(want[2])  # certified or heuristic table
+    assert oracle_refused == 1  # the (250, 350, 425, 476, 550) closure
+    assert kinds == {True, False, "InputError", "BoundInsufficient", "clipped"}
+
+
+# --- certified tables against the K-polynomial --------------------------------
+
+
+def certified_box(s: AffineSemigroup) -> tuple:
+    """The box `betti_degrees` certifies: max over Ap(S, E) plus the sum of
+    the generators off E, per coordinate."""
+    extremal, apery = axis_apery(s.generators)
+    return tuple(max(w[i] for w in apery) + sum(g[i] for g in s.generators)
+                 - sum(e[i] for e in extremal) for i in range(s.dim))
+
+
+def k_polynomial_planes(grid: Grid, gens, width: int) -> list[int]:
+    """sum over members s in the grid's box of t^s, times prod (1 - t^g),
+    truncated to the box: one bitboard per two's-complement bit of the
+    coefficients, the subtractions done plane by plane with a ripple borrow.
+    The grid's padding must cover each generator."""
+    planes = [member_board(grid, gens, None)] + [0] * (width - 1)
+    for g in gens:
+        shift, borrow = grid.lin(g), 0
+        for j, p in enumerate(planes):
+            q = p << shift
+            x = p ^ q
+            planes[j] = (x ^ borrow) & grid.real
+            borrow = (q & ~p) | (borrow & ~x)
+    return planes
+
+
+def test_certified_tables_match_the_k_polynomial():
+    # the alternating Betti sum is the numerator of the Hilbert series; it
+    # shares only the member board with the scan, no cone filter, no homology
+    cases = [(MAT_A, betti_degrees(MAT_A)), (MAT_B, betti_degrees(MAT_B))]
+    for gens in list(CLOSURE_REGRESSIONS) + [(42, 70, 77, 121), (87, 145, 203, 252, 308)]:
+        s = NumericalSemigroup(gens)
+        cases.append((projective_closure_semigroup(s), closure_resolution(s)[0]))
+    for s, table in cases:
+        assert table.certified, s.generators
+        box = certified_box(s)
+        numerator: dict = {}
+        for i, row in enumerate(table.rows):
+            for b in row:
+                assert all(c <= m for c, m in zip(b, box)), (s.generators, b)
+                numerator[b] = numerator.get(b, 0) + (-1) ** i
+        # two's-complement width holding both sides: a K coefficient is a
+        # signed count of 2^n subsets
+        width = max(len(s.generators), *(abs(c).bit_length() for c in numerator.values())) + 2
+        grid = Grid(box, tuple(max(g[i] for g in s.generators) for i in range(len(box))))
+        want = [0] * width
+        for b, c in numerator.items():
+            for j in range(width):
+                want[j] |= (c >> j & 1) << grid.lin(b)
+        assert k_polynomial_planes(grid, s.generators, width) == want, s.generators
+
+
+# --- memory --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gens, limit_mib", [
+    ((42, 70, 77, 121), 3),              # 1.2 MiB; the subset boards took 7.0
+    ((87, 145, 203, 252, 308), 25),      # 10.4 MiB; the subset boards took 110.6
+])
+def test_closure_scan_memory_stays_within_a_few_boards(gens, limit_mib):
+    closure = projective_closure_semigroup(NumericalSemigroup(gens))
+    tracemalloc.start()
+    try:
+        betti_degrees(closure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
