@@ -11,6 +11,10 @@ and re-parse under the same input schema.  SGRING_DEADLINE (seconds) sets
 the default for --deadline; --threads is validated but changes nothing,
 since fixture batches run serially.
 
+`main` opens the command's one deadline scope (`errors.Deadline`) before
+the handler runs, and every loop that can run long checks it.  A scope
+covers only the thread that opened it; the CLI runs one thread.
+
 Only the parsing layers (errors, monomials, linalg, semigroups) load with
 this module.  Each handler imports the toric, groebner, resolution, verdicts
 or theorems names it calls, so `hilbert` and `glue` never compile the
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -104,10 +109,10 @@ def parse_job(doc) -> JobSpec:
     return JobSpec(kind, tuple(gens), params)
 
 
-def job_semigroup(job: JobSpec, deadline: Optional[Deadline] = None):
+def job_semigroup(job: JobSpec):
     if job.type == "numerical":
-        return NumericalSemigroup([g[0] for g in job.generators], deadline)
-    return AffineSemigroup(job.generators, deadline)
+        return NumericalSemigroup([g[0] for g in job.generators])
+    return AffineSemigroup(job.generators)
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -124,16 +129,16 @@ def _matrix(text: str, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _resolve_semigroup(args, deadline: Optional[Deadline]):
+def _resolve_semigroup(args):
     """Semigroup from --numerical / --affine / --input, exactly one source."""
     sources = [s for s in (args.numerical, args.affine, args.input) if s]
     if len(sources) != 1:
         raise InputError("semigroup: give exactly one of --numerical, --affine, --input")
     if args.input:
-        return job_semigroup(parse_input(args.input), deadline)
+        return job_semigroup(parse_input(args.input))
     if args.numerical:
-        return NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
-    return AffineSemigroup(_matrix(args.affine, "--affine"), deadline)
+        return NumericalSemigroup(_int_list(args.numerical, "--numerical"))
+    return AffineSemigroup(_matrix(args.affine, "--affine"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +245,14 @@ def theorem_conflict(rep: TheoremReport) -> bool:
 # subcommand handlers (each returns an exit code)
 
 
-def cmd_analyze(args, deadline) -> int:
+def cmd_analyze(args) -> int:
     from .resolution import betti_degrees, resolution_summary
     from .toric import reduced_basis, toric_ideal
     from .verdicts import (acm_projective_closure, cm_tangent_cone,
                            gorenstein_numerical, gorenstein_projective_closure)
-    s = _resolve_semigroup(args, deadline)
-    ideal = toric_ideal(s, deadline)
-    gb = reduced_basis(s, deadline)
+    s = _resolve_semigroup(args)
+    ideal = toric_ideal(s)
+    gb = reduced_basis(s)
     result = {"embedding_dim": len(ideal.variables),
               "ideal": [format_binomial(b, ideal.variables) for b in ideal.generators],
               "reduced_gb": [format_binomial(b, ideal.variables) for b in gb.elements]}
@@ -263,14 +268,14 @@ def cmd_analyze(args, deadline) -> int:
         if not wanted:
             wanted = ["tangent_cone", "projective", "gorenstein"]
         if "tangent_cone" in wanted:
-            verdicts.append(cm_tangent_cone(s, deadline))
+            verdicts.append(cm_tangent_cone(s))
         if "projective" in wanted:
-            verdicts.append(acm_projective_closure(s, deadline))
+            verdicts.append(acm_projective_closure(s))
         if "gorenstein" in wanted:
-            verdicts.append(gorenstein_numerical(s, deadline))
-            verdicts.append(gorenstein_projective_closure(s, deadline))
+            verdicts.append(gorenstein_numerical(s))
+            verdicts.append(gorenstein_projective_closure(s))
     else:
-        table = betti_degrees(s, deadline=deadline)
+        table = betti_degrees(s)
         summary = resolution_summary(s, table)
         result["betti_totals"] = table.total
         result["resolution"] = {"pd": summary.pd, "depth": summary.depth,
@@ -288,14 +293,14 @@ def cmd_analyze(args, deadline) -> int:
     return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
 
 
-def _gluing_from_args(args, deadline):
+def _gluing_from_args(args):
     return gluing(_int_list(args.left, "--left"), _int_list(args.right, "--right"),
-                  _int_list(args.b, "--b"), _int_list(args.a, "--a"), deadline)
+                  _int_list(args.b, "--b"), _int_list(args.a, "--a"))
 
 
-def cmd_glue(args, deadline) -> int:
-    spec = _gluing_from_args(args, deadline)
-    glued = glue(spec, deadline)
+def cmd_glue(args) -> int:
+    spec = _gluing_from_args(args)
+    glued = glue(spec)
     result = {"glued_generators": spec.glued_generators,
               "p": spec.p, "q": spec.q,
               "classification": is_nice_gluing(spec),
@@ -307,10 +312,10 @@ def cmd_glue(args, deadline) -> int:
     verdicts = []
     if args.projective:
         from .verdicts import acm_projective_closure
-        verdicts.append(acm_projective_closure(glued, deadline))
+        verdicts.append(acm_projective_closure(glued))
     if args.tangent_cone:
         from .verdicts import cm_tangent_cone
-        verdicts.append(cm_tangent_cone(glued, deadline))
+        verdicts.append(cm_tangent_cone(glued))
     result["verdicts"] = [verdict_doc(v) for v in verdicts]
     for v in verdicts:
         lines += verdict_lines(v)
@@ -321,44 +326,42 @@ def cmd_glue(args, deadline) -> int:
     return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
 
 
-def cmd_star_glue(args, deadline) -> int:
+def cmd_star_glue(args) -> int:
     from .theorems import verify_glued_tangent_cone
-    spec = _gluing_from_args(args, deadline)
+    spec = _gluing_from_args(args)
     if not is_star_gluing(spec):
         raise InputError(f"not a star gluing: sum(a)={sum(spec.a)} is not "
                          f"smaller than sum(b)={sum(spec.b)}")
-    rep = verify_glued_tangent_cone(spec, deadline)
+    rep = verify_glued_tangent_cone(spec)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a}
-    emit(report_document("star-glue", glue(spec, deadline), params, theorem_doc(rep)),
+    emit(report_document("star-glue", glue(spec), params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
 
-def cmd_extend(args, deadline) -> int:
+def cmd_extend(args) -> int:
     from .theorems import verify_extension_pf
     if args.numerical:
-        base = NumericalSemigroup(_int_list(args.numerical, "--numerical"), deadline)
+        base = NumericalSemigroup(_int_list(args.numerical, "--numerical"))
     elif args.affine:
-        base = AffineSemigroup(_matrix(args.affine, "--affine"), deadline)
+        base = AffineSemigroup(_matrix(args.affine, "--affine"))
     else:
         raise InputError("extend: give the base via --numerical or --affine")
     spec = ExtensionSpec(base, args.l, _int_list(args.u, "--u"))
-    rep = verify_extension_pf(spec, deadline)
+    rep = verify_extension_pf(spec)
     params = {"l": spec.l, "u": spec.u, "a": spec.a}
     emit(report_document("extend", extend(spec), params, theorem_doc(rep)),
          args.format, theorem_lines(rep))
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
 
-def cmd_join(args, deadline) -> int:
+def cmd_join(args) -> int:
     from .theorems import verify_join_sifr
     dim = args.dim
-    left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left"), deadline),
-                      dim, args.left_axis)
-    right = embed_axis(NumericalSemigroup(_int_list(args.right, "--right"), deadline),
-                       dim, args.right_axis)
-    rep = verify_join_sifr(left, right, deadline)
+    left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left")), dim, args.left_axis)
+    right = embed_axis(NumericalSemigroup(_int_list(args.right, "--right")), dim, args.right_axis)
+    rep = verify_join_sifr(left, right)
     params = {"left": args.left, "right": args.right, "dim": dim,
               "left_axis": args.left_axis, "right_axis": args.right_axis}
     carrier = left if rep.computed is None else join(left, right)
@@ -367,11 +370,11 @@ def cmd_join(args, deadline) -> int:
     return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
 
 
-def cmd_betti(args, deadline) -> int:
+def cmd_betti(args) -> int:
     from .resolution import betti_degrees
-    s = _resolve_semigroup(args, deadline)
+    s = _resolve_semigroup(args)
     bound = _int_list(args.bound, "--bound") if args.bound else None
-    table = betti_degrees(s, degree_bound=bound, deadline=deadline)
+    table = betti_degrees(s, degree_bound=bound)
     if bound is not None and isinstance(s, NumericalSemigroup):
         bound = bound[0]  # reported as a number, like the numerical input
     result = {"totals": table.total, "pd": table.pd, "certified": table.certified,
@@ -385,10 +388,10 @@ def cmd_betti(args, deadline) -> int:
     return EXIT_OK
 
 
-def cmd_pf(args, deadline) -> int:
+def cmd_pf(args) -> int:
     from .resolution import betti_degrees, pf_via_betti
-    s = _resolve_semigroup(args, deadline)
-    table = betti_degrees(s, deadline=deadline)
+    s = _resolve_semigroup(args)
+    table = betti_degrees(s)
     via_betti = pf_via_betti(s, table)
     result = {"pf": [degree_doc(d) for d in via_betti],
               "method": "top Betti degrees minus the generator sum"}
@@ -396,7 +399,7 @@ def cmd_pf(args, deadline) -> int:
     code = EXIT_OK
     if args.direct:
         # numerical gap sets are always finite and read off Ap(S, n_1)
-        direct = s.pf_direct(deadline) if not isinstance(s, NumericalSemigroup) \
+        direct = s.pf_direct() if not isinstance(s, NumericalSemigroup) \
             else [(f,) for f in s.pf_numeric()]
         result["pf_direct"] = [degree_doc(d) for d in direct]
         agree = sorted(result["pf_direct"]) == sorted(result["pf"])
@@ -409,11 +412,11 @@ def cmd_pf(args, deadline) -> int:
     return code
 
 
-def cmd_sifr(args, deadline) -> int:
+def cmd_sifr(args) -> int:
     from .resolution import betti_degrees, sifr_check
-    s = _resolve_semigroup(args, deadline)
-    table = betti_degrees(s, deadline=deadline)
-    rep = sifr_check(s, table, deadline)
+    s = _resolve_semigroup(args)
+    table = betti_degrees(s)
+    rep = sifr_check(s, table)
     result = {"holds": rep.holds, "level": rep.level,
               "pair": [degree_doc(d) for d in rep.pair] if rep.pair else None}
     line = f"[sifr] holds={str(rep.holds).lower()}"
@@ -423,13 +426,13 @@ def cmd_sifr(args, deadline) -> int:
     return EXIT_OK
 
 
-def cmd_hilbert(args, deadline) -> int:
-    s = _resolve_semigroup(args, deadline)
+def cmd_hilbert(args) -> int:
+    s = _resolve_semigroup(args)
     if not isinstance(s, NumericalSemigroup):
         raise InputError("hilbert: tangent-cone Hilbert functions are numerical-only")
-    stab = s.hilbert_stabilization(deadline)
+    stab = s.hilbert_stabilization()
     upto = args.upto if args.upto is not None else stab
-    values = s.hilbert_gr(upto, deadline)
+    values = s.hilbert_gr(upto)
     nondecreasing = s.hilbert_nondecreasing()  # over the whole function
     result = {"upto": upto, "values": values, "stabilization": stab,
               "nondecreasing": nondecreasing}
@@ -440,10 +443,10 @@ def cmd_hilbert(args, deadline) -> int:
     return EXIT_OK
 
 
-def cmd_fixtures(args, deadline) -> int:
+def cmd_fixtures(args) -> int:
     """`fixtures` runs every curated check, `verify <id>` one statement's."""
     from .theorems import run_fixtures
-    pairs = run_fixtures(getattr(args, "theorem", None), deadline)
+    pairs = run_fixtures(getattr(args, "theorem", None))
     docs = [theorem_doc(rep, label=fx.label) for fx, rep in pairs]
     conflicts = sum(theorem_conflict(rep) for _, rep in pairs)
     agreements = sum(rep.agree for _, rep in pairs)
@@ -571,26 +574,33 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"{name}: expected a number, got {raw!r}")
+def _deadline_seconds(args) -> Optional[float]:
+    """Seconds from --deadline, else from SGRING_DEADLINE; None for no limit.
+    NaN is refused: no clock reading passes it, so it would never expire."""
+    source, seconds = "--deadline", args.deadline
+    if seconds is None:
+        source, raw = "SGRING_DEADLINE", os.environ.get("SGRING_DEADLINE")
+        if not raw:
+            return None
+        try:
+            seconds = float(raw)
+        except ValueError:
+            raise InputError(f"{source}: expected a number, got {raw!r}")
+    if math.isnan(seconds):
+        raise InputError(f"{source}: NaN is not a deadline")
+    return seconds
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seconds = args.deadline if args.deadline is not None \
-            else _env_float("SGRING_DEADLINE")
-        deadline = Deadline(seconds) if seconds is not None else None
+        seconds = _deadline_seconds(args)
         if args.threads is not None and args.threads < 1:
             raise InputError("--threads: must be at least 1")
-        return args.handler(args, deadline)
+        # the one deadline scope: every computation of the command runs in it
+        with Deadline(seconds):
+            return args.handler(args)
     except InputError as ex:
         sys.stderr.write(f"input error: {ex}\n")
         return EXIT_INPUT

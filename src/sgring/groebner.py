@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import Deadline, InputError, tick
+from .errors import InputError, tick
 from .monomials import (
     Binomial,
     BinomialIdeal,
@@ -61,19 +61,17 @@ def _require_global(order: Order) -> None:
         raise InputError("local order: use standard_basis_local instead")
 
 
-def normal_form(b: Optional[Binomial], basis, order: Order,
-                deadline: Optional[Deadline] = None) -> Optional[Binomial]:
+def normal_form(b: Optional[Binomial], basis, order: Order) -> Optional[Binomial]:
     """Remainder of b on division by the basis; None is the zero marker.
 
     Deterministic: divisors are tried in basis order, the leading monomial is
     rewritten to a fixpoint before the tail.
     """
     _require_global(order)
-    return _reduce(b, _elements(basis), order, deadline)
+    return _reduce(b, _elements(basis), order)
 
 
-def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
-            deadline: Optional[Deadline]) -> Optional[Binomial]:
+def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order) -> Optional[Binomial]:
     # normal_form on a basis already checked to hold Binomials, under a global
     # order or under a local one on weighted-homogeneous input
     if b is None:
@@ -82,7 +80,7 @@ def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
     if cur is None:
         return None
     while True:
-        tick(deadline)
+        tick()
         for g in els:
             if divides(g.lead, cur.lead):
                 rewritten = vec_add(quotient(cur.lead, g.lead), g.tail)
@@ -94,7 +92,7 @@ def _reduce(b: Optional[Binomial], els: list[Binomial], order: Order,
             break
     progress = True
     while progress:
-        tick(deadline)
+        tick()
         progress = False
         for g in els:
             if divides(g.lead, cur.tail):
@@ -117,18 +115,17 @@ def _minimalize(els: Iterable[Binomial], order: Order) -> list[Binomial]:
     return kept
 
 
-def _interreduce(kept: list[Binomial], order: Order,
-                 deadline: Optional[Deadline]) -> list[Binomial]:
+def _interreduce(kept: list[Binomial], order: Order) -> list[Binomial]:
     out = []
     for i, b in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        nf = _reduce(b, others, order, deadline)
+        nf = _reduce(b, others, order)
         assert nf is not None  # leads are pairwise non-dividing
         out.append(nf)
     return out
 
 
-def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> GroebnerBasis:
+def buchberger(gens, order: Order) -> GroebnerBasis:
     """Reduced Groebner basis under a global order.
 
     Pair selection: smallest lcm total degree first, FIFO on ties, so runs
@@ -139,11 +136,10 @@ def buchberger(gens, order: Order, deadline: Optional[Deadline] = None) -> Groeb
     still queued.
     """
     _require_global(order)
-    return _buchberger(_elements(gens), order, deadline)
+    return _buchberger(_elements(gens), order)
 
 
-def _buchberger(gens: Iterable[Binomial], order: Order,
-                deadline: Optional[Deadline]) -> GroebnerBasis:
+def _buchberger(gens: Iterable[Binomial], order: Order) -> GroebnerBasis:
     # the loop of `buchberger`, for any order under which _reduce terminates
     basis: list[Binomial] = []
     for g in gens:
@@ -165,7 +161,7 @@ def _buchberger(gens: Iterable[Binomial], order: Order,
     for j in range(len(basis)):
         push_pairs(j)
     while heap:
-        tick(deadline)
+        tick()
         _, _, i, j = heapq.heappop(heap)
         f, g = basis[i], basis[j]
         l = lcm_monomial(f.lead, g.lead)
@@ -179,16 +175,16 @@ def _buchberger(gens: Iterable[Binomial], order: Order,
         if skip:
             continue
         sp = s_pair(f, g, order)
-        nf = _reduce(sp, basis, order, deadline)
+        nf = _reduce(sp, basis, order)
         if nf is not None:
             basis.append(nf)
             push_pairs(len(basis) - 1)
-    kept = _interreduce(_minimalize(basis, order), order, deadline)
+    kept = _interreduce(_minimalize(basis, order), order)
     kept.sort(key=lambda b: order.key(b.lead))
     return GroebnerBasis(order, tuple(kept), reduced=True, minimal=True)
 
 
-def is_groebner(candidate, order: Order, deadline: Optional[Deadline] = None) -> bool:
+def is_groebner(candidate, order: Order) -> bool:
     """Buchberger criterion by full reduction of every S-pair (no skips)."""
     _require_global(order)
     els = [oriented(b.lead, b.tail, order) for b in _elements(candidate)]
@@ -196,9 +192,9 @@ def is_groebner(candidate, order: Order, deadline: Optional[Deadline] = None) ->
         raise InputError("candidate contains a zero binomial")
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            tick(deadline)
+            tick()
             sp = s_pair(els[i], els[j], order)
-            if _reduce(sp, els, order, deadline) is not None:
+            if _reduce(sp, els, order) is not None:
                 return False
     return True
 
@@ -225,8 +221,7 @@ def homogenize_ideal(gb: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(ext_order, tuple(out), gb.reduced, gb.minimal)
 
 
-def standard_basis_local(ideal: BinomialIdeal, local_order: Order,
-                         deadline: Optional[Deadline] = None) -> GroebnerBasis:
+def standard_basis_local(ideal: BinomialIdeal, local_order: Order) -> GroebnerBasis:
     """Reduced standard basis of the ideal under a local order: its leads
     generate the initial ideal.  Elements sorted by lead, as `buchberger`.
 
@@ -251,4 +246,4 @@ def standard_basis_local(ideal: BinomialIdeal, local_order: Order,
     if any(not any(d) or min(d) < 0 for d in ideal.degree_map):
         raise InputError("degree map is not a positive weight: every degree "
                          "vector must be nonnegative and nonzero")
-    return _buchberger(ideal.generators, local_order, deadline)
+    return _buchberger(ideal.generators, local_order)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import tick
+
 
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
@@ -44,7 +46,8 @@ def rational_rank(rows: Sequence[Sequence[int]]) -> int:
 def nonneg_solve(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[Fraction]]:
     """Solve sum_j lam_j * cols[j] = target with lam >= 0 over Q; None if infeasible.
 
-    Phase-1 simplex with Bland's rule (anti-cycling, guaranteed termination).
+    Phase-1 simplex with Bland's rule (anti-cycling, guaranteed termination),
+    checking the deadline once per pivot.
     """
     d = len(target)
     n = len(cols)
@@ -65,6 +68,7 @@ def nonneg_solve(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Option
     obj = [sum(tab[i][j] for i in range(d)) for j in range(width)]
     obj_rhs = sum(tab[i][-1] for i in range(d))
     while True:
+        tick()
         enter = next((j for j in range(width) if obj[j] > 0 and j not in basis), None)
         if enter is None:
             break

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import BoundInsufficient, Deadline, InputError, tick
+from .errors import BoundInsufficient, InputError, tick
 from .linalg import rational_rank
 from .monomials import Vec, vec_add
 from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
@@ -61,11 +61,10 @@ def _ranks_from_faces(faces_by_size: list[list[tuple[int, ...]]]) -> list[int]:
             for s in range(len(faces_by_size))]
 
 
-def _member(s: Semigroup, v: Vec, numerical: bool,
-            deadline: Optional[Deadline] = None) -> bool:
+def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:
     if numerical:
         return v[0] >= 0 and v[0] in s
-    return all(c >= 0 for c in v) and s.membership(v, deadline).ok
+    return all(c >= 0 for c in v) and s.membership(v).ok
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +125,7 @@ class SifrReport(NamedTuple):
 # bitboard scan
 
 
-def betti_degrees(s: Semigroup, degree_bound=None,
-                  deadline: Optional[Deadline] = None) -> BettiTable:
+def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     """Scan semigroup degrees up to the bound and sum divisor-complex homology.
 
     When every extremal ray is a coordinate axis (numerical semigroups,
@@ -172,7 +170,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
             raise InputError(f"degree bound {degree_bound} is not a nonnegative "
                              f"vector of the ambient dimension {d}")
     complete = None
-    axis = s.axis_apery(deadline)
+    axis = s.axis_apery()
     if axis is not None:
         extremal, apery = axis
         complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
@@ -187,14 +185,14 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     grid = Grid(bound, gen_sum)
     if _HELD_BOARDS * grid.total > _MAX_BOARD_BITS:
         raise InputError("scan box too large for the scan boards")
-    members_board = member_board(grid, gens, deadline)
+    members_board = member_board(grid, gens)
 
     # The cone filter (see above).  Bits that reach past the box never carry
     # back into it, and the AND with the member board drops them.
     shifts = [grid.lin(g) for g in gens]
     candidates = members_board
     for v, sv in enumerate(shifts):
-        tick(deadline)
+        tick()
         reach = members_board & ~(members_board << sv)
         for sh in shifts[:v] + shifts[v + 1:]:
             reach |= reach << sh
@@ -209,7 +207,7 @@ def betti_degrees(s: Semigroup, degree_bound=None,
     rows_acc: dict[int, list] = {}
     rank_memo: dict[int, list[int]] = {}
     for idx in iter_bits(candidates, grid.total):
-        tick(deadline)
+        tick()
         bits = 0
         for k, off in enumerate(offsets):
             at = idx - off
@@ -286,8 +284,7 @@ def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
     return [tuple(c - t for c, t in zip(b, gen_sum)) for b in degs]
 
 
-def is_prec_symmetric(s: Semigroup, table: BettiTable,
-                      deadline: Optional[Deadline] = None) -> bool:
+def is_prec_symmetric(s: Semigroup, table: BettiTable) -> bool:
     """True iff the unique pseudo-Frobenius element is the graded-lex maximum
     gap: the largest by total degree, ties broken lexicographically.
 
@@ -303,12 +300,11 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable,
     if numerical:
         f = s.frobenius()
         return f >= 1 and pf[0] == f
-    gaps = s.gap_set(deadline).all_gaps()
+    gaps = s.gap_set().all_gaps()
     return bool(gaps) and pf[0] == max(gaps, key=lambda p: (sum(p), p))
 
 
-def sifr_check(s: Semigroup, table: BettiTable,
-               deadline: Optional[Deadline] = None) -> SifrReport:
+def sifr_check(s: Semigroup, table: BettiTable) -> SifrReport:
     """Strong indispensability criterion: within every homological level, no
     difference of two Betti degrees may land in the semigroup (0 included)."""
     _, d, numerical = _gen_vectors(s)
@@ -320,8 +316,7 @@ def sifr_check(s: Semigroup, table: BettiTable,
                 diffs = ([b - c, c - b] if numerical else
                          [tuple(x - y for x, y in zip(b, c)),
                           tuple(y - x for x, y in zip(b, c))])
-                if any(_member(s, (x,) if numerical else x, numerical, deadline)
-                       for x in diffs):
+                if any(_member(s, (x,) if numerical else x, numerical) for x in diffs):
                     return SifrReport(False, i, (b, c))
     return SifrReport(True, None, None)
 

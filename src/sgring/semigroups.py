@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
-from .errors import CertificationError, Deadline, InputError, tick
+from .errors import CertificationError, InputError, tick
 from .linalg import nonneg_solve, rational_rank
 from .monomials import Vec, scale, vec_add
 
@@ -31,8 +31,9 @@ T = TypeVar("T")
 
 def artifact(s, name: str, build: Callable[[], T]) -> T:
     """The artifact `name` of semigroup s, stored in s._memo when build()
-    first returns and never changed; a build cut short by a deadline raises
-    and stores nothing, so a later call with more time can finish it."""
+    first returns and never changed; a build cut short by the deadline
+    scope of its thread (`errors.Deadline`) raises and stores nothing, so a
+    later call with more time can finish it."""
     try:
         memo = s._memo
     except AttributeError:
@@ -62,7 +63,7 @@ class NumericalSemigroup:
 
     generators: tuple[int, ...]
 
-    def __init__(self, generators: Sequence[int], deadline: Optional[Deadline] = None):
+    def __init__(self, generators: Sequence[int]):
         """Sort and deduplicate the generators and check that they are
         coprime and minimal.  Ap(S, n_1) of the given generators, with n_1
         the least, is built under the deadline and decides minimality in e^2
@@ -78,7 +79,7 @@ class NumericalSemigroup:
             raise InputError("generators must be positive integers")
         if math.gcd(*gens) != 1:
             raise InputError(f"gcd of generators {gens} must be 1")
-        n1, apery = gens[0], _least_per_residue(gens, gens[0], deadline)
+        n1, apery = gens[0], _least_per_residue(gens, gens[0])
         redundant = [g for g in gens
                      if any(g - h >= apery[(g - h) % n1] for h in gens if h < g)]
         if redundant:
@@ -103,11 +104,11 @@ class NumericalSemigroup:
     def __contains__(self, x: int) -> bool:
         return self.membership(x)
 
-    def apery(self, m: int, deadline: Optional[Deadline] = None) -> list[int]:
+    def apery(self, m: int) -> list[int]:
         """Least member in each residue class mod m, sorted; m must be a nonzero member."""
         if m == 0 or not self.membership(m):
             raise InputError(f"{m} is not a nonzero member")
-        return sorted(_least_per_residue(self.generators, m, deadline))
+        return sorted(_least_per_residue(self.generators, m))
 
     def frobenius(self) -> int:
         """Largest integer outside the semigroup; -1 when the semigroup is N."""
@@ -136,7 +137,7 @@ class NumericalSemigroup:
         # finished artifacts by name, filled only through `artifact`
         return {}
 
-    def apery_table(self, deadline: Optional[Deadline] = None) -> tuple[list[int], ...]:
+    def apery_table(self) -> tuple[list[int], ...]:
         """Rows m_0, ..., m_r of the Apery table of the powers of the maximal
         ideal M (Cortadellas Benitez, Jafari, Zarzuela, Semigroup Forum 86,
         2013): m_l(i) is the least element of M^l congruent to i mod n_1, so
@@ -149,7 +150,7 @@ class NumericalSemigroup:
             n1 = self.multiplicity
             rows = [self._apery_by_residue]
             while True:
-                tick(deadline)
+                tick()
                 prev = rows[-1]
                 climbed = [v + n1 for v in prev]
                 row = climbed
@@ -173,22 +174,22 @@ class NumericalSemigroup:
         below = bisect_right(rows, s, key=lambda row: row[r])
         return below - 1 + max(0, s - rows[-1][r]) // self.multiplicity
 
-    def hilbert_gr(self, upto: int, deadline: Optional[Deadline] = None) -> list[int]:
+    def hilbert_gr(self, upto: int) -> list[int]:
         """Hilbert function of the associated graded ring:
         H(l) = #(M^l minus M^(l+1)) = sum over residues of (m_(l+1) - m_l) / n_1,
         which is n_1 from the reduction number on."""
         if upto < 0:
             raise InputError("upto must be >= 0")
-        sums = [sum(row) for row in self.apery_table(deadline)]
+        sums = [sum(row) for row in self.apery_table()]
         n1 = self.multiplicity
         return [(sums[l + 1] - sums[l]) // n1 if l + 1 < len(sums) else n1
                 for l in range(upto + 1)]
 
-    def hilbert_stabilization(self, deadline: Optional[Deadline] = None) -> int:
+    def hilbert_stabilization(self) -> int:
         """Least index from which H equals the multiplicity n_1: the
         reduction number, the last row of the Apery table.  Every column
         step is 0 or n_1, so H(l) < n_1 exactly for l below it."""
-        return len(self.apery_table(deadline)) - 1
+        return len(self.apery_table()) - 1
 
     def hilbert_nondecreasing(self) -> bool:
         """True iff H is non-decreasing through its stabilization index, and
@@ -196,14 +197,13 @@ class NumericalSemigroup:
         h = self.hilbert_gr(self.hilbert_stabilization())
         return all(h[i] <= h[i + 1] for i in range(len(h) - 1))
 
-    def axis_apery(self, deadline: Optional[Deadline] = None) -> tuple:
+    def axis_apery(self) -> tuple:
         """`axis_apery` of the generators as 1-tuples, read from Ap(S, n_1)."""
         return artifact(self, "axis_apery", lambda: (
             ((self.multiplicity,),), frozenset((w,) for w in self._apery_by_residue)))
 
 
-def _least_per_residue(gens: tuple[int, ...], m: int,
-                       deadline: Optional[Deadline] = None) -> list[int]:
+def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
     """Least member of <gens> in each residue class mod m, indexed by residue
     (Dijkstra on the residues, one edge per generator), checking the
     deadline every 4096 heap pops."""
@@ -213,7 +213,7 @@ def _least_per_residue(gens: tuple[int, ...], m: int,
     pops = 0
     while heap:
         if not pops & 4095:
-            tick(deadline)
+            tick()
         pops += 1
         d, r = heapq.heappop(heap)
         if dist[r] != d:
@@ -247,8 +247,7 @@ class AffineSemigroup:
     generators: tuple[Vec, ...]
     dim: int
 
-    def __init__(self, generators: Sequence[Sequence[int]],
-                 deadline: Optional[Deadline] = None):
+    def __init__(self, generators: Sequence[Sequence[int]]):
         gens = tuple(tuple(int(c) for c in g) for g in generators)
         if not gens:
             raise InputError("at least one generator required")
@@ -264,7 +263,7 @@ class AffineSemigroup:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "dim", d)
         bad = [g for g in gens
-               if _affine_member(tuple(h for h in gens if h != g), g, deadline).ok]
+               if _affine_member(tuple(h for h in gens if h != g), g).ok]
         if bad:
             raise InputError(f"generating set not minimal: {bad} are redundant")
 
@@ -273,36 +272,34 @@ class AffineSemigroup:
         # finished artifacts by name, filled only through `artifact`
         return {}
 
-    def membership(self, x: Sequence[int],
-                   deadline: Optional[Deadline] = None) -> Membership:
+    def membership(self, x: Sequence[int]) -> Membership:
         """Exact DFS with componentwise pruning; returns a witness when inside."""
         x = tuple(int(c) for c in x)
         if len(x) != self.dim:
             raise InputError("dimension mismatch")
         if any(c < 0 for c in x):
             return Membership(False, None)
-        return _affine_member(self.generators, x, deadline)
+        return _affine_member(self.generators, x)
 
     def __contains__(self, x: Sequence[int]) -> bool:
         return self.membership(x).ok
 
-    def members_within(self, box: Sequence[int],
-                       deadline: Optional[Deadline] = None) -> set[Vec]:
+    def members_within(self, box: Sequence[int]) -> set[Vec]:
         """All members componentwise below box, decoded from `member_board`."""
         box = tuple(int(c) for c in box)
         if len(box) != self.dim or any(c < 0 for c in box):
             raise InputError(f"box {box} is not a nonnegative vector of dimension {self.dim}")
-        grid, board = self._board(box, deadline)
-        return {grid.coords(i) for i in iter_bits(board, grid.total, deadline)}
+        grid, board = self._board(box)
+        return {grid.coords(i) for i in iter_bits(board, grid.total)}
 
-    def _board(self, box: Vec, deadline: Optional[Deadline]) -> tuple[Grid, int]:
+    def _board(self, box: Vec) -> tuple[Grid, int]:
         # padded by the largest entry per axis: one generator shift never wraps
         grid = Grid(box, tuple(max(c) for c in zip(*self.generators)))
-        return grid, member_board(grid, self.generators, deadline)
+        return grid, member_board(grid, self.generators)
 
-    def axis_apery(self, deadline: Optional[Deadline] = None) -> Optional[tuple]:
+    def axis_apery(self) -> Optional[tuple]:
         """`axis_apery` of the generators, an artifact."""
-        return artifact(self, "axis_apery", lambda: axis_apery(self.generators, deadline))
+        return artifact(self, "axis_apery", lambda: axis_apery(self.generators))
 
     def cone_membership(self, x: Sequence[int]) -> bool:
         """x in {sum lambda_i a_i : lambda_i in Q>=0}, decided exactly."""
@@ -326,7 +323,7 @@ class AffineSemigroup:
                 rays.append(r)
         return sorted(rays)
 
-    def gap_set(self, deadline: Optional[Deadline] = None) -> "GapScan":
+    def gap_set(self) -> "GapScan":
         """Cone points outside the semigroup, scanned over a box derived from
         the generators, and whether they are finitely many; an artifact.
 
@@ -348,7 +345,7 @@ class AffineSemigroup:
         box; a dirty one leaves finiteness undecided (finite is None).
         """
         def build() -> GapScan:
-            axis = self.axis_apery(deadline)
+            axis = self.axis_apery()
             if axis is not None:
                 extremal, apery = axis
                 step = {i: c for e in extremal for i, c in enumerate(e) if c}
@@ -363,10 +360,10 @@ class AffineSemigroup:
                 thickness = max(max(g) for g in self.generators)
                 in_cone = self.cone_membership
                 escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
-            grid, board = self._board(box, deadline)
+            grid, board = self._board(box)
             gaps, escaped = [], False
             # bits run in row-major order, so the gaps come out sorted
-            for idx in iter_bits(grid.real ^ board, grid.total, deadline):
+            for idx in iter_bits(grid.real ^ board, grid.total):
                 pt = grid.coords(idx)
                 if in_cone(pt):
                     gaps.append(pt)
@@ -376,24 +373,23 @@ class AffineSemigroup:
 
         return artifact(self, "gap_set", build)
 
-    def pf_direct(self, deadline: Optional[Deadline] = None) -> list[Vec]:
+    def pf_direct(self) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
         f + g a member for every generator g; the gap set must be finite.
         Then f + g, a cone point, is a member exactly when it is not a gap.
         The lookups check the deadline every 4096 gaps."""
-        gaps = self.gap_set(deadline).all_gaps()
+        gaps = self.gap_set().all_gaps()
         holes = set(gaps)
         out = []
         for i, f in enumerate(gaps):
             if not i & 4095:
-                tick(deadline)
+                tick()
             if not any(tuple(map(add, f, g)) in holes for g in self.generators):
                 out.append(f)
         return out
 
 
-def _affine_member(gens: tuple[Vec, ...], x: Vec,
-                   deadline: Optional[Deadline] = None) -> Membership:
+def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
     """Exact DFS over the generators in order, checking the deadline every
     4096 calls."""
     failed: set[tuple[Vec, int]] = set()
@@ -402,7 +398,7 @@ def _affine_member(gens: tuple[Vec, ...], x: Vec,
     def rec(rest: Vec, i: int) -> Optional[list[int]]:
         nonlocal calls
         if not calls & 4095:
-            tick(deadline)
+            tick()
         calls += 1
         if not any(rest):
             return [0] * (len(gens) - i)
@@ -426,8 +422,7 @@ def _affine_member(gens: tuple[Vec, ...], x: Vec,
     return Membership(z is not None, tuple(z) if z is not None else None)
 
 
-def axis_apery(gens: Sequence[Vec], deadline: Optional[Deadline] = None
-               ) -> Optional[tuple[tuple[Vec, ...], frozenset]]:
+def axis_apery(gens: Sequence[Vec]) -> Optional[tuple[tuple[Vec, ...], frozenset]]:
     """(E, Ap(S, E)) for S = <gens> when every extremal ray of S is a
     coordinate axis, None otherwise.  E holds the least generator on each
     axis in use, in axis order; Ap(S, E) is the set of members w with no
@@ -462,7 +457,7 @@ def axis_apery(gens: Sequence[Vec], deadline: Optional[Deadline] = None
     heap, seen, pops = [(0, origin)], {origin}, 0
     while heap:
         if not pops & 255:
-            tick(deadline)
+            tick()
         pops += 1
         _, p = heapq.heappop(heap)
         peers = found.setdefault(tuple(p[i] % least[i][i] for i in axes), [])
@@ -522,13 +517,13 @@ class Grid:
 _NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
-def iter_bits(x: int, total: int, deadline: Optional[Deadline] = None):
+def iter_bits(x: int, total: int):
     """Set bits of x in increasing order, checking the deadline per 4 KiB.
     The regex engine skips the runs of zero bytes, which dominate sparse
     boards."""
     data = x.to_bytes((total + 7) // 8, "little")
     for chunk in range(0, len(data), 4096):
-        tick(deadline)
+        tick()
         for run in _NONZERO_BYTES.finditer(data, chunk, chunk + 4096):
             for byte_idx, byte in enumerate(run.group(), run.start()):
                 base = byte_idx * 8
@@ -538,12 +533,12 @@ def iter_bits(x: int, total: int, deadline: Optional[Deadline] = None):
                     byte ^= low
 
 
-def member_board(grid: Grid, gens: Sequence[Vec], deadline: Optional[Deadline]) -> int:
+def member_board(grid: Grid, gens: Sequence[Vec]) -> int:
     """Members of <gens> in the grid's box; the padding must cover each generator."""
     shifts = [grid.lin(g) for g in gens]
     board = 1  # the origin
     while True:
-        tick(deadline)
+        tick()
         grown = board
         for sh in shifts:
             grown |= board << sh
@@ -656,18 +651,16 @@ class GluingSpec:
         return out
 
 
-def gluing(left, right, b, a, deadline: Optional[Deadline] = None) -> GluingSpec:
-    """GluingSpec from raw generator lists; both factors are built under the
-    deadline."""
-    return GluingSpec(NumericalSemigroup(left, deadline),
-                      NumericalSemigroup(right, deadline), b, a)
+def gluing(left, right, b, a) -> GluingSpec:
+    """GluingSpec from raw generator lists."""
+    return GluingSpec(NumericalSemigroup(left), NumericalSemigroup(right), b, a)
 
 
-def glue(spec: GluingSpec, deadline: Optional[Deadline] = None) -> NumericalSemigroup:
+def glue(spec: GluingSpec) -> NumericalSemigroup:
     """The glued numerical semigroup <q*m_i, p*n_j>.  For a valid spec the
     glued generators are minimal and coprime (Rosales), which the
-    NumericalSemigroup constructor checks again under the deadline."""
-    return NumericalSemigroup(spec.glued_generators, deadline)
+    NumericalSemigroup constructor checks again."""
+    return NumericalSemigroup(spec.glued_generators)
 
 
 def is_nice_gluing(spec: GluingSpec) -> str:

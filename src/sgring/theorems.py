@@ -12,9 +12,10 @@ as a flagged report instead of a silent wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .errors import CertificationError, Deadline, InputError, tick
+from .errors import CertificationError, InputError, tick
 from .linalg import rational_rank
 from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex, scale, vec_add
 from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_local
@@ -71,24 +72,23 @@ def _condition_hypothesis(name: str, rep) -> HypothesisCheck:
     return HypothesisCheck(name, rep.holds, note)
 
 
-def _nice_hypotheses(spec: GluingSpec, deadline) -> tuple[HypothesisCheck, ...]:
+def _nice_hypotheses(spec: GluingSpec) -> tuple[HypothesisCheck, ...]:
     """The generalized-nice classification and condition A on the left basis."""
     return (
         HypothesisCheck("generalized-nice", sum(spec.b) > sum(spec.a),
                         f"classification: {is_nice_gluing(spec)}"),
-        _condition_hypothesis("condition-A",
-                              condition_A(spec, reduced_basis(spec.left, deadline))),
+        _condition_hypothesis("condition-A", condition_A(spec, reduced_basis(spec.left))),
     )
 
 
-def _glued_verdict(spec: GluingSpec, check, name: str, gluing_hyps, deadline):
+def _glued_verdict(spec: GluingSpec, check, name: str, gluing_hyps):
     """The hypotheses `gluing_hyps` plus both factor verdicts of `check` as
     left-/right-`name`, the glued semigroup, and `check` on it."""
-    left, right = check(spec.left, deadline), check(spec.right, deadline)
+    left, right = check(spec.left), check(spec.right)
     hyps = gluing_hyps + (HypothesisCheck(f"left-{name}", left.result, left.method),
                           HypothesisCheck(f"right-{name}", right.result, right.method))
-    glued = glue(spec, deadline)
-    return hyps, glued, check(glued, deadline)
+    glued = glue(spec)
+    return hyps, glued, check(glued)
 
 
 def _verdict_notes(tag: str, verdict) -> list[str]:
@@ -105,16 +105,15 @@ def _verdict_notes(tag: str, verdict) -> list[str]:
 # assembled homogeneous basis of a glued closure
 
 
-def verify_glued_basis_homogeneous(spec: GluingSpec,
-                                   deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_glued_basis_homogeneous(spec: GluingSpec) -> TheoremReport:
     """The factor bases homogenized plus the bridging binomial
     x^b - x0^(sum b - sum a) y^a form a Groebner basis of the glued closure
     ideal under degree revlex with x0 lowest, whichever block comes first."""
     e1 = spec.left.embedding_dim
     e2 = spec.right.embedding_dim
     n = e1 + e2
-    gb1, gb2 = reduced_basis(spec.left, deadline), reduced_basis(spec.right, deadline)
-    hyps = _nice_hypotheses(spec, deadline)
+    gb1, gb2 = reduced_basis(spec.left), reduced_basis(spec.right)
+    hyps = _nice_hypotheses(spec)
     union = [homogenize(Binomial(b.lead + (0,) * (e2 + 1), b.tail + (0,) * (e2 + 1)), n)
              for b in gb1.elements]
     union += [homogenize(Binomial((0,) * e1 + b.lead + (0,), (0,) * e1 + b.tail + (0,)), n)
@@ -123,21 +122,20 @@ def verify_glued_basis_homogeneous(spec: GluingSpec,
     union.append(bridge)
     x_first = Order("degree", "revlex", tuple(range(n + 1)))
     y_first = Order("degree", "revlex", tuple(range(e1, n)) + tuple(range(e1)) + (n,))
-    ok_x = is_groebner(union, x_first, deadline)
-    ok_y = is_groebner(union, y_first, deadline)
+    ok_x = is_groebner(union, x_first)
+    ok_y = is_groebner(union, y_first)
     notes = [f"x-block-first order: {'a' if ok_x else 'NOT a'} Groebner basis",
              f"y-block-first order: {'a' if ok_y else 'NOT a'} Groebner basis"]
-    glued_gb = buchberger(glued_ideal_generators(spec, gb1, gb2).generators,
-                          degrevlex(n), deadline)
+    glued_gb = buchberger(glued_ideal_generators(spec, gb1, gb2).generators, degrevlex(n))
     closure = homogenize_ideal(glued_gb)
-    union_gb = buchberger(union, x_first, deadline)
+    union_gb = buchberger(union, x_first)
     if set(union_gb.elements) == set(closure.elements):
         notes.append("the union generates the closure ideal")
     else:
         notes.append("the union does NOT generate the closure ideal")
-    notes.append(_bridge_variant_note(spec, union[:-1], bridge, x_first, deadline))
+    notes.append(_bridge_variant_note(spec, union[:-1], bridge, x_first))
     if not (ok_x and ok_y):
-        alt = _alternative_witness_note(spec, union[:-1], x_first, y_first, deadline)
+        alt = _alternative_witness_note(spec, union[:-1], x_first, y_first)
         if alt:
             notes.append(alt)
     return TheoremReport("glued-basis-homogeneous", _describe_gluing(spec),
@@ -158,7 +156,7 @@ def _witness_vectors(p: int, gens: tuple[int, ...]):
 
 
 def _alternative_witness_note(spec: GluingSpec, hom_factors, x_first: Order,
-                              y_first: Order, deadline) -> str:
+                              y_first: Order) -> str:
     """When the stated witness fails, say whether some other representation of
     the same p makes the assembled union a Groebner basis."""
     e1 = spec.left.embedding_dim
@@ -171,10 +169,10 @@ def _alternative_witness_note(spec: GluingSpec, hom_factors, x_first: Order,
         seen += 1
         if seen > 200:  # the note is best-effort; never let it dominate
             return ""
-        tick(deadline)
+        tick()
         bridge = homogenize(Binomial(b + (0,) * (e2 + 1), (0,) * e1 + spec.a + (0,)), n)
-        if is_groebner(list(hom_factors) + [bridge], x_first, deadline):
-            both = is_groebner(list(hom_factors) + [bridge], y_first, deadline)
+        if is_groebner(list(hom_factors) + [bridge], x_first):
+            both = is_groebner(list(hom_factors) + [bridge], y_first)
             return (f"alternative witness b={b} for the same p={spec.p} makes the "
                     "union a Groebner basis under the x-block-first order"
                     + (" and the y-block-first order" if both else
@@ -183,7 +181,7 @@ def _alternative_witness_note(spec: GluingSpec, hom_factors, x_first: Order,
 
 
 def _bridge_variant_note(spec: GluingSpec, hom_factors, bridge: Binomial,
-                         ext_order: Order, deadline) -> str:
+                         ext_order: Order) -> str:
     """Status of the single-variable display form x_l^b_l - x0^(b_l-sum a) y^a,
     which only matches the bridging binomial when b is concentrated in x_l."""
     e1 = spec.left.embedding_dim
@@ -200,7 +198,7 @@ def _bridge_variant_note(spec: GluingSpec, hom_factors, bridge: Binomial,
     if variant == bridge:
         return ("the single-variable display form coincides with the bridging "
                 "binomial (b is concentrated in its last position)")
-    ok = is_groebner(list(hom_factors) + [variant], ext_order, deadline)
+    ok = is_groebner(list(hom_factors) + [variant], ext_order)
     return ("discrepancy: the single-variable display form differs from the "
             "verified bridging binomial; the union built from it is "
             f"{'still' if ok else 'NOT'} a Groebner basis")
@@ -210,13 +208,12 @@ def _bridge_variant_note(spec: GluingSpec, hom_factors, bridge: Binomial,
 # arithmetically Cohen-Macaulay closure of a gluing
 
 
-def verify_glued_closure_acm(spec: GluingSpec,
-                             deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_glued_closure_acm(spec: GluingSpec) -> TheoremReport:
     """Whether the glued closure is arithmetically Cohen-Macaulay, predicted
     purely by which block carries the largest glued generator (right: yes,
     left: no)."""
     hyps, _, verdict = _glued_verdict(spec, acm_projective_closure, "closure-acm",
-                                      _nice_hypotheses(spec, deadline), deadline)
+                                      _nice_hypotheses(spec))
     gens = spec.glued_generators
     notes = [f"glued generators {gens}; largest {max(gens)} sits in the "
              f"{spec.largest_side} block"]
@@ -240,18 +237,17 @@ def _local_block_order(e1: int, e2: int, lowest_left: bool) -> Order:
     return negdegrevlex(e1 + e2, priority)
 
 
-def _assembled_local_note(spec: GluingSpec, deadline) -> str:
+def _assembled_local_note(spec: GluingSpec) -> str:
     """Compare the glued ideal's minimal standard-basis leads with the union
     of the factor standard-basis leads plus the bridge lead y^a."""
     e1 = spec.left.embedding_dim
     e2 = spec.right.embedding_dim
-    expected = {b.lead + (0,) * e2 for b in local_basis(spec.left, deadline).elements}
-    expected |= {(0,) * e1 + b.lead for b in local_basis(spec.right, deadline).elements}
+    expected = {b.lead + (0,) * e2 for b in local_basis(spec.left).elements}
+    expected |= {(0,) * e1 + b.lead for b in local_basis(spec.right).elements}
     expected.add((0,) * e1 + spec.a)
     order = _local_block_order(e1, e2, spec.smallest_side == "left")
-    gens = glued_ideal_generators(spec, reduced_basis(spec.left, deadline),
-                                  reduced_basis(spec.right, deadline))
-    sb = standard_basis_local(gens, order, deadline)
+    gens = glued_ideal_generators(spec, reduced_basis(spec.left), reduced_basis(spec.right))
+    sb = standard_basis_local(gens, order)
     got = set(sb.leads())
     if got == expected:
         return ("assembled union: the glued ideal's minimal standard basis has "
@@ -268,22 +264,20 @@ def _assembled_local_note(spec: GluingSpec, deadline) -> str:
             + "; the assembled union alone is not a standard basis")
 
 
-def verify_glued_tangent_cone(spec: GluingSpec,
-                              deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_glued_tangent_cone(spec: GluingSpec) -> TheoremReport:
     """Whether the glued tangent cone is Cohen-Macaulay, predicted purely by
     which block carries the smallest glued generator (left: yes, right: no)."""
     star = (
         HypothesisCheck("star-gluing", is_star_gluing(spec),
                         f"sum a = {sum(spec.a)}, sum b = {sum(spec.b)}"),
-        _condition_hypothesis("condition-B",
-                              condition_B(spec, reduced_basis(spec.right, deadline))),
+        _condition_hypothesis("condition-B", condition_B(spec, reduced_basis(spec.right))),
     )
-    hyps, _, verdict = _glued_verdict(spec, cm_tangent_cone, "tangent-cm", star, deadline)
+    hyps, _, verdict = _glued_verdict(spec, cm_tangent_cone, "tangent-cm", star)
     gens = spec.glued_generators
     notes = [f"glued generators {gens}; smallest {min(gens)} sits in the "
              f"{spec.smallest_side} block"]
     notes += _verdict_notes("tangent-cone", verdict)
-    notes.append(_assembled_local_note(spec, deadline))
+    notes.append(_assembled_local_note(spec))
     return TheoremReport("glued-tangent-cone", _describe_gluing(spec),
                          hyps, spec.smallest_side == "left", verdict.result, tuple(notes))
 
@@ -292,13 +286,12 @@ def verify_glued_tangent_cone(spec: GluingSpec,
 # Gorenstein closure of a gluing
 
 
-def verify_glued_closure_gorenstein(spec: GluingSpec,
-                                    deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_glued_closure_gorenstein(spec: GluingSpec) -> TheoremReport:
     """Gluing two factors whose closures are Gorenstein is predicted to keep
     the glued closure Gorenstein."""
     hyps, glued, verdict = _glued_verdict(spec, gorenstein_projective_closure,
                                           "closure-gorenstein",
-                                          _nice_hypotheses(spec, deadline), deadline)
+                                          _nice_hypotheses(spec))
     notes = [f"glued generators {spec.glued_generators}"]
     notes += _verdict_notes("glued-closure", verdict)
     if verdict.result is False:
@@ -306,7 +299,7 @@ def verify_glued_closure_gorenstein(spec: GluingSpec,
             notes.append("the glued closure is not arithmetically Cohen-Macaulay, "
                          "so the Gorenstein conclusion fails with it")
         else:
-            table, _, why = closure_resolution(glued, deadline)
+            table, _, why = closure_resolution(glued)
             if table is None:
                 notes.append(f"closure Betti table unavailable: {why}")
             else:
@@ -321,16 +314,15 @@ def verify_glued_closure_gorenstein(spec: GluingSpec,
 # pseudo-Frobenius elements of an extension
 
 
-def verify_extension_pf(spec: ExtensionSpec,
-                        deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_extension_pf(spec: ExtensionSpec) -> TheoremReport:
     """PF(E) = { l*f + (l-1)*a : f in PF(base) } for an extension E, plus the
     maximal-projective-dimension transfer, the levelwise Betti-degree law
     B_i(E) = l*B_i(base) + l*(B_{i-1}(base) + a), and order-symmetry transfer
     when it can be certified on both sides."""
     base = spec.base
-    t_base = betti_degrees(base, deadline=deadline)
+    t_base = betti_degrees(base)
     mpd = t_base.pd == len(base.generators) - 1
-    scan = base.gap_set(deadline)
+    scan = base.gap_set()
     try:
         gaps_note = f"{len(scan.all_gaps())} gaps, all within the derived box {scan.box}"
     except CertificationError as exc:
@@ -341,7 +333,7 @@ def verify_extension_pf(spec: ExtensionSpec,
         HypothesisCheck("base-gaps-certified", scan.finite, gaps_note),
     )
     ext = extend(spec)
-    t_ext = betti_degrees(ext, deadline=deadline)
+    t_ext = betti_degrees(ext)
     notes: list[str] = []
     predicted: dict = {"mpd": True, "betti-law": True}
     computed: dict = {"mpd": t_ext.pd == len(ext.generators) - 1}
@@ -372,7 +364,7 @@ def verify_extension_pf(spec: ExtensionSpec,
     computed["betti-law"] = law_ok
 
     try:
-        direct = sorted(ext.pf_direct(deadline))
+        direct = sorted(ext.pf_direct())
         if computed["pf"] is not None and direct != computed["pf"]:
             notes.append(f"CONFLICT: direct gap-set pseudo-Frobenius set {direct} "
                          f"disagrees with the top-Betti read-off {computed['pf']}")
@@ -381,8 +373,7 @@ def verify_extension_pf(spec: ExtensionSpec,
     except CertificationError as exc:
         notes.append(f"direct gap-set computation unavailable: {exc}")
         # the extension's cone is the base's: such base members are its gaps
-        wit = next((pt for pt in ext.gap_set(deadline).gaps
-                    if base.membership(pt, deadline).ok), None)
+        wit = next((pt for pt in ext.gap_set().gaps if base.membership(pt).ok), None)
         if wit is not None:
             notes.append(f"base member {wit} is outside the extension, so the "
                          "extension's gap region is not contained in the base's; "
@@ -390,10 +381,10 @@ def verify_extension_pf(spec: ExtensionSpec,
                          "gaps) is the one that holds")
 
     if mpd and scan.finite:
-        if is_prec_symmetric(base, t_base, deadline):
+        if is_prec_symmetric(base, t_base):
             try:
                 predicted["prec-symmetric"] = True
-                computed["prec-symmetric"] = is_prec_symmetric(ext, t_ext, deadline)
+                computed["prec-symmetric"] = is_prec_symmetric(ext, t_ext)
             except CertificationError as exc:
                 del predicted["prec-symmetric"]
                 computed.pop("prec-symmetric", None)
@@ -411,8 +402,7 @@ def verify_extension_pf(spec: ExtensionSpec,
 # strong indispensability across a join
 
 
-def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup,
-                     deadline: Optional[Deadline] = None) -> TheoremReport:
+def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup) -> TheoremReport:
     """The join has a strongly indispensable resolution exactly when both
     factors do; computed directly on the join, never through the tensor
     construction."""
@@ -428,7 +418,7 @@ def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup,
     notes = []
     reports = {}
     for tag, s in (("left", s1), ("right", s2), ("join", joined)):
-        reports[tag] = sifr_check(s, betti_degrees(s, deadline=deadline), deadline)
+        reports[tag] = sifr_check(s, betti_degrees(s))
         if not reports[tag].holds:
             notes.append(f"{tag}: level-{reports[tag].level} degrees "
                          f"{reports[tag].pair} differ by a member")
@@ -442,17 +432,19 @@ def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup,
 
 
 class FixtureSpec(NamedTuple):
+    """One curated instance: build() makes its input (a gluing or extension
+    spec, or a pair of join factors) and run(built) checks the statement."""
     theorem: str
     label: str
-    run: Callable[[Optional[Deadline]], TheoremReport]
+    build: Callable[[], object]
+    run: Callable[[object], TheoremReport]
 
 
 _STAR_CATALOGUED = (87, 145, 203, 189, 231)
 
 
-def _star_instance(deadline: Optional[Deadline]) -> TheoremReport:
-    spec = gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1), deadline)
-    report = verify_glued_tangent_cone(spec, deadline)
+def _star_instance(spec: GluingSpec) -> TheoremReport:
+    report = verify_glued_tangent_cone(spec)
     got = spec.glued_generators
     if got != _STAR_CATALOGUED:
         note = (f"discrepancy: the catalogued generator list {_STAR_CATALOGUED} "
@@ -467,87 +459,66 @@ def _mat_a() -> AffineSemigroup:
     return AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])
 
 
-def _hypersurface_join_base() -> AffineSemigroup:
-    return join(embed_axis(NumericalSemigroup((2, 3)), 2, 0),
-                embed_axis(NumericalSemigroup((2, 3)), 2, 1))
+def _axes(left, right, right_axis: int = 1) -> tuple[AffineSemigroup, AffineSemigroup]:
+    """Join factors: `left` on the first axis of N^2, `right` on `right_axis`."""
+    return (embed_axis(NumericalSemigroup(left), 2, 0),
+            embed_axis(NumericalSemigroup(right), 2, right_axis))
 
 
+def _gluings(theorem: str, run, *cases) -> tuple[FixtureSpec, ...]:
+    """One fixture per (label, left, right, b, a) case, each checked by run."""
+    return tuple(FixtureSpec(theorem, label, partial(gluing, left, right, b, a), run)
+                 for label, left, right, b, a in cases)
+
+
+# Each run names its verifier inside a lambda, so that it calls whatever the
+# module binds to that name when the fixture runs, a wrapped function included.
 FIXTURES: tuple[FixtureSpec, ...] = (
-    FixtureSpec("glued-basis-homogeneous", "bridge-p21-q29",
-                lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1), d), d)),
-    FixtureSpec("glued-basis-homogeneous", "bridge-p28-q29",
-                lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5, 7), (9, 11), (0, 0, 4), (2, 1), d), d)),
-    FixtureSpec("glued-basis-homogeneous", "bridge-p8-q19",
-                lambda d: verify_glued_basis_homogeneous(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
-    FixtureSpec("glued-closure-acm", "largest-left-p14",
-                lambda d: verify_glued_closure_acm(
-                    gluing((3, 5, 7), (9, 11), (3, 1, 0), (2, 1), d), d)),
-    FixtureSpec("glued-closure-acm", "largest-right-p21",
-                lambda d: verify_glued_closure_acm(
-                    gluing((3, 5, 7), (9, 11), (2, 3, 0), (2, 1), d), d)),
-    FixtureSpec("glued-closure-acm", "largest-left-p17",
-                lambda d: verify_glued_closure_acm(
-                    gluing((5, 7, 11), (25, 28), (2, 1, 0), (2, 0), d), d)),
-    FixtureSpec("glued-closure-acm", "equal-sums-p8-q19",
-                lambda d: verify_glued_closure_acm(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
-    FixtureSpec("glued-tangent-cone", "star-p28-q29", _star_instance),
-    FixtureSpec("glued-tangent-cone", "smallest-right-p21-q17",
-                lambda d: verify_glued_tangent_cone(
-                    gluing((7, 8), (5, 12), (3, 0), (1, 1), d), d)),
-    FixtureSpec("glued-tangent-cone", "equal-sums-p8-q25",
-                lambda d: verify_glued_tangent_cone(
-                    gluing((3, 5), (11, 14), (1, 1), (1, 1), d), d)),
-    FixtureSpec("glued-closure-gorenstein", "two-hypersurfaces-p15-q22",
-                lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (9, 11), (0, 3), (0, 2), d), d)),
-    FixtureSpec("glued-closure-gorenstein", "two-hypersurfaces-p9-q8",
-                lambda d: verify_glued_closure_gorenstein(
-                    gluing((2, 3), (4, 5), (0, 3), (2, 0), d), d)),
-    FixtureSpec("glued-closure-gorenstein", "spread-witness-p11-q14",
-                lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (7, 11), (2, 1), (2, 0), d), d)),
-    FixtureSpec("glued-closure-gorenstein", "equal-sums-p8-q19",
-                lambda d: verify_glued_closure_gorenstein(
-                    gluing((3, 5), (7, 12), (1, 1), (1, 1), d), d)),
+    *_gluings("glued-basis-homogeneous", lambda spec: verify_glued_basis_homogeneous(spec),
+              ("bridge-p21-q29", (3, 5, 7), (9, 11), (2, 3, 0), (2, 1)),
+              ("bridge-p28-q29", (3, 5, 7), (9, 11), (0, 0, 4), (2, 1)),
+              ("bridge-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
+    *_gluings("glued-closure-acm", lambda spec: verify_glued_closure_acm(spec),
+              ("largest-left-p14", (3, 5, 7), (9, 11), (3, 1, 0), (2, 1)),
+              ("largest-right-p21", (3, 5, 7), (9, 11), (2, 3, 0), (2, 1)),
+              ("largest-left-p17", (5, 7, 11), (25, 28), (2, 1, 0), (2, 0)),
+              ("equal-sums-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
+    *_gluings("glued-tangent-cone", _star_instance,
+              ("star-p28-q29", (3, 5, 7), (9, 11), (0, 0, 4), (2, 1))),
+    *_gluings("glued-tangent-cone", lambda spec: verify_glued_tangent_cone(spec),
+              ("smallest-right-p21-q17", (7, 8), (5, 12), (3, 0), (1, 1)),
+              ("equal-sums-p8-q25", (3, 5), (11, 14), (1, 1), (1, 1))),
+    *_gluings("glued-closure-gorenstein", lambda spec: verify_glued_closure_gorenstein(spec),
+              ("two-hypersurfaces-p15-q22", (3, 5), (9, 11), (0, 3), (0, 2)),
+              ("two-hypersurfaces-p9-q8", (2, 3), (4, 5), (0, 3), (2, 0)),
+              ("spread-witness-p11-q14", (3, 5), (7, 11), (2, 1), (2, 0)),
+              ("equal-sums-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
     FixtureSpec("extension-pf", "planar-5-to-6-generators",
-                lambda d: verify_extension_pf(
-                    ExtensionSpec(_mat_a(), 2, (1, 0, 3, 1, 1)), d)),
+                lambda: ExtensionSpec(_mat_a(), 2, (1, 0, 3, 1, 1)),
+                lambda spec: verify_extension_pf(spec)),
     FixtureSpec("extension-pf", "numerical-3-5-doubled",
-                lambda d: verify_extension_pf(
-                    ExtensionSpec(NumericalSemigroup((3, 5)), 2, (2, 1)), d)),
+                lambda: ExtensionSpec(NumericalSemigroup((3, 5)), 2, (2, 1)),
+                lambda spec: verify_extension_pf(spec)),
     FixtureSpec("extension-pf", "non-mpd-base",
-                lambda d: verify_extension_pf(
-                    ExtensionSpec(_hypersurface_join_base(), 2, (1, 1, 0, 0)), d)),
-    FixtureSpec("join-sifr", "axes-357-23",
-                lambda d: verify_join_sifr(
-                    embed_axis(NumericalSemigroup((3, 5, 7)), 2, 0),
-                    embed_axis(NumericalSemigroup((2, 3)), 2, 1), d)),
-    FixtureSpec("join-sifr", "two-hypersurfaces",
-                lambda d: verify_join_sifr(
-                    embed_axis(NumericalSemigroup((2, 3)), 2, 0),
-                    embed_axis(NumericalSemigroup((4, 5)), 2, 1), d)),
-    FixtureSpec("join-sifr", "non-sifr-factor",
-                lambda d: verify_join_sifr(
-                    embed_axis(NumericalSemigroup((4, 6, 9)), 2, 0),
-                    embed_axis(NumericalSemigroup((2, 3)), 2, 1), d)),
-    FixtureSpec("join-sifr", "dependent-rays",
-                lambda d: verify_join_sifr(
-                    embed_axis(NumericalSemigroup((2, 3)), 2, 0),
-                    embed_axis(NumericalSemigroup((4, 5)), 2, 0), d)),
+                lambda: ExtensionSpec(join(*_axes((2, 3), (2, 3))), 2, (1, 1, 0, 0)),
+                lambda spec: verify_extension_pf(spec)),
+    FixtureSpec("join-sifr", "axes-357-23", lambda: _axes((3, 5, 7), (2, 3)),
+                lambda pair: verify_join_sifr(*pair)),
+    FixtureSpec("join-sifr", "two-hypersurfaces", lambda: _axes((2, 3), (4, 5)),
+                lambda pair: verify_join_sifr(*pair)),
+    FixtureSpec("join-sifr", "non-sifr-factor", lambda: _axes((4, 6, 9), (2, 3)),
+                lambda pair: verify_join_sifr(*pair)),
+    FixtureSpec("join-sifr", "dependent-rays", lambda: _axes((2, 3), (4, 5), 0),
+                lambda pair: verify_join_sifr(*pair)),
 )
 
 THEOREM_IDS: tuple[str, ...] = tuple(dict.fromkeys(f.theorem for f in FIXTURES))
 
 
-def run_fixtures(theorem: Optional[str] = None,
-                 deadline: Optional[Deadline] = None) -> list[tuple[FixtureSpec, TheoremReport]]:
+def run_fixtures(theorem: Optional[str] = None) -> list[tuple[FixtureSpec, TheoremReport]]:
     """Run the curated instances, all of them or one statement's worth."""
     picked = [f for f in FIXTURES if theorem is None or f.theorem == theorem]
     if not picked:
         raise InputError(f"unknown check id {theorem!r}; known ids: "
                          f"{', '.join(THEOREM_IDS)}")
-    return [(f, f.run(deadline)) for f in picked]
+    return [(f, f.run(f.build())) for f in picked]

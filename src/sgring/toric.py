@@ -14,9 +14,9 @@ once per semigroup object; only this module fixes their monomial orders.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from .errors import Deadline, InputError, tick
+from .errors import InputError, tick
 from .groebner import GroebnerBasis, _elements, buchberger, standard_basis_local
 from .monomials import (
     Binomial,
@@ -42,14 +42,14 @@ def _x_names(e: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(e))
 
 
-def _toric_by_elimination(vecs: tuple[Vec, ...], deadline) -> list[Binomial]:
+def _toric_by_elimination(vecs: tuple[Vec, ...]) -> list[Binomial]:
     d, e = len(vecs[0]), len(vecs)
     gens = []
     for j, a in enumerate(vecs):
         lead = a + (0,) * e
         tail = (0,) * d + tuple(1 if i == j else 0 for i in range(e))
         gens.append(Binomial(lead, tail))
-    gb = buchberger(gens, elimination_order(d, d + e), deadline)
+    gb = buchberger(gens, elimination_order(d, d + e))
     out = []
     for b in gb.elements:
         if not any(b.lead[:d]) and not any(b.tail[:d]):
@@ -57,7 +57,7 @@ def _toric_by_elimination(vecs: tuple[Vec, ...], deadline) -> list[Binomial]:
     return out
 
 
-def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
+def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
     """Link the components of the divisor graph of every degree that can
     have more than one.  The graph of b has a vertex i when b - n_i is a
     member and an edge ij when b - n_i - n_j is.  If it has two components,
@@ -83,7 +83,7 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
 
     out: list[Binomial] = []
     for b in sorted({w + g for w in s._apery_by_residue for g in gens[1:]}):
-        tick(deadline)
+        tick()
         verts = [i for i, g in enumerate(gens) if b >= g and (b - g) in s]
         if len(verts) < 2:
             continue
@@ -112,8 +112,7 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup, deadline) -> list[Binomial]:
     return out
 
 
-def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup],
-                deadline: Optional[Deadline] = None) -> BinomialIdeal:
+def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup]) -> BinomialIdeal:
     """Generators of the kernel of the monomial map x_i -> t^{a_i}.
 
     A numerical semigroup gets a minimal generating set from its divisor
@@ -123,31 +122,29 @@ def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup],
     def build() -> BinomialIdeal:
         if isinstance(s, NumericalSemigroup):
             vecs = tuple((g,) for g in s.generators)
-            raw = _toric_by_divisor_graphs(s, deadline)
+            raw = _toric_by_divisor_graphs(s)
         else:
             vecs = s.generators
-            raw = _toric_by_elimination(vecs, deadline)
+            raw = _toric_by_elimination(vecs)
         e = len(vecs)
         return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
 
     return artifact(s, "toric_ideal", build)
 
 
-def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup],
-                  deadline: Optional[Deadline] = None) -> GroebnerBasis:
+def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
     """Reduced degree-revlex basis of the toric ideal; built once per semigroup object."""
     return artifact(s, "reduced_basis", lambda: buchberger(
-        toric_ideal(s, deadline).generators, degrevlex(len(s.generators)), deadline))
+        toric_ideal(s).generators, degrevlex(len(s.generators))))
 
 
-def local_basis(s: Union[NumericalSemigroup, AffineSemigroup],
-                deadline: Optional[Deadline] = None) -> GroebnerBasis:
+def local_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
     """Reduced standard basis of the toric ideal under negative-degree revlex
     with x_1 (the multiplicity variable) lowest; built once per semigroup object."""
     def build() -> GroebnerBasis:
         e = len(s.generators)
         local = negdegrevlex(e, tuple(range(e - 1, -1, -1)))
-        return standard_basis_local(toric_ideal(s, deadline), local, deadline)
+        return standard_basis_local(toric_ideal(s), local)
 
     return artifact(s, "local_basis", build)
 
@@ -193,12 +190,11 @@ def _align(i: BinomialIdeal, j: BinomialIdeal) -> tuple[Binomial, ...]:
     return tuple(Binomial(perm(b.lead), perm(b.tail)) for b in j.generators)
 
 
-def ideal_equals(i: BinomialIdeal, j: BinomialIdeal,
-                 deadline: Optional[Deadline] = None) -> bool:
+def ideal_equals(i: BinomialIdeal, j: BinomialIdeal) -> bool:
     """Reduced bases under the canonical degree-revlex order coincide."""
     if len(i.variables) != len(j.variables):
         raise InputError("ideals live in different ambient rings")
     order = degrevlex(len(i.variables))
-    gi = buchberger(i.generators, order, deadline)
-    gj = buchberger(_align(i, j), order, deadline)
+    gi = buchberger(i.generators, order)
+    gj = buchberger(_align(i, j), order)
     return gi.elements == gj.elements

@@ -17,7 +17,7 @@ artifacts of the semigroup object (`semigroups.artifact`), built once.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import Deadline, InputError, tick
+from .errors import InputError, tick
 from .monomials import Vec, vec_add
 from .groebner import buchberger, homogenize_ideal
 from .semigroups import AffineSemigroup, NumericalSemigroup, artifact
@@ -61,8 +61,7 @@ def projective_closure_semigroup(s: NumericalSemigroup) -> AffineSemigroup:
         [(n, e - n) for n in s.generators] + [(0, e)]))
 
 
-def closure_apery(s: NumericalSemigroup,
-                  deadline: Optional[Deadline] = None) -> frozenset:
+def closure_apery(s: NumericalSemigroup) -> frozenset:
     """Ap(S', E) for the projective closure S' = <(n_i, n_e - n_i), (0, n_e)>
     and its extremal generators E = {(n_e, 0), (0, n_e)}: the members p of
     S' with neither p - (n_e, 0) nor p - (0, n_e) in S'.
@@ -74,7 +73,7 @@ def closure_apery(s: NumericalSemigroup,
     (Rosales-Garcia-Sanchez 1998).  The set is the stored `axis_apery` of
     the closure object, found without a scan box and built once.
     """
-    return projective_closure_semigroup(s).axis_apery(deadline)[1]
+    return projective_closure_semigroup(s).axis_apery()[1]
 
 
 def _closure_steps(s: NumericalSemigroup) -> list[Vec]:
@@ -98,7 +97,7 @@ def _apery_symmetry(ap: frozenset, top_gen: int) -> tuple[bool, str]:
     return False, f"Ap(closure, E) is not symmetric about {t}: {t} - {odd} is missing"
 
 
-def closure_resolution(s, deadline=None):
+def closure_resolution(s):
     """Betti table and summary of the projective closure semigroup.
 
     No verdict reads it: they decide from `closure_apery`.  The gluing
@@ -115,7 +114,7 @@ def closure_resolution(s, deadline=None):
     def build():
         sbar = projective_closure_semigroup(s)
         try:
-            table = betti_degrees(sbar, deadline=deadline)
+            table = betti_degrees(sbar)
             return table, resolution_summary(sbar, table), "certified scan box"
         except InputError as exc:
             return None, None, str(exc)
@@ -123,8 +122,7 @@ def closure_resolution(s, deadline=None):
     return artifact(s, "closure_resolution", build)
 
 
-def acm_projective_closure(s: NumericalSemigroup,
-                           deadline: Optional[Deadline] = None) -> Verdict:
+def acm_projective_closure(s: NumericalSemigroup) -> Verdict:
     """Is the projective closure of the monomial curve arithmetically
     Cohen-Macaulay?
 
@@ -146,16 +144,16 @@ def acm_projective_closure(s: NumericalSemigroup,
 
     def build() -> Verdict:
         e = len(s.generators)
-        hgb = homogenize_ideal(reduced_basis(s, deadline))
+        hgb = homogenize_ideal(reduced_basis(s))
         offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
 
-        gb2 = buchberger(hgb.elements, hgb.order, deadline=deadline)
+        gb2 = buchberger(hgb.elements, hgb.order)
         alt = not any(m[e - 1] for m in gb2.leads())
         same = sorted(gb2.leads()) == sorted(hgb.leads())
         checks = [CrossCheck("homogenized-recompute", alt,
                              "lead sets agree" if same else "lead sets differ")]
 
-        ap, top = closure_apery(s, deadline), s.generators[-1]
+        ap, top = closure_apery(s), s.generators[-1]
         checks.append(CrossCheck("closure-depth", len(ap) == top,
                                  f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
         return Verdict("acm-projective-closure", offender is None,
@@ -165,8 +163,7 @@ def acm_projective_closure(s: NumericalSemigroup,
     return artifact(s, "acm_projective_closure", build)
 
 
-def cm_tangent_cone(s: NumericalSemigroup,
-                    deadline: Optional[Deadline] = None) -> Verdict:
+def cm_tangent_cone(s: NumericalSemigroup) -> Verdict:
     """Is the tangent cone at the origin of the monomial curve
     Cohen-Macaulay?
 
@@ -186,11 +183,11 @@ def cm_tangent_cone(s: NumericalSemigroup,
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("cm_tangent_cone expects a numerical semigroup")
-    offender = next((b for b in local_basis(s, deadline).elements if b.lead[0]), None)
+    offender = next((b for b in local_basis(s).elements if b.lead[0]), None)
     result = offender is None
 
     m = s.multiplicity
-    rows = s.apery_table(deadline)
+    rows = s.apery_table()
     bad = min((a for lo, mid, hi in zip(rows, rows[1:], rows[2:])
                for a, b, c in zip(lo, mid, hi) if a + m == b == c), default=None)
     note = (f"every Apery-table column is constant, then climbs by {m}"
@@ -201,8 +198,7 @@ def cm_tangent_cone(s: NumericalSemigroup,
                    offender if offender is not None else bad, checks)
 
 
-def gorenstein_numerical(s: NumericalSemigroup,
-                         deadline: Optional[Deadline] = None) -> Verdict:
+def gorenstein_numerical(s: NumericalSemigroup) -> Verdict:
     """Is the numerical semigroup ring Gorenstein?
 
     Primary method: gap symmetry about the Frobenius number F, read from
@@ -232,7 +228,7 @@ def gorenstein_numerical(s: NumericalSemigroup,
     bad = None
     for r, top in enumerate(ap):
         if not r & 4095:
-            tick(deadline)
+            tick()
         low = max(r, f - ap[(f - r) % n1] + 1)
         z = low + (r - low) % n1
         if z < top and (bad is None or z < bad):
@@ -247,8 +243,7 @@ def gorenstein_numerical(s: NumericalSemigroup,
 NOT_ACM = "not arithmetically Cohen-Macaulay"
 
 
-def gorenstein_projective_closure(s: NumericalSemigroup,
-                                  deadline: Optional[Deadline] = None) -> Verdict:
+def gorenstein_projective_closure(s: NumericalSemigroup) -> Verdict:
     """Is the projective closure's coordinate ring Gorenstein?
 
     Primary method: the arithmetically Cohen-Macaulay verdict (Groebner
@@ -260,8 +255,8 @@ def gorenstein_projective_closure(s: NumericalSemigroup,
     the Apery set read alone, with n_e elements (depth 2) and symmetric
     about its element of largest degree.  Every answer is decided.
     """
-    acm = acm_projective_closure(s, deadline=deadline)
-    ap = closure_apery(s, deadline)
+    acm = acm_projective_closure(s)
+    ap = closure_apery(s)
     flag = CrossCheck("closure-gorenstein-flag", *_apery_symmetry(ap, s.generators[-1]))
     if acm.result is False:
         return Verdict("gorenstein-projective-closure", False, NOT_ACM,

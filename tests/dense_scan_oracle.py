@@ -9,9 +9,8 @@ tables and equal exceptions check that filter.  Bound, certification and
 clipping logic are the scan's own, repeated here so that the oracle stands
 alone.
 """
-from typing import Optional
 
-from sgring.errors import BoundInsufficient, Deadline, InputError, tick
+from sgring.errors import BoundInsufficient, InputError, tick
 from sgring.monomials import Vec, vec_add
 from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors, _ranks_from_faces
 from sgring.semigroups import Grid, iter_bits, member_board
@@ -20,8 +19,7 @@ MAX_VERTICES = 16
 MAX_BOARD_BITS = 1 << 31   # total bits across all subset boards
 
 
-def dense_betti_degrees(s: Semigroup, degree_bound=None,
-                        deadline: Optional[Deadline] = None) -> BettiTable:
+def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     """`betti_degrees` by subset boards; same arguments, table and errors,
     except that its cap counts 2^n boards."""
     gens, d, numerical = _gen_vectors(s)
@@ -38,7 +36,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None,
             raise InputError(f"degree bound {degree_bound} is not a nonnegative "
                              f"vector of the ambient dimension {d}")
     complete = None
-    axis = s.axis_apery(deadline)
+    axis = s.axis_apery()
     if axis is not None:
         extremal, apery = axis
         complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
@@ -53,7 +51,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None,
     grid = Grid(bound, gen_sum)
     if (1 << n) * grid.total > MAX_BOARD_BITS:
         raise InputError("scan box too large for the subset boards")
-    members_board = member_board(grid, gens, deadline)
+    members_board = member_board(grid, gens)
 
     subset_sums: list[Vec] = [(0,) * d] * (1 << n)
     for k in range(1, 1 << n):
@@ -61,7 +59,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None,
         subset_sums[k] = vec_add(subset_sums[k ^ low], gens[low.bit_length() - 1])
     boards = [0] * (1 << n)
     for k in range(1 << n):
-        tick(deadline)
+        tick()
         if all(c <= b for c, b in zip(subset_sums[k], bound)):
             boards[k] = (members_board << grid.lin(subset_sums[k])) & grid.real
 
@@ -70,7 +68,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None,
     candidates = members_board
     full = (1 << grid.total) - 1
     for v in range(n):
-        tick(deadline)
+        tick()
         bit = 1 << v
         non_cone = 0
         for k in range(1 << n):
@@ -82,7 +80,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None,
     rows_acc: dict[int, list] = {}
     rank_memo: dict[int, list[int]] = {}
     for idx in iter_bits(candidates, grid.total):
-        tick(deadline)
+        tick()
         b = grid.coords(idx)
         bits = 0
         for k in range(1 << n):

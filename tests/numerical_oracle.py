@@ -7,9 +7,8 @@ which shares no code with the module, and the gap-symmetry loop over
 [0, F], which asks only `membership` point by point.  Agreeing answers
 check the class-by-class reads.
 """
-from typing import Optional
 
-from sgring.errors import Deadline, tick
+from sgring.errors import tick
 from sgring.semigroups import NumericalSemigroup
 from sgring.verdicts import CrossCheck, Verdict
 
@@ -30,8 +29,7 @@ def redundant_by_reachability(gens) -> list[int]:
     return out
 
 
-def gorenstein_by_gap_walk(s: NumericalSemigroup,
-                           deadline: Optional[Deadline] = None) -> Verdict:
+def gorenstein_by_gap_walk(s: NumericalSemigroup) -> Verdict:
     """`verdicts.gorenstein_numerical` by walking z over [0, F]: the first z
     with z and F - z both members or both gaps is the witness."""
     if s.frobenius() < 0:
@@ -42,7 +40,7 @@ def gorenstein_by_gap_walk(s: NumericalSemigroup,
     bad = None
     for z in range(f + 1):
         if not z & 4095:
-            tick(deadline)
+            tick()
         if (z in s) == ((f - z) in s):
             bad = z
             break

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from argparse import Namespace
 from pathlib import Path
@@ -16,6 +19,7 @@ from sgring.cli import (
     parse_job,
     theorem_conflict,
 )
+import sgring
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.theorems import HypothesisCheck, TheoremReport
 
@@ -433,15 +437,16 @@ def test_deadline_reaches_the_constructor(capsys, tmp_path):
                                "generators": [["3"], ["5"]], "params": {}}))
     for source in ({"numerical": "3,5"}, {"input": str(job)}):
         args = Namespace(**{"numerical": None, "affine": None, "input": None, **source})
-        assert _resolve_semigroup(args, None).generators == (3, 5)
-        with pytest.raises(DeadlineExceeded):
-            _resolve_semigroup(args, Deadline(-1.0))
+        assert _resolve_semigroup(args).generators == (3, 5)
+        with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+            _resolve_semigroup(args)
     # an affine semigroup checks minimality under the deadline
     args = Namespace(numerical=None, affine="2 0;0 2;1 1", input=None)
-    assert _resolve_semigroup(args, None).generators == ((2, 0), (0, 2), (1, 1))
-    assert _resolve_semigroup(args, Deadline(60)).generators == ((2, 0), (0, 2), (1, 1))
-    with pytest.raises(DeadlineExceeded):
-        _resolve_semigroup(args, Deadline(-1.0))
+    assert _resolve_semigroup(args).generators == ((2, 0), (0, 2), (1, 1))
+    with Deadline(60):
+        assert _resolve_semigroup(args).generators == ((2, 0), (0, 2), (1, 1))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        _resolve_semigroup(args)
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,12 +457,44 @@ def test_deadline_reaches_the_constructor(capsys, tmp_path):
      "--a", "1,0"],
     # the affine minimality search
     ["sifr", "--affine", "2 0;0 2;1 1;2000001 0"],
+    # the affine factors that embed_axis builds
+    ["join", "--left", "3,10000001,10000003", "--right", "2,3"],
+    # the affine base that ExtensionSpec converts from the numerical one
+    ["extend", "--numerical", "3,10000001,10000003", "--l", "2", "--u", "1,0,0"],
 ])
 def test_deadline_reaches_the_constructions(capsys, argv):
     start = time.monotonic()
     code, out, err = run(capsys, *argv, "--deadline", "0.05")
     assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
     assert time.monotonic() - start < 2
+
+
+def test_nan_deadline_is_an_input_error(capsys, monkeypatch):
+    # NaN compares false with every time, so it would switch the budget off
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5", "--deadline", "nan")
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: --deadline: NaN is not a deadline\n")
+    monkeypatch.setenv("SGRING_DEADLINE", "nan")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5")
+    assert (code, out, err) == (EXIT_INPUT, "",
+                                "input error: SGRING_DEADLINE: NaN is not a deadline\n")
+    # the flag wins over the variable; inf never runs out, a negative budget already has
+    _, plain, _ = run(capsys, "hilbert", "--numerical", "3,5", "--deadline", "60")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5", "--deadline", "inf")
+    assert (code, out, err) == (EXIT_OK, plain, "")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5", "--deadline", "-1")
+    assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
+
+
+def test_an_expired_command_leaves_no_deadline_behind(capsys):
+    # the first command's scope closes with it: the second runs as in a new process
+    src = str(Path(sgring.__file__).resolve().parent.parent)
+    fresh = subprocess.run([sys.executable, "-m", "sgring.cli", "hilbert", "--numerical", "3,5"],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=60, check=True).stdout
+    code, out, err = run(capsys, "hilbert", "--numerical", "300007,300011,300017",
+                         "--deadline", "0.01")
+    assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
+    assert run(capsys, "hilbert", "--numerical", "3,5") == (EXIT_OK, fresh, "")
 
 
 def test_threads_env(capsys, monkeypatch):

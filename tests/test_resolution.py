@@ -235,8 +235,9 @@ def test_matrix_a_paper_values():
     # is the pseudo-Frobenius element
     assert max(MAT_A.gap_set().all_gaps(), key=lambda p: (sum(p), p)) == (7, 2)
     assert is_prec_symmetric(MAT_A, t)
-    with pytest.raises(DeadlineExceeded):  # the gap scan checks the deadline
-        is_prec_symmetric(AffineSemigroup(MAT_A.generators), t, deadline=Deadline(-1))
+    fresh = AffineSemigroup(MAT_A.generators)
+    with pytest.raises(DeadlineExceeded), Deadline(-1):  # the gap scan checks the deadline
+        is_prec_symmetric(fresh, t)
 
 
 def test_matrix_b_values():
@@ -372,10 +373,12 @@ def test_sifr_fixtures():
 
 def test_sifr_check_honours_deadline():
     t = betti_degrees(MAT_A)
-    assert sifr_check(MAT_A, t, Deadline(60)) == sifr_check(MAT_A, t)
+    with Deadline(60):
+        timed = sifr_check(MAT_A, t)
+    assert timed == sifr_check(MAT_A, t)
     # the first member test on a nonnegative difference ticks in the DFS
-    with pytest.raises(DeadlineExceeded):
-        sifr_check(MAT_A, t, Deadline(-1))
+    with pytest.raises(DeadlineExceeded), Deadline(-1):
+        sifr_check(MAT_A, t)
 
 
 def test_tensor_betti():
@@ -427,8 +430,8 @@ def test_depth_above_dim_rejected():
 
 
 def test_betti_respects_deadline():
-    with pytest.raises(DeadlineExceeded):
-        betti_degrees(MAT_B, deadline=Deadline(0))
+    with pytest.raises(DeadlineExceeded), Deadline(0):
+        betti_degrees(MAT_B)
 
 
 def test_table_validation():
@@ -454,9 +457,9 @@ def fixture_scans(monkeypatch) -> list:
     """Every (semigroup, bound) that the curated fixtures scan."""
     seen = []
 
-    def record(s, degree_bound=None, deadline=None):
+    def record(s, degree_bound=None):
         seen.append((s, degree_bound))
-        return betti_degrees(s, degree_bound, deadline)
+        return betti_degrees(s, degree_bound)
 
     for module in (theorems, verdicts):
         monkeypatch.setattr(module, "betti_degrees", record)
@@ -539,7 +542,7 @@ def k_polynomial_planes(grid: Grid, gens, width: int) -> list[int]:
     truncated to the box: one bitboard per two's-complement bit of the
     coefficients, the subtractions done plane by plane with a ripple borrow.
     The grid's padding must cover each generator."""
-    planes = [member_board(grid, gens, None)] + [0] * (width - 1)
+    planes = [member_board(grid, gens)] + [0] * (width - 1)
     for g in gens:
         shift, borrow = grid.lin(g), 0
         for j, p in enumerate(planes):

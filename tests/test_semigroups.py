@@ -161,18 +161,22 @@ def test_membership_errors():
 def test_constructor_honours_deadline():
     # Ap(S, 300007) takes at least 300,007 heap pops: several tenths of a second
     gens = (300007, 300011, 300017)
-    with pytest.raises(DeadlineExceeded):
-        NumericalSemigroup(gens, Deadline(0.01))
+    with pytest.raises(DeadlineExceeded), Deadline(0.01):
+        NumericalSemigroup(gens)
     built = NumericalSemigroup(gens)
-    assert built._apery_by_residue == NumericalSemigroup(gens, Deadline(60))._apery_by_residue
+    with Deadline(60):
+        timed = NumericalSemigroup(gens)
+    assert built._apery_by_residue == timed._apery_by_residue
 
 
 def test_apery_honours_deadline():
     # Ap(<2, 3>, 300007) takes at least 300,007 heap pops
     s = NumericalSemigroup((2, 3))
-    with pytest.raises(DeadlineExceeded):
-        s.apery(300007, Deadline(0.01))
-    assert s.apery(9, Deadline(60)) == s.apery(9) == [0, 2, 3, 4, 5, 6, 7, 8, 10]
+    with pytest.raises(DeadlineExceeded), Deadline(0.01):
+        s.apery(300007)
+    with Deadline(60):
+        timed = s.apery(9)
+    assert timed == s.apery(9) == [0, 2, 3, 4, 5, 6, 7, 8, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +290,13 @@ def test_hilbert_honours_deadline():
     # about 32 million steps, seconds of pure Python
     big = NumericalSemigroup([4001, 4003])
     start = time.monotonic()
-    with pytest.raises(DeadlineExceeded):
-        big.hilbert_stabilization(Deadline(0.2))
+    with pytest.raises(DeadlineExceeded), Deadline(0.2):
+        big.hilbert_stabilization()
     assert time.monotonic() - start < 5
     assert "apery_table" not in big._memo  # a table cut short is not kept
     s = NumericalSemigroup([3, 5, 7])
-    assert s.hilbert_gr(s.hilbert_stabilization(Deadline(0.2)), Deadline(0.2)) == [1, 3]
+    with Deadline(0.2):
+        assert s.hilbert_gr(s.hilbert_stabilization()) == [1, 3]
 
 
 def test_hilbert_counts_match_ord():
@@ -377,6 +382,15 @@ def test_extremal_rays():
     assert AffineSemigroup([(4, 6)]).extremal_rays() == [(2, 3)]
 
 
+def test_cone_solves_check_the_deadline():
+    # each simplex pivot of nonneg_solve ticks; MAT_A is built outside the block
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        MAT_A.cone_membership((1, 1))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        MAT_A.extremal_rays()
+    assert MAT_A.cone_membership((1, 1)) and MAT_A.extremal_rays() == [(0, 1), (1, 0)]
+
+
 GAPS_A = {
     (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
     (4, 0), (4, 1), (4, 2), (7, 0), (7, 1), (7, 2),
@@ -400,8 +414,8 @@ def test_pf_direct_worked_2d():
 
 def test_gap_scan_checks_the_deadline_and_stores_nothing_when_cut():
     s = AffineSemigroup(MAT_A.generators)
-    with pytest.raises(DeadlineExceeded):
-        s.gap_set(Deadline(-1.0))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        s.gap_set()
     assert s.gap_set().finite is True
 
 
@@ -409,8 +423,8 @@ def test_pf_direct_lookups_check_the_deadline():
     # the gap set is already stored, so only the lookups can see the deadline
     s = AffineSemigroup([(3,), (5,)])
     assert s.gap_set().gaps == ((1,), (2,), (4,), (7,))
-    with pytest.raises(DeadlineExceeded):
-        s.pf_direct(Deadline(-1.0))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        s.pf_direct()
     assert s.pf_direct() == [(7,)]
 
 
@@ -471,8 +485,8 @@ def test_axis_apery_matches_definition():
         assert extremal == least
         assert all(w[0] < 30 and w[1] < 30 for w in ap)  # well inside the box
         assert ap == brute_apery(s, extremal, (60, 60, 0)), gens
-    with pytest.raises(DeadlineExceeded):
-        axis_apery(numerical, Deadline(-1.0))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        axis_apery(numerical)
 
 
 def test_axis_apery_declines_rays_off_the_axes():
@@ -552,8 +566,8 @@ def test_iter_bits_matches_byte_loop():
               (sparse | (0xFFFF << 8 * 4095), total)]  # a run across a chunk edge
     for x, n in boards:
         assert list(iter_bits(x, n)) == byte_loop_bits(x, n)
-    with pytest.raises(DeadlineExceeded):
-        next(iter_bits(sparse, total, Deadline(-1.0)))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        next(iter_bits(sparse, total))
 
 
 def test_embed_axis():

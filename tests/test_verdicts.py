@@ -96,7 +96,7 @@ def test_cm_tangent_cone_short_audit_flags_conflict(monkeypatch):
     # conflict, not vanish
     full = NumericalSemigroup.apery_table
     monkeypatch.setattr(NumericalSemigroup, "apery_table",
-                        lambda self, deadline=None: full(self, deadline)[:1])
+                        lambda self: full(self)[:1])
     v = cm_tangent_cone(NumericalSemigroup([105, 252, 119, 136]))
     assert v.result is False
     assert v.cross_checks[0].result is True
@@ -160,8 +160,9 @@ def test_gorenstein_numerical_matches_gap_walk_oracle():
 
 def test_gorenstein_numerical_under_deadline():
     for gens in ((4001, 4003), (5, 10**7 + 1)):
-        deadline = Deadline(1)
-        v = gorenstein_numerical(NumericalSemigroup(gens), deadline)
+        s = NumericalSemigroup(gens)
+        with Deadline(1):
+            v = gorenstein_numerical(s)
         assert v.result is True and not v.conflict, gens
 
 
@@ -242,14 +243,15 @@ class _Countdown(Deadline):
 
 def test_closure_apery_honours_deadline_and_keeps_no_partial_set():
     s = NumericalSemigroup((250, 350, 550, 425, 476))
-    with pytest.raises(DeadlineExceeded):
-        closure_apery(s, Deadline(-1.0))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        closure_apery(s)
     # one check passes in the search; the length table checks at entry 4096
-    with pytest.raises(DeadlineExceeded):
-        closure_apery(s, _Countdown(1))
+    with pytest.raises(DeadlineExceeded), _Countdown(1):
+        closure_apery(s)
     full = closure_apery(s)
     assert len(full) == 600
-    assert closure_apery(s, Deadline(-1.0)) is full  # the finished set is stored
+    with Deadline(-1.0):
+        assert closure_apery(s) is full  # the finished set is stored
 
 
 def test_acm_primary_agrees_with_depth_on_randoms():
@@ -327,8 +329,8 @@ def test_exhausted_closure_budget_is_not_memoized():
     # an expired caller deadline raises and stores nothing, so a later call
     # with time left still returns the table
     s = NumericalSemigroup((3, 5, 7))
-    with pytest.raises(DeadlineExceeded):
-        closure_resolution(s, Deadline(-1.0))
+    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+        closure_resolution(s)
     assert "closure_resolution" not in s._memo
     table, summary, note = closure_resolution(s)
     assert table is not None and summary is not None, note
