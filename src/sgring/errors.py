@@ -50,10 +50,6 @@ class Deadline:
         if self.expires is not None and time.monotonic() > self.expires:
             raise DeadlineExceeded("cooperative deadline exceeded")
 
-    @property
-    def remaining(self) -> Optional[float]:
-        return None if self.expires is None else max(0.0, self.expires - time.monotonic())
-
 
 _CURRENT: ContextVar[Optional[Deadline]] = ContextVar("sgring_deadline", default=None)
 

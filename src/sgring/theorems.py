@@ -433,17 +433,19 @@ def verify_join_sifr(s1: AffineSemigroup, s2: AffineSemigroup) -> TheoremReport:
 
 class FixtureSpec(NamedTuple):
     """One curated instance: build() makes its input (a gluing or extension
-    spec, or a pair of join factors) and run(built) checks the statement."""
+    spec, or a pair of join factors) and run(build) builds it and checks the
+    statement."""
     theorem: str
     label: str
     build: Callable[[], object]
-    run: Callable[[object], TheoremReport]
+    run: Callable[[Callable[[], object]], TheoremReport]
 
 
 _STAR_CATALOGUED = (87, 145, 203, 189, 231)
 
 
-def _star_instance(spec: GluingSpec) -> TheoremReport:
+def _star_instance(build: Callable[[], GluingSpec]) -> TheoremReport:
+    spec = build()
     report = verify_glued_tangent_cone(spec)
     got = spec.glued_generators
     if got != _STAR_CATALOGUED:
@@ -474,42 +476,42 @@ def _gluings(theorem: str, run, *cases) -> tuple[FixtureSpec, ...]:
 # Each run names its verifier inside a lambda, so that it calls whatever the
 # module binds to that name when the fixture runs, a wrapped function included.
 FIXTURES: tuple[FixtureSpec, ...] = (
-    *_gluings("glued-basis-homogeneous", lambda spec: verify_glued_basis_homogeneous(spec),
+    *_gluings("glued-basis-homogeneous", lambda build: verify_glued_basis_homogeneous(build()),
               ("bridge-p21-q29", (3, 5, 7), (9, 11), (2, 3, 0), (2, 1)),
               ("bridge-p28-q29", (3, 5, 7), (9, 11), (0, 0, 4), (2, 1)),
               ("bridge-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
-    *_gluings("glued-closure-acm", lambda spec: verify_glued_closure_acm(spec),
+    *_gluings("glued-closure-acm", lambda build: verify_glued_closure_acm(build()),
               ("largest-left-p14", (3, 5, 7), (9, 11), (3, 1, 0), (2, 1)),
               ("largest-right-p21", (3, 5, 7), (9, 11), (2, 3, 0), (2, 1)),
               ("largest-left-p17", (5, 7, 11), (25, 28), (2, 1, 0), (2, 0)),
               ("equal-sums-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
     *_gluings("glued-tangent-cone", _star_instance,
               ("star-p28-q29", (3, 5, 7), (9, 11), (0, 0, 4), (2, 1))),
-    *_gluings("glued-tangent-cone", lambda spec: verify_glued_tangent_cone(spec),
+    *_gluings("glued-tangent-cone", lambda build: verify_glued_tangent_cone(build()),
               ("smallest-right-p21-q17", (7, 8), (5, 12), (3, 0), (1, 1)),
               ("equal-sums-p8-q25", (3, 5), (11, 14), (1, 1), (1, 1))),
-    *_gluings("glued-closure-gorenstein", lambda spec: verify_glued_closure_gorenstein(spec),
+    *_gluings("glued-closure-gorenstein", lambda build: verify_glued_closure_gorenstein(build()),
               ("two-hypersurfaces-p15-q22", (3, 5), (9, 11), (0, 3), (0, 2)),
               ("two-hypersurfaces-p9-q8", (2, 3), (4, 5), (0, 3), (2, 0)),
               ("spread-witness-p11-q14", (3, 5), (7, 11), (2, 1), (2, 0)),
               ("equal-sums-p8-q19", (3, 5), (7, 12), (1, 1), (1, 1))),
     FixtureSpec("extension-pf", "planar-5-to-6-generators",
                 lambda: ExtensionSpec(_mat_a(), 2, (1, 0, 3, 1, 1)),
-                lambda spec: verify_extension_pf(spec)),
+                lambda build: verify_extension_pf(build())),
     FixtureSpec("extension-pf", "numerical-3-5-doubled",
                 lambda: ExtensionSpec(NumericalSemigroup((3, 5)), 2, (2, 1)),
-                lambda spec: verify_extension_pf(spec)),
+                lambda build: verify_extension_pf(build())),
     FixtureSpec("extension-pf", "non-mpd-base",
                 lambda: ExtensionSpec(join(*_axes((2, 3), (2, 3))), 2, (1, 1, 0, 0)),
-                lambda spec: verify_extension_pf(spec)),
+                lambda build: verify_extension_pf(build())),
     FixtureSpec("join-sifr", "axes-357-23", lambda: _axes((3, 5, 7), (2, 3)),
-                lambda pair: verify_join_sifr(*pair)),
+                lambda build: verify_join_sifr(*build())),
     FixtureSpec("join-sifr", "two-hypersurfaces", lambda: _axes((2, 3), (4, 5)),
-                lambda pair: verify_join_sifr(*pair)),
+                lambda build: verify_join_sifr(*build())),
     FixtureSpec("join-sifr", "non-sifr-factor", lambda: _axes((4, 6, 9), (2, 3)),
-                lambda pair: verify_join_sifr(*pair)),
+                lambda build: verify_join_sifr(*build())),
     FixtureSpec("join-sifr", "dependent-rays", lambda: _axes((2, 3), (4, 5), 0),
-                lambda pair: verify_join_sifr(*pair)),
+                lambda build: verify_join_sifr(*build())),
 )
 
 THEOREM_IDS: tuple[str, ...] = tuple(dict.fromkeys(f.theorem for f in FIXTURES))
@@ -521,4 +523,4 @@ def run_fixtures(theorem: Optional[str] = None) -> list[tuple[FixtureSpec, Theor
     if not picked:
         raise InputError(f"unknown check id {theorem!r}; known ids: "
                          f"{', '.join(THEOREM_IDS)}")
-    return [(f, f.run(f.build())) for f in picked]
+    return [(f, f.run(f.build)) for f in picked]

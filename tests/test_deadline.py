@@ -64,7 +64,7 @@ def test_no_public_callable_takes_a_deadline():
                     assert "deadline" not in _parameters(member), f"{name}.{attr}"
     assert checked > 40
     for f in FIXTURES:
-        # bench/tracing.py calls run with the one built input
+        # bench/tracing.py calls run with one argument, the builder
         assert _parameters(f.build) == [], f.label
         assert len(_parameters(f.run)) == 1 and "deadline" not in _parameters(f.run), f.label
 

