@@ -243,7 +243,7 @@ class _Countdown(Deadline):
 
 def test_closure_apery_honours_deadline_and_keeps_no_partial_set():
     s = NumericalSemigroup((250, 350, 550, 425, 476))
-    projective_closure_semigroup(s)  # built outside the scopes, as before
+    projective_closure_semigroup(s)  # so the scopes below fire in the search
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
         closure_apery(s)
     # one check passes in the search; the length table checks at entry 4096
