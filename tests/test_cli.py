@@ -32,6 +32,10 @@ CONSTRUCTIONS = json.loads(
 # the same for `analyze --numerical ... --format json` on the closure
 # regressions, the glued instances and <105,252,119,136>
 ANALYZE = json.loads((Path(__file__).parent / "data" / "analyze.json").read_text())
+# argv, exit code, stdout and stderr of analyze, betti, pf, sifr, hilbert,
+# verify and fixtures reports and of every --help text; an intended output
+# change updates this file
+REPORTS = json.loads((Path(__file__).parent / "data" / "reports.json").read_text())
 
 
 def run(capsys, *argv):
@@ -363,6 +367,17 @@ def test_analyze_matches_pinned_output(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (case["exit"], "")
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", REPORTS, ids=[c["name"] for c in REPORTS])
+def test_reports_and_help_match_pinned_output(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(case["argv"])
+    except SystemExit as ex:  # --help exits from the parser
+        code = ex.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_thread_count_does_not_change_output(capsys):
