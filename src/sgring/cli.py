@@ -11,9 +11,11 @@ and re-parse under the same input schema.  SGRING_DEADLINE (seconds) sets
 the default for --deadline; --threads is validated but changes nothing,
 since fixture batches run serially.
 
-`main` opens the command's one deadline scope (`errors.Deadline`) before
-the handler runs, and every loop that can run long checks it.  A scope
-covers only the thread that opened it; the CLI runs one thread.
+Each `cmd_*` handler computes and returns a `Report` and writes nothing;
+`main` alone writes stdout and picks the exit code.  It opens the command's
+one deadline scope (`errors.Deadline`) before the handler runs, and every
+loop that can run long checks it.  A scope covers only the thread that
+opened it; the CLI runs one thread.
 
 Only the parsing layers (errors, monomials, linalg, semigroups) load with
 this module.  Each handler imports the toric, groebner, resolution, verdicts
@@ -30,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -123,9 +126,14 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _matrix(text: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """Rows split on ';', entries on whitespace or one comma."""
     rows = []
-    for part in text.split(";"):
-        rows.append(_int_list(part.replace(" ", ","), what))
+    for row in text.split(";"):
+        try:
+            rows.append(tuple(int(c) for c in re.split(r"\s*,\s*|\s+", row.strip())))
+        except ValueError:
+            raise InputError(f"{what}: expected integers separated by spaces or "
+                             f"commas, got {row!r}")
     return tuple(rows)
 
 
@@ -145,6 +153,17 @@ def _resolve_semigroup(args):
 # output rendering
 
 
+@dataclass(frozen=True)
+class Report:
+    """What a handler computed: the semigroup the document describes (None for
+    a fixture batch), params, result, text lines, and whether a check disagreed."""
+    carrier: object
+    params: dict
+    result: dict
+    lines: list[str]
+    conflict: bool = False
+
+
 def jsonable(value):
     """Ints become decimal strings, tuples become arrays, recursively."""
     if isinstance(value, bool) or value is None:
@@ -161,25 +180,12 @@ def jsonable(value):
 
 
 def semigroup_doc(s) -> dict:
+    """Type and generator rows of s; None (a fixture batch) gives the row 0."""
+    if s is None:
+        return {"type": "numerical", "generators": [[0]]}
     if isinstance(s, NumericalSemigroup):
-        return {"type": "numerical", "generators": [[str(g)] for g in s.generators]}
-    return {"type": "affine",
-            "generators": [[str(c) for c in g] for g in s.generators]}
-
-
-def report_document(command: str, s, params: dict, result: dict) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "params": jsonable(params), "result": jsonable(result)}
-    doc.update(semigroup_doc(s))
-    return doc
-
-
-def emit(doc: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+        return {"type": "numerical", "generators": [[g] for g in s.generators]}
+    return {"type": "affine", "generators": s.generators}
 
 
 def degree_doc(d) -> list:
@@ -187,44 +193,40 @@ def degree_doc(d) -> list:
     return list(d) if isinstance(d, tuple) else [d]
 
 
-def verdict_doc(v) -> dict:
-    return {"check": v.name, "result": v.result, "method": v.method,
-            "witness": v.witness, "conflict": v.conflict,
-            "cross_checks": [{"name": c.name, "result": c.result, "note": c.note}
-                             for c in v.cross_checks]}
+def verdict_report(carrier, params: dict, result: dict, lines: list[str],
+                   verdicts) -> Report:
+    """The report with the verdicts appended to its result and its lines."""
+    result["verdicts"] = []
+    for v in verdicts:
+        result["verdicts"].append(
+            {"check": v.name, "result": v.result, "method": v.method,
+             "witness": v.witness, "conflict": v.conflict,
+             "cross_checks": [{"name": c.name, "result": c.result, "note": c.note}
+                              for c in v.cross_checks]})
+        lines.append(f"[{v.name}] verdict={str(v.result).lower()} ({v.method})")
+        for c in v.cross_checks:
+            lines.append(f"    cross-check {c.name}: {c.result}"
+                         + (f" -- {c.note}" if c.note else ""))
+        if v.conflict:
+            lines.append("    CONFLICT: cross-checks disagree with the primary method")
+    return Report(carrier, params, result, lines, any(v.conflict for v in verdicts))
 
 
-def verdict_lines(v) -> list[str]:
-    lines = [f"[{v.name}] verdict={str(v.result).lower()} ({v.method})"]
-    for c in v.cross_checks:
-        lines.append(f"    cross-check {c.name}: {c.result}"
-                     + (f" -- {c.note}" if c.note else ""))
-    if v.conflict:
-        lines.append("    CONFLICT: cross-checks disagree with the primary method")
-    return lines
+def theorem_doc(rep: TheoremReport) -> dict:
+    return {"check": rep.theorem, "instance": rep.instance,
+            "hypotheses": [{"name": h.name, "holds": h.holds, "note": h.note}
+                           for h in rep.hypotheses_checked],
+            "hypotheses_hold": rep.hypotheses_hold,
+            "predicted": rep.predicted, "computed": rep.computed,
+            "agree": rep.agree, "notes": list(rep.notes)}
 
 
-
-
-def theorem_doc(rep: TheoremReport, label: Optional[str] = None) -> dict:
-    doc = {"check": rep.theorem, "instance": rep.instance,
-           "hypotheses": [{"name": h.name, "holds": h.holds, "note": h.note}
-                          for h in rep.hypotheses_checked],
-           "hypotheses_hold": rep.hypotheses_hold,
-           "predicted": jsonable(rep.predicted),
-           "computed": jsonable(rep.computed),
-           "agree": rep.agree, "notes": list(rep.notes)}
-    if label is not None:
-        doc["label"] = label
-    return doc
-
-
-def theorem_lines(rep: TheoremReport, label: str = "") -> list[str]:
-    head = f"[{rep.theorem}]" + (f" {label}" if label else "")
+def theorem_report(carrier, params: dict, rep: TheoremReport) -> Report:
+    """The report of one theorem check on the constructed semigroup."""
     status = "agree" if rep.agree else "DISAGREE"
     if not rep.hypotheses_hold:
         status += " (hypotheses not satisfied)"
-    lines = [f"{head} {rep.instance}: {status}"]
+    lines = [f"[{rep.theorem}] {rep.instance}: {status}"]
     for h in rep.hypotheses_checked:
         lines.append(f"    hypothesis {h.name}: {h.holds}"
                      + (f" -- {h.note}" if h.note else ""))
@@ -232,7 +234,7 @@ def theorem_lines(rep: TheoremReport, label: str = "") -> list[str]:
     lines.append(f"    computed:  {rep.computed}")
     for n in rep.notes:
         lines.append(f"    note: {n}")
-    return lines
+    return Report(carrier, params, theorem_doc(rep), lines, theorem_conflict(rep))
 
 
 def theorem_conflict(rep: TheoremReport) -> bool:
@@ -242,15 +244,16 @@ def theorem_conflict(rep: TheoremReport) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns an exit code)
+# subcommand handlers (each returns a Report and writes nothing)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Report:
     from .resolution import betti_degrees, resolution_summary
     from .toric import reduced_basis, toric_ideal
     from .verdicts import (acm_projective_closure, cm_tangent_cone,
                            gorenstein_numerical, gorenstein_projective_closure)
     s = _resolve_semigroup(args)
+    flags = [f for f in ("tangent_cone", "projective", "gorenstein") if getattr(args, f)]
     ideal = toric_ideal(s)
     gb = reduced_basis(s)
     result = {"embedding_dim": len(ideal.variables),
@@ -263,10 +266,7 @@ def cmd_analyze(args) -> int:
              + "; ".join(result["reduced_gb"])]
     verdicts = []
     if isinstance(s, NumericalSemigroup):
-        wanted = [w for w in ("tangent_cone", "projective", "gorenstein")
-                  if getattr(args, w)]
-        if not wanted:
-            wanted = ["tangent_cone", "projective", "gorenstein"]
+        wanted = flags or ("tangent_cone", "projective", "gorenstein")
         if "tangent_cone" in wanted:
             verdicts.append(cm_tangent_cone(s))
         if "projective" in wanted:
@@ -284,13 +284,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"betti totals {table.total}; pd={summary.pd} "
                      f"depth={summary.depth} dim={summary.dim} "
                      f"cm={summary.cm} gorenstein={summary.gorenstein}")
-    result["verdicts"] = [verdict_doc(v) for v in verdicts]
-    for v in verdicts:
-        lines += verdict_lines(v)
-    params = {k: getattr(args, k) for k in ("tangent_cone", "projective", "gorenstein")
-              if hasattr(args, k) and getattr(args, k)}
-    emit(report_document("analyze", s, params, result), args.format, lines)
-    return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
+    return verdict_report(s, dict.fromkeys(flags, True), result, lines, verdicts)
 
 
 def _gluing_from_args(args):
@@ -298,7 +292,7 @@ def _gluing_from_args(args):
                   _int_list(args.b, "--b"), _int_list(args.a, "--a"))
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args) -> Report:
     spec = _gluing_from_args(args)
     glued = glue(spec)
     result = {"glued_generators": spec.glued_generators,
@@ -316,17 +310,13 @@ def cmd_glue(args) -> int:
     if args.tangent_cone:
         from .verdicts import cm_tangent_cone
         verdicts.append(cm_tangent_cone(glued))
-    result["verdicts"] = [verdict_doc(v) for v in verdicts]
-    for v in verdicts:
-        lines += verdict_lines(v)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a,
               "projective": args.projective, "tangent_cone": args.tangent_cone}
-    emit(report_document("glue", glued, params, result), args.format, lines)
-    return EXIT_CONFLICT if any(v.conflict for v in verdicts) else EXIT_OK
+    return verdict_report(glued, params, result, lines, verdicts)
 
 
-def cmd_star_glue(args) -> int:
+def cmd_star_glue(args) -> Report:
     from .theorems import verify_glued_tangent_cone
     spec = _gluing_from_args(args)
     if not is_star_gluing(spec):
@@ -335,28 +325,24 @@ def cmd_star_glue(args) -> int:
     rep = verify_glued_tangent_cone(spec)
     params = {"left": spec.left.generators, "right": spec.right.generators,
               "b": spec.b, "a": spec.a}
-    emit(report_document("star-glue", glue(spec), params, theorem_doc(rep)),
-         args.format, theorem_lines(rep))
-    return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
+    return theorem_report(glue(spec), params, rep)
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> Report:
     from .theorems import verify_extension_pf
+    if bool(args.numerical) == bool(args.affine):
+        raise InputError("extend: give the base via exactly one of --numerical, --affine")
     if args.numerical:
         base = NumericalSemigroup(_int_list(args.numerical, "--numerical"))
-    elif args.affine:
-        base = AffineSemigroup(_matrix(args.affine, "--affine"))
     else:
-        raise InputError("extend: give the base via --numerical or --affine")
+        base = AffineSemigroup(_matrix(args.affine, "--affine"))
     spec = ExtensionSpec(base, args.l, _int_list(args.u, "--u"))
     rep = verify_extension_pf(spec)
     params = {"l": spec.l, "u": spec.u, "a": spec.a}
-    emit(report_document("extend", extend(spec), params, theorem_doc(rep)),
-         args.format, theorem_lines(rep))
-    return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
+    return theorem_report(extend(spec), params, rep)
 
 
-def cmd_join(args) -> int:
+def cmd_join(args) -> Report:
     from .theorems import verify_join_sifr
     dim = args.dim
     left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left")), dim, args.left_axis)
@@ -365,12 +351,10 @@ def cmd_join(args) -> int:
     params = {"left": args.left, "right": args.right, "dim": dim,
               "left_axis": args.left_axis, "right_axis": args.right_axis}
     carrier = left if rep.computed is None else join(left, right)
-    emit(report_document("join", carrier, params, theorem_doc(rep)),
-         args.format, theorem_lines(rep))
-    return EXIT_CONFLICT if theorem_conflict(rep) else EXIT_OK
+    return theorem_report(carrier, params, rep)
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> Report:
     from .resolution import betti_degrees
     s = _resolve_semigroup(args)
     bound = _int_list(args.bound, "--bound") if args.bound else None
@@ -384,11 +368,10 @@ def cmd_betti(args) -> int:
              + ("" if table.certified else " [heuristic scan box]")]
     for i, row in enumerate(table.rows):
         lines.append(f"    level {i}: {list(row)}")
-    emit(report_document("betti", s, {"bound": bound}, result), args.format, lines)
-    return EXIT_OK
+    return Report(s, {"bound": bound}, result, lines)
 
 
-def cmd_pf(args) -> int:
+def cmd_pf(args) -> Report:
     from .resolution import betti_degrees, pf_via_betti
     s = _resolve_semigroup(args)
     table = betti_degrees(s)
@@ -396,7 +379,7 @@ def cmd_pf(args) -> int:
     result = {"pf": [degree_doc(d) for d in via_betti],
               "method": "top Betti degrees minus the generator sum"}
     lines = [f"pseudo-Frobenius via top Betti degrees: {via_betti}"]
-    code = EXIT_OK
+    agree = True
     if args.direct:
         # numerical gap sets are always finite and read off Ap(S, n_1)
         direct = s.pf_direct() if not isinstance(s, NumericalSemigroup) \
@@ -406,13 +389,10 @@ def cmd_pf(args) -> int:
         result["direct_agrees"] = agree
         lines.append(f"direct gap-set computation: {direct} "
                      + ("(agrees)" if agree else "(CONFLICT)"))
-        if not agree:
-            code = EXIT_CONFLICT
-    emit(report_document("pf", s, {"direct": args.direct}, result), args.format, lines)
-    return code
+    return Report(s, {"direct": args.direct}, result, lines, not agree)
 
 
-def cmd_sifr(args) -> int:
+def cmd_sifr(args) -> Report:
     from .resolution import betti_degrees, sifr_check
     s = _resolve_semigroup(args)
     table = betti_degrees(s)
@@ -422,11 +402,10 @@ def cmd_sifr(args) -> int:
     line = f"[sifr] holds={str(rep.holds).lower()}"
     if not rep.holds:
         line += f" (level {rep.level} degrees {rep.pair} differ by a member)"
-    emit(report_document("sifr", s, {}, result), args.format, [line])
-    return EXIT_OK
+    return Report(s, {}, result, [line])
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> Report:
     s = _resolve_semigroup(args)
     if not isinstance(s, NumericalSemigroup):
         raise InputError("hilbert: tangent-cone Hilbert functions are numerical-only")
@@ -436,26 +415,20 @@ def cmd_hilbert(args) -> int:
     nondecreasing = s.hilbert_nondecreasing()  # over the whole function
     result = {"upto": upto, "values": values, "stabilization": stab,
               "nondecreasing": nondecreasing}
-    emit(report_document("hilbert", s, {"upto": upto}, result), args.format,
-         [f"hilbert function of the associated graded ring: {values}",
-          f"nondecreasing={str(nondecreasing).lower()} "
-          f"(stabilizes by index {result['stabilization']})"])
-    return EXIT_OK
+    return Report(s, {"upto": upto}, result,
+                  [f"hilbert function of the associated graded ring: {values}",
+                   f"nondecreasing={str(nondecreasing).lower()} "
+                   f"(stabilizes by index {stab})"])
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> Report:
     """`fixtures` runs every curated check, `verify <id>` one statement's."""
     from .theorems import run_fixtures
     pairs = run_fixtures(getattr(args, "theorem", None))
-    docs = [theorem_doc(rep, label=fx.label) for fx, rep in pairs]
     conflicts = sum(theorem_conflict(rep) for _, rep in pairs)
     agreements = sum(rep.agree for _, rep in pairs)
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-           "type": "numerical", "generators": [["0"]],
-           "params": {"count": str(len(pairs))},
-           "result": {"reports": docs,
-                      "agreements": str(agreements),
-                      "conflicts": str(conflicts)}}
+    result = {"reports": [dict(theorem_doc(rep), label=fx.label) for fx, rep in pairs],
+              "agreements": agreements, "conflicts": conflicts}
     lines = []
     width = max(len(f"{fx.theorem} {fx.label}") for fx, _ in pairs)
     for fx, rep in pairs:
@@ -463,8 +436,7 @@ def cmd_fixtures(args) -> int:
             "excused" if not rep.hypotheses_hold else "CONFLICT")
         lines.append(f"{(fx.theorem + ' ' + fx.label).ljust(width)}  {status}")
     lines.append(f"{len(pairs)} checks, {agreements} agree, {conflicts} conflicts")
-    emit(doc, args.format, lines)
-    return EXIT_CONFLICT if conflicts else EXIT_OK
+    return Report(None, {"count": len(pairs)}, result, lines, conflicts > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +447,6 @@ def _add_semigroup_source(p):
     p.add_argument("--numerical", help="comma-separated generators, e.g. 3,5,7")
     p.add_argument("--affine", help="semicolon-separated rows, e.g. '3 0;5 0;0 1'")
     p.add_argument("--input", help="JSON job file (schema in the module docstring)")
-
-
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="seconds before aborting with exit code 3")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; fixture batches run serially")
 
 
 class _TheoremIds:
@@ -504,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true")
     p.add_argument("--projective", action="store_true")
     p.add_argument("--gorenstein", action="store_true")
-    _add_common(p)
     p.set_defaults(handler=cmd_analyze)
 
     for name, handler in (("glue", cmd_glue), ("star-glue", cmd_star_glue)):
@@ -518,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="add the closure ACM verdict")
             p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true",
                            help="add the tangent-cone CM verdict")
-        _add_common(p)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("extend", help="scaled extension by one member")
@@ -526,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affine", help="base rows, e.g. '3 0;5 0;0 1'")
     p.add_argument("--l", type=int, required=True, help="scaling factor")
     p.add_argument("--u", required=True, help="coefficients of the new member")
-    _add_common(p)
     p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("join", help="join of two axis-embedded factors")
@@ -535,42 +496,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--left-axis", dest="left_axis", type=int, default=0)
     p.add_argument("--right-axis", dest="right_axis", type=int, default=1)
-    _add_common(p)
     p.set_defaults(handler=cmd_join)
 
     p = sub.add_parser("betti", help="multigraded Betti table")
     _add_semigroup_source(p)
     p.add_argument("--bound", help="degree bound override")
-    _add_common(p)
     p.set_defaults(handler=cmd_betti)
 
     p = sub.add_parser("pf", help="pseudo-Frobenius elements")
     _add_semigroup_source(p)
     p.add_argument("--direct", action="store_true",
                    help="also run the direct gap-set computation")
-    _add_common(p)
     p.set_defaults(handler=cmd_pf)
 
     p = sub.add_parser("sifr", help="strong indispensability check")
     _add_semigroup_source(p)
-    _add_common(p)
     p.set_defaults(handler=cmd_sifr)
 
     p = sub.add_parser("hilbert", help="Hilbert function of the tangent cone")
     _add_semigroup_source(p)
     p.add_argument("--upto", type=int, default=None)
-    _add_common(p)
     p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("verify", help="run the curated checks for one id")
     # set after add_argument, which would iterate choices to check the metavar
     p.add_argument("theorem").choices = _TheoremIds()
-    _add_common(p)
     p.set_defaults(handler=cmd_fixtures)
 
     p = sub.add_parser("fixtures", help="run every curated check")
-    _add_common(p)
     p.set_defaults(handler=cmd_fixtures)
+
+    for p in sub.choices.values():  # after each command's own arguments
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--deadline", type=float, default=None,
+                       help="seconds before aborting with exit code 3")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; fixture batches run serially")
     return top
 
 
@@ -592,21 +553,30 @@ def _deadline_seconds(args) -> Optional[float]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only writer of its report and its exit code."""
+    args = build_parser().parse_args(argv)
     try:
         seconds = _deadline_seconds(args)
         if args.threads is not None and args.threads < 1:
             raise InputError("--threads: must be at least 1")
         # the one deadline scope: every computation of the command runs in it
         with Deadline(seconds):
-            return args.handler(args)
+            report = args.handler(args)
     except InputError as ex:
         sys.stderr.write(f"input error: {ex}\n")
         return EXIT_INPUT
     except (DeadlineExceeded, BoundInsufficient, CertificationError) as ex:
         sys.stderr.write(f"resource bound: {ex}\n")
         return EXIT_BOUND
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               "params": report.params, "result": report.result,
+               **semigroup_doc(report.carrier)}
+        sys.stdout.write(json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":")) + "\n")
+    else:
+        for line in report.lines:
+            sys.stdout.write(line + "\n")
+    return EXIT_CONFLICT if report.conflict else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,10 +15,11 @@ certified box reads the stored Ap(S, E) of the semigroup.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import BoundInsufficient, InputError, tick
+from .errors import BoundInsufficient, CertificationError, InputError, tick
 from .linalg import rational_rank
 from .monomials import Vec, vec_add
 from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
@@ -154,12 +155,14 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     probable clipping, but consecutive levels can jump by an arbitrary
     semigroup element, so silence is evidence rather than proof and the
     table returns with certified=False.  A bound is an int or a vector of
-    the ambient dimension, and must be nonnegative.
+    the ambient dimension, and must be nonnegative.  More than 16
+    generators, or a box whose boards would pass 2^31 bits, raise
+    CertificationError before any board is built.
     """
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
     if n > _MAX_VERTICES:
-        raise InputError(f"{n} generators exceed the subset-enumeration limit")
+        raise CertificationError(f"{n} generators exceed the subset-enumeration limit")
     gen_sum = (0,) * d
     for g in gens:
         gen_sum = vec_add(gen_sum, g)
@@ -182,9 +185,10 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
                                 f"certified box {complete}")
     certified = complete is not None
 
+    # checked before `Grid` builds its mask, a board of the whole box
+    if _HELD_BOARDS * math.prod(b + 1 + p for b, p in zip(bound, gen_sum)) > _MAX_BOARD_BITS:
+        raise CertificationError("scan box too large for the scan boards")
     grid = Grid(bound, gen_sum)
-    if _HELD_BOARDS * grid.total > _MAX_BOARD_BITS:
-        raise InputError("scan box too large for the scan boards")
     members_board = member_board(grid, gens)
 
     # The cone filter (see above).  Bits that reach past the box never carry

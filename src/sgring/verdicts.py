@@ -17,7 +17,7 @@ artifacts of the semigroup object (`semigroups.artifact`), built once.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InputError, tick
+from .errors import CertificationError, InputError, tick
 from .monomials import Vec, vec_add
 from .groebner import buchberger, homogenize_ideal
 from .semigroups import AffineSemigroup, NumericalSemigroup, artifact
@@ -116,7 +116,7 @@ def closure_resolution(s):
         try:
             table = betti_degrees(sbar)
             return table, resolution_summary(sbar, table), "certified scan box"
-        except InputError as exc:
+        except CertificationError as exc:
             return None, None, str(exc)
 
     return artifact(s, "closure_resolution", build)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from argparse import Namespace
 from pathlib import Path
 
@@ -181,6 +182,37 @@ def test_betti_bound_below_the_certified_box_is_a_resource_bound(capsys):
     assert "degree bound (18,) does not contain the certified box (19,)" in err
 
 
+def test_an_oversized_betti_box_is_refused_before_any_board(capsys):
+    # <80021, 80023, 80051>: a scan box of 4.3e8 bits, just past the cap, so
+    # one board of it is a 54 MB int; 218 MiB were traced when the grid's
+    # mask was built before the check
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "betti", "--numerical", "80021,80023,80051")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (
+        EXIT_BOUND, "", "resource bound: scan box too large for the scan boards\n")
+    assert peak < 32 << 20
+    code, out, err = run(capsys, "betti", "--numerical", ",".join(map(str, range(17, 34))))
+    assert (code, out, err) == (
+        EXIT_BOUND, "", "resource bound: 17 generators exceed the subset-enumeration limit\n")
+
+
+def test_affine_rows_take_spaces_or_commas(capsys):
+    plain = run(capsys, "betti", "--affine", "3 0;5 0;0 1;1 3;2 3")
+    assert plain[0] == EXIT_OK
+    for spelling in ("3 0; 5 0; 0 1; 1 3; 2 3", " 3,0 ;5, 0;0  1;1\t3;2 , 3 "):
+        assert run(capsys, "betti", "--affine", spelling) == plain, spelling
+    # an empty entry is not a separator
+    code, out, err = run(capsys, "betti", "--affine", "3 0; 3,,0")
+    assert (code, out, err) == (
+        EXIT_INPUT, "",
+        "input error: --affine: expected integers separated by spaces or commas, "
+        "got ' 3,,0'\n")
+
+
 def test_pf_command_with_direct_cross_check(capsys):
     code, doc = run_json(capsys, "pf", "--numerical", "3,5,7", "--direct")
     assert code == EXIT_OK
@@ -279,6 +311,11 @@ def test_extend_command(capsys):
     assert doc["result"]["computed"]["prec-symmetric"] is True
     assert doc["result"]["agree"] is True
     assert "box" not in doc["params"]  # the gap-scan box is derived, not given
+    code, out, err = run(capsys, "extend", "--numerical", "3,5", "--affine",
+                         "3 0;5 0;0 1;1 3;2 3", "--l", "2", "--u", "2,1")
+    assert (code, out, err) == (
+        EXIT_INPUT, "",
+        "input error: extend: give the base via exactly one of --numerical, --affine\n")
 
 
 def test_star_glue_requires_a_star_gluing(capsys):
