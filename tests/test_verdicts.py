@@ -340,6 +340,16 @@ def test_exhausted_closure_budget_is_not_memoized():
     assert closure_resolution(s)[0] is table
 
 
+def test_a_refused_closure_scan_is_the_note(monkeypatch):
+    # the scan's refusals are resource bounds; the closure records them
+    from sgring import resolution
+    monkeypatch.setattr(resolution, "_MAX_BOARD_BITS", 1)
+    assert closure_resolution(NumericalSemigroup((3, 5, 7))) == (
+        None, None, "scan box too large for the scan boards")
+    assert closure_resolution(NumericalSemigroup(range(17, 34))) == (
+        None, None, "18 generators exceed the subset-enumeration limit")
+
+
 def length_table_closure_apery(s):
     """Ap(S', E) of the projective closure by a breadth-first search over
     the non-extremal generators, with membership read from a table of
