@@ -11,11 +11,11 @@ lattice point): the member board of `semigroups.member_board` and shifts of
 its Apery boards, which drop every point whose complex is a cone over a
 vertex.  Exact homology over Q is computed only at the few points left, with
 faces read from the member bytes at the 2^n subset-sum offsets.  The
-certified box reads the stored Ap(S, E) of the semigroup.
+certified box reads the stored Ap(S, E) of the semigroup; `semigroups.Grid`
+holds the scan to its bit budget.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -28,7 +28,6 @@ Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
 
 _MAX_VERTICES = 16          # face masks read 2^n subset offsets
-_MAX_BOARD_BITS = 1 << 31   # total bits across the boards the scan holds
 _HELD_BOARDS = 6            # member, grid mask, candidate, reach, two temporaries
 
 
@@ -156,8 +155,8 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     semigroup element, so silence is evidence rather than proof and the
     table returns with certified=False.  A bound is an int or a vector of
     the ambient dimension, and must be nonnegative.  More than 16
-    generators, or a box whose boards would pass 2^31 bits, raise
-    CertificationError before any board is built.
+    generators, or a box whose boards would pass the bit budget of
+    `semigroups.Grid`, raise CertificationError before any board is built.
     """
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
@@ -185,10 +184,7 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
                                 f"certified box {complete}")
     certified = complete is not None
 
-    # checked before `Grid` builds its mask, a board of the whole box
-    if _HELD_BOARDS * math.prod(b + 1 + p for b, p in zip(bound, gen_sum)) > _MAX_BOARD_BITS:
-        raise CertificationError("scan box too large for the scan boards")
-    grid = Grid(bound, gen_sum)
+    grid = Grid(bound, gen_sum, _HELD_BOARDS)
     members_board = member_board(grid, gens)
 
     # The cone filter (see above).  Bits that reach past the box never carry

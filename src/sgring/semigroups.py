@@ -8,8 +8,9 @@ integer or rational arithmetic.  Numerical membership reads the Apery set of
 the multiplicity; the order function and the Hilbert function read the
 Apery table of the powers of the maximal ideal.  One bitboard engine
 (`member_board`) gives the members of a box to `members_within`, the gap
-set and the Betti scan.  Each derived artifact of an instance, Ap(S, E)
-included, is built once through `artifact` and never grows.
+set and the Betti scan; its `Grid` refuses a box over the scan bit budget.
+Each derived artifact of an instance, Ap(S, E) included, is declared with
+`@artifact`, built once and never grown.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -29,18 +30,24 @@ from .monomials import Vec, scale, vec_add
 T = TypeVar("T")
 
 
-def artifact(s, name: str, build: Callable[[], T]) -> T:
-    """The artifact `name` of semigroup s, stored in s._memo when build()
+def artifact(build: Callable[..., T]) -> Callable[..., T]:
+    """Declare build(s) a stored result of semigroup s: kept in the dict
+    s._memo, which only this decorator fills, under build's name when it
     first returns and never changed; a build cut short by the deadline
     scope of its thread (`errors.Deadline`) raises and stores nothing, so a
     later call with more time can finish it."""
-    try:
-        memo = s._memo
-    except AttributeError:
-        raise InputError(f"expected a semigroup, got {type(s).__name__}") from None
-    if name not in memo:
-        memo[name] = build()
-    return memo[name]
+    name = build.__name__
+
+    @wraps(build)
+    def stored(s) -> T:
+        if not isinstance(s, (NumericalSemigroup, AffineSemigroup)):
+            raise InputError(f"expected a semigroup, got {type(s).__name__}")
+        memo = vars(s).setdefault("_memo", {})
+        if name not in memo:
+            memo[name] = build(s)
+        return memo[name]
+
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +139,30 @@ class NumericalSemigroup:
         return sorted(w - n1 for w in self._apery_by_residue
                       if w and all(self.membership(w + g - n1) for g in rest))
 
-    @cached_property
-    def _memo(self) -> dict:
-        # finished artifacts by name, filled only through `artifact`
-        return {}
-
+    @artifact
     def apery_table(self) -> tuple[list[int], ...]:
         """Rows m_0, ..., m_r of the Apery table of the powers of the maximal
         ideal M (Cortadellas Benitez, Jafari, Zarzuela, Semigroup Forum 86,
         2013): m_l(i) is the least element of M^l congruent to i mod n_1, so
         m_0 = Ap(S, n_1) and m_l(i) = min over generators g of g + m_{l-1}(i - g).
         Columns step by 0 or n_1; the table stops at the reduction number r,
-        the first row whose successor is the row plus n_1, and r < n_1.  It
-        is an artifact of the instance, checking the deadline once per row.
+        the first row whose successor is the row plus n_1, and r < n_1.  The
+        deadline is checked once per row.
         """
-        def build() -> tuple[list[int], ...]:
-            n1 = self.multiplicity
-            rows = [self._apery_by_residue]
-            while True:
-                tick()
-                prev = rows[-1]
-                climbed = [v + n1 for v in prev]
-                row = climbed
-                for g in self.generators[1:]:
-                    k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
-                    row = [a if a <= b + g else b + g
-                           for a, b in zip(row, prev[k:] + prev[:k])]
-                if row == climbed:
-                    return tuple(rows)
-                rows.append(row)
-
-        return artifact(self, "apery_table", build)
+        n1 = self.multiplicity
+        rows = [self._apery_by_residue]
+        while True:
+            tick()
+            prev = rows[-1]
+            climbed = [v + n1 for v in prev]
+            row = climbed
+            for g in self.generators[1:]:
+                k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
+                row = [a if a <= b + g else b + g
+                       for a, b in zip(row, prev[k:] + prev[:k])]
+            if row == climbed:
+                return tuple(rows)
+            rows.append(row)
 
     def ord(self, s: int) -> int:
         """Max factorization length of a member: the last row of the Apery
@@ -197,10 +197,10 @@ class NumericalSemigroup:
         h = self.hilbert_gr(self.hilbert_stabilization())
         return all(h[i] <= h[i + 1] for i in range(len(h) - 1))
 
+    @artifact
     def axis_apery(self) -> tuple:
         """`axis_apery` of the generators as 1-tuples, read from Ap(S, n_1)."""
-        return artifact(self, "axis_apery", lambda: (
-            ((self.multiplicity,),), frozenset((w,) for w in self._apery_by_residue)))
+        return ((self.multiplicity,),), frozenset((w,) for w in self._apery_by_residue)
 
 
 def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
@@ -267,11 +267,6 @@ class AffineSemigroup:
         if bad:
             raise InputError(f"generating set not minimal: {bad} are redundant")
 
-    @cached_property
-    def _memo(self) -> dict:
-        # finished artifacts by name, filled only through `artifact`
-        return {}
-
     def membership(self, x: Sequence[int]) -> Membership:
         """Exact DFS with componentwise pruning; returns a witness when inside."""
         x = tuple(int(c) for c in x)
@@ -294,12 +289,13 @@ class AffineSemigroup:
 
     def _board(self, box: Vec) -> tuple[Grid, int]:
         # padded by the largest entry per axis: one generator shift never wraps
-        grid = Grid(box, tuple(max(c) for c in zip(*self.generators)))
+        grid = Grid(box, tuple(max(c) for c in zip(*self.generators)), _GAP_BOARDS)
         return grid, member_board(grid, self.generators)
 
+    @artifact
     def axis_apery(self) -> Optional[tuple]:
-        """`axis_apery` of the generators, an artifact."""
-        return artifact(self, "axis_apery", lambda: axis_apery(self.generators))
+        """`axis_apery` of the generators."""
+        return axis_apery(self.generators)
 
     def cone_membership(self, x: Sequence[int]) -> bool:
         """x in {sum lambda_i a_i : lambda_i in Q>=0}, decided exactly."""
@@ -323,9 +319,10 @@ class AffineSemigroup:
                 rays.append(r)
         return sorted(rays)
 
+    @artifact
     def gap_set(self) -> "GapScan":
         """Cone points outside the semigroup, scanned over a box derived from
-        the generators, and whether they are finitely many; an artifact.
+        the generators, and whether they are finitely many.
 
         When every extremal ray is a coordinate axis, `axis_apery` gives
         E = {c_j u_j} and Ap(S, E); let M_j = max over w in Ap(S, E) of w_j.
@@ -342,36 +339,34 @@ class AffineSemigroup:
         (Caratheodory), so x - g stays in the cone, and is a gap when x is:
         a gap outside the box walks down to one in the shell one largest
         generator entry thick.  A clean shell proves every gap inside the
-        box; a dirty one leaves finiteness undecided (finite is None).
+        box; a dirty one leaves finiteness undecided (finite is None).  An
+        over-budget box is refused by `Grid` before any board is built.
         """
-        def build() -> GapScan:
-            axis = self.axis_apery()
-            if axis is not None:
-                extremal, apery = axis
-                step = {i: c for e in extremal for i, c in enumerate(e) if c}
-                reach = {i: max(w[i] for w in apery) for i in step}
-                box = tuple(reach[i] + step[i] - 1 if i in step else 0
-                            for i in range(self.dim))
-                in_cone = lambda pt: True  # the box lies in the cone
-                escapes = lambda pt: any(pt[i] >= m for i, m in reach.items())
-            else:
-                n = len(self.generators)
-                box = tuple(n * sum(g[i] for g in self.generators) for i in range(self.dim))
-                thickness = max(max(g) for g in self.generators)
-                in_cone = self.cone_membership
-                escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
-            grid, board = self._board(box)
-            gaps, escaped = [], False
-            # bits run in row-major order, so the gaps come out sorted
-            for idx in iter_bits(grid.real ^ board, grid.total):
-                pt = grid.coords(idx)
-                if in_cone(pt):
-                    gaps.append(pt)
-                    escaped = escaped or escapes(pt)
-            finite = (False if axis is not None else None) if escaped else True
-            return GapScan(tuple(gaps), finite, box)
-
-        return artifact(self, "gap_set", build)
+        axis = self.axis_apery()
+        if axis is not None:
+            extremal, apery = axis
+            step = {i: c for e in extremal for i, c in enumerate(e) if c}
+            reach = {i: max(w[i] for w in apery) for i in step}
+            box = tuple(reach[i] + step[i] - 1 if i in step else 0
+                        for i in range(self.dim))
+            in_cone = lambda pt: True  # the box lies in the cone
+            escapes = lambda pt: any(pt[i] >= m for i, m in reach.items())
+        else:
+            n = len(self.generators)
+            box = tuple(n * sum(g[i] for g in self.generators) for i in range(self.dim))
+            thickness = max(max(g) for g in self.generators)
+            in_cone = self.cone_membership
+            escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
+        grid, board = self._board(box)
+        gaps, escaped = [], False
+        # bits run in row-major order, so the gaps come out sorted
+        for idx in iter_bits(grid.real ^ board, grid.total):
+            pt = grid.coords(idx)
+            if in_cone(pt):
+                gaps.append(pt)
+                escaped = escaped or escapes(pt)
+        finite = (False if axis is not None else None) if escaped else True
+        return GapScan(tuple(gaps), finite, box)
 
     def pf_direct(self) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
@@ -486,11 +481,19 @@ def _replicate(pattern: int, period: int, total: int) -> int:
     return out & ((1 << total) - 1)
 
 
+_MAX_BOARD_BITS = 1 << 31   # total bits across the boards a scan holds
+# the gap scan peaks at five: mask, member board, shifted copy, two unions of
+# a closure round; then mask, member board, non-member board and its bytes
+_GAP_BOARDS = 5
+
+
 class Grid:
     """Row-major bit layout of the box [0, bound], padded by pad on each axis
-    so that a shift by a vector at most pad never wraps a real point."""
+    so that a shift by a vector at most pad never wraps a real point.  The
+    scan bit budget lives here: `boards` boards of the padded box past
+    `_MAX_BOARD_BITS` raise CertificationError before the mask is built."""
 
-    def __init__(self, bound: Vec, pad: Vec):
+    def __init__(self, bound: Vec, pad: Vec, boards: int = 1):
         dims = [b + 1 for b in bound]
         pdims = [d + p for d, p in zip(dims, pad)]
         strides = [1] * len(pdims)
@@ -498,6 +501,8 @@ class Grid:
             strides[i] = strides[i + 1] * pdims[i + 1]
         self.strides = tuple(strides)
         self.total = strides[0] * pdims[0]
+        if boards * self.total > _MAX_BOARD_BITS:
+            raise CertificationError("scan box too large for the scan boards")
         real = (1 << self.total) - 1
         for st, d, p in zip(strides, dims, pdims):
             real &= _replicate((1 << d * st) - 1, p * st, self.total)

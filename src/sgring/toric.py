@@ -112,41 +112,36 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
     return out
 
 
+@artifact
 def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup]) -> BinomialIdeal:
     """Generators of the kernel of the monomial map x_i -> t^{a_i}.
 
     A numerical semigroup gets a minimal generating set from its divisor
-    graphs; an affine semigroup gets the elimination basis.  Built once per
-    semigroup object.
+    graphs; an affine semigroup gets the elimination basis.
     """
-    def build() -> BinomialIdeal:
-        if isinstance(s, NumericalSemigroup):
-            vecs = tuple((g,) for g in s.generators)
-            raw = _toric_by_divisor_graphs(s)
-        else:
-            vecs = s.generators
-            raw = _toric_by_elimination(vecs)
-        e = len(vecs)
-        return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
-
-    return artifact(s, "toric_ideal", build)
+    if isinstance(s, NumericalSemigroup):
+        vecs = tuple((g,) for g in s.generators)
+        raw = _toric_by_divisor_graphs(s)
+    else:
+        vecs = s.generators
+        raw = _toric_by_elimination(vecs)
+    e = len(vecs)
+    return BinomialIdeal(_x_names(e), _canonical(raw, degrevlex(e)), vecs)
 
 
+@artifact
 def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
-    """Reduced degree-revlex basis of the toric ideal; built once per semigroup object."""
-    return artifact(s, "reduced_basis", lambda: buchberger(
-        toric_ideal(s).generators, degrevlex(len(s.generators))))
+    """Reduced degree-revlex basis of the toric ideal."""
+    return buchberger(toric_ideal(s).generators, degrevlex(len(s.generators)))
 
 
+@artifact
 def local_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
     """Reduced standard basis of the toric ideal under negative-degree revlex
-    with x_1 (the multiplicity variable) lowest; built once per semigroup object."""
-    def build() -> GroebnerBasis:
-        e = len(s.generators)
-        local = negdegrevlex(e, tuple(range(e - 1, -1, -1)))
-        return standard_basis_local(toric_ideal(s), local)
-
-    return artifact(s, "local_basis", build)
+    with x_1 (the multiplicity variable) lowest."""
+    e = len(s.generators)
+    local = negdegrevlex(e, tuple(range(e - 1, -1, -1)))
+    return standard_basis_local(toric_ideal(s), local)
 
 
 def glued_ideal_generators(spec: GluingSpec, gb1, gb2) -> BinomialIdeal:

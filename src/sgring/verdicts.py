@@ -11,14 +11,14 @@ from `toric`.  The projective-closure verdicts read the Apery set of the
 closure with respect to its two extremal generators, enumerated without a
 scan box; the closure Betti scan (`closure_resolution`) is kept for the
 Betti-totals note of the gluing harness and as a test oracle.  Both are
-artifacts of the semigroup object (`semigroups.artifact`), built once.
+stored results of the semigroup object (`@semigroups.artifact`).
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import CertificationError, InputError, tick
-from .monomials import Vec, vec_add
+from .monomials import vec_add
 from .groebner import buchberger, homogenize_ideal
 from .semigroups import AffineSemigroup, NumericalSemigroup, artifact
 from .resolution import betti_degrees, resolution_summary
@@ -50,6 +50,7 @@ class Verdict:
         return self.result
 
 
+@artifact
 def projective_closure_semigroup(s: NumericalSemigroup) -> AffineSemigroup:
     """Degree semigroup of the projective monomial curve: (n_i, n_e - n_i)
     for each generator plus (0, n_e) for the point at infinity; an artifact
@@ -57,8 +58,7 @@ def projective_closure_semigroup(s: NumericalSemigroup) -> AffineSemigroup:
     if not isinstance(s, NumericalSemigroup):
         raise InputError("projective closure needs a numerical semigroup")
     e = s.generators[-1]
-    return artifact(s, "projective_closure", lambda: AffineSemigroup(
-        [(n, e - n) for n in s.generators] + [(0, e)]))
+    return AffineSemigroup([(n, e - n) for n in s.generators] + [(0, e)])
 
 
 def closure_apery(s: NumericalSemigroup) -> frozenset:
@@ -74,11 +74,6 @@ def closure_apery(s: NumericalSemigroup) -> frozenset:
     the closure object, found without a scan box and built once.
     """
     return projective_closure_semigroup(s).axis_apery()[1]
-
-
-def _closure_steps(s: NumericalSemigroup) -> list[Vec]:
-    top = s.generators[-1]
-    return [(n, top - n) for n in s.generators[:-1]]
 
 
 def _apery_symmetry(ap: frozenset, top_gen: int) -> tuple[bool, str]:
@@ -97,6 +92,7 @@ def _apery_symmetry(ap: frozenset, top_gen: int) -> tuple[bool, str]:
     return False, f"Ap(closure, E) is not symmetric about {t}: {t} - {odd} is missing"
 
 
+@artifact
 def closure_resolution(s):
     """Betti table and summary of the projective closure semigroup.
 
@@ -107,21 +103,16 @@ def closure_resolution(s):
     certified box of `betti_degrees` finds every Betti degree.  Returns
     (table, summary, note); both are None when `betti_degrees` refuses the
     closure (too many generators or bits), with the note saying why.
-
-    The result is built once per semigroup object, so repeated calls scan
-    once.
     """
-    def build():
-        sbar = projective_closure_semigroup(s)
-        try:
-            table = betti_degrees(sbar)
-            return table, resolution_summary(sbar, table), "certified scan box"
-        except CertificationError as exc:
-            return None, None, str(exc)
-
-    return artifact(s, "closure_resolution", build)
+    sbar = projective_closure_semigroup(s)
+    try:
+        table = betti_degrees(sbar)
+        return table, resolution_summary(sbar, table), "certified scan box"
+    except CertificationError as exc:
+        return None, None, str(exc)
 
 
+@artifact
 def acm_projective_closure(s: NumericalSemigroup) -> Verdict:
     """Is the projective closure of the monomial curve arithmetically
     Cohen-Macaulay?
@@ -141,26 +132,22 @@ def acm_projective_closure(s: NumericalSemigroup) -> Verdict:
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("acm_projective_closure expects a numerical semigroup")
+    e = len(s.generators)
+    hgb = homogenize_ideal(reduced_basis(s))
+    offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
 
-    def build() -> Verdict:
-        e = len(s.generators)
-        hgb = homogenize_ideal(reduced_basis(s))
-        offender = next((b for b in hgb.elements if b.lead[e - 1]), None)
+    gb2 = buchberger(hgb.elements, hgb.order)
+    alt = not any(m[e - 1] for m in gb2.leads())
+    same = sorted(gb2.leads()) == sorted(hgb.leads())
+    checks = [CrossCheck("homogenized-recompute", alt,
+                         "lead sets agree" if same else "lead sets differ")]
 
-        gb2 = buchberger(hgb.elements, hgb.order)
-        alt = not any(m[e - 1] for m in gb2.leads())
-        same = sorted(gb2.leads()) == sorted(hgb.leads())
-        checks = [CrossCheck("homogenized-recompute", alt,
-                             "lead sets agree" if same else "lead sets differ")]
-
-        ap, top = closure_apery(s), s.generators[-1]
-        checks.append(CrossCheck("closure-depth", len(ap) == top,
-                                 f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
-        return Verdict("acm-projective-closure", offender is None,
-                       "initial-ideal divisibility by the largest-generator variable",
-                       offender, tuple(checks))
-
-    return artifact(s, "acm_projective_closure", build)
+    ap, top = closure_apery(s), s.generators[-1]
+    checks.append(CrossCheck("closure-depth", len(ap) == top,
+                             f"|Ap(closure, E)| = {len(ap)}, n_e = {top}"))
+    return Verdict("acm-projective-closure", offender is None,
+                   "initial-ideal divisibility by the largest-generator variable",
+                   offender, tuple(checks))
 
 
 def cm_tangent_cone(s: NumericalSemigroup) -> Verdict:
@@ -256,12 +243,13 @@ def gorenstein_projective_closure(s: NumericalSemigroup) -> Verdict:
     about its element of largest degree.  Every answer is decided.
     """
     acm = acm_projective_closure(s)
-    ap = closure_apery(s)
+    closure = projective_closure_semigroup(s)
+    extremal, ap = closure.axis_apery()
     flag = CrossCheck("closure-gorenstein-flag", *_apery_symmetry(ap, s.generators[-1]))
     if acm.result is False:
         return Verdict("gorenstein-projective-closure", False, NOT_ACM,
                        acm.witness, (flag,))
-    steps = _closure_steps(s)
+    steps = [g for g in closure.generators if g not in extremal]
     sigma = (sum(g[0] for g in steps), sum(g[1] for g in steps))
     # maximal in the order of the closure semigroup: no non-extremal
     # generator leads from w to another element of the set

@@ -66,6 +66,7 @@ def test_parse_job_accepts_valid_documents():
 
 def test_parse_job_error_paths_are_json_pointers():
     cases = [
+        ([], "/: expected an object"),
         ({}, "/schema_version: required key missing"),
         ({"schema_version": "2", "type": "numerical",
           "generators": [["3"]], "params": {}},
@@ -79,6 +80,9 @@ def test_parse_job_error_paths_are_json_pointers():
         ({"schema_version": "1", "type": "numerical",
           "generators": "35", "params": {}},
          "/generators: expected a nonempty array"),
+        ({"schema_version": "1", "type": "numerical",
+          "generators": [["3"], "5"], "params": {}},
+         "/generators/1: expected a nonempty array"),
         ({"schema_version": "1", "type": "numerical",
           "generators": [["3"], ["-5"]], "params": {}},
          "/generators/1/0: expected a decimal string of a nonnegative integer"),
@@ -355,6 +359,12 @@ def test_input_file_source(tmp_path, capsys):
     code, doc = run_json(capsys, "betti", "--input", str(path))
     assert code == EXIT_OK
     assert doc["result"]["totals"] == ["1", "3", "2"]
+    path.write_text(json.dumps({
+        "schema_version": "1", "type": "affine",
+        "generators": [["2", "0"], ["0", "2"], ["1", "1"]], "params": {}}))
+    code, doc = run_json(capsys, "betti", "--input", str(path))
+    assert code == EXIT_OK
+    assert doc["type"] == "affine" and doc["result"]["totals"] == ["1", "1"]
 
 
 # -- output contract ---------------------------------------------------------
@@ -443,6 +453,12 @@ def test_input_error_exit_code(capsys):
                          "--b", "3,0", "--a", "1,0")
     assert code == EXIT_INPUT
     assert "generator" in err
+    code, out, err = run(capsys, "analyze", "--numerical", "3,x")
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: --numerical: expected "
+                                "comma-separated integers, got '3,x'\n")
+    code, out, err = run(capsys, "hilbert", "--affine", "2 0;0 2;1 1")
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: hilbert: tangent-cone "
+                                "Hilbert functions are numerical-only\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -473,6 +489,10 @@ def test_deadline_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("SGRING_DEADLINE", "0.001")
     code, out, err = run(capsys, "analyze", "--numerical", "87,145,203,252,308")
     assert code == EXIT_BOUND
+    monkeypatch.setenv("SGRING_DEADLINE", "abc")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5")
+    assert (code, out, err) == (EXIT_INPUT, "",
+                                "input error: SGRING_DEADLINE: expected a number, got 'abc'\n")
     # an explicit flag overrides the environment
     code, doc = run_json(capsys, "analyze", "--numerical", "3,5,7",
                          "--tangent-cone", "--deadline", "60")

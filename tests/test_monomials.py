@@ -156,6 +156,18 @@ def test_key_matches_reference_compare(nvars, make):
         order.key((0,) * (nvars + 1))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (("weighted", "lex", (0, 1)), "unknown grading 'weighted'"),
+    (("degree", "grlex", (0, 1)), "unknown tiebreak 'grlex'"),
+    (("degree", "lex", (0, 2)), "priority must be a permutation of variable indices"),
+    (("degree", "lex", (0, 1), (1, 2)), "block sizes must cover the priority list"),
+])
+def test_order_rejects_malformed_fields(fields, message):
+    with pytest.raises(InputError) as exc:
+        Order(*fields)
+    assert str(exc.value) == message
+
+
 def test_lazard_oracle_order_on_equal_degrees():
     # the oracle's global block order agrees with the Lazard comparison on
     # monomials of one total degree, the only ones homogenized input compares

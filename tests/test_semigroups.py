@@ -2,17 +2,20 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
+from sgring import semigroups
 from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
 from sgring.linalg import rational_rank
 from sgring.monomials import Binomial
 from sgring.semigroups import (
     AffineSemigroup,
     ExtensionSpec,
+    GapScan,
     GluingSpec,
     NumericalSemigroup,
     axis_apery,
@@ -338,6 +341,9 @@ def test_affine_membership_witness():
     assert MAT_A.membership((-1, 0)) == (False, None)
     with pytest.raises(InputError):
         MAT_A.membership((1, 2, 3))
+    for box in ((1, 2, 3), (1, -1)):
+        with pytest.raises(InputError, match="is not a nonnegative vector of dimension 2"):
+            MAT_A.members_within(box)
 
 
 def test_affine_membership_matches_brute():
@@ -417,6 +423,28 @@ def test_gap_scan_checks_the_deadline_and_stores_nothing_when_cut():
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
         s.gap_set()
     assert s.gap_set().finite is True
+
+
+def test_an_over_budget_member_box_is_refused_before_any_board():
+    # the mask of this 10^12-bit box alone would take about 116 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificationError, match="scan box too large for the scan boards"):
+            MAT_A.members_within((10**6, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_an_over_budget_gap_scan_raises_and_stores_nothing(monkeypatch):
+    s = AffineSemigroup(MAT_A.generators)  # MAT_A may already hold its gap set
+    monkeypatch.setattr(semigroups, "_MAX_BOARD_BITS", 1)
+    with pytest.raises(CertificationError, match="scan box too large for the scan boards"):
+        s.gap_set()
+    assert "gap_set" not in s._memo
+    monkeypatch.undo()
+    assert s.gap_set() == GapScan(tuple(sorted(GAPS_A)), True, (12, 3))
 
 
 def test_pf_direct_lookups_check_the_deadline():

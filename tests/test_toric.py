@@ -25,6 +25,11 @@ from sgring.toric import (
     reduced_basis,
     toric_ideal,
 )
+from sgring.verdicts import (
+    acm_projective_closure,
+    closure_resolution,
+    projective_closure_semigroup,
+)
 from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES, population
 
 
@@ -141,20 +146,39 @@ def test_toric_ideal_cost_follows_multiplicity():
     assert ideal.generators == (Binomial((10009, 0), (0, 10007)),)
 
 
-@pytest.mark.parametrize("accessor, make", [
-    (toric_ideal, lambda: NumericalSemigroup((3, 5, 7))),
-    (reduced_basis, lambda: NumericalSemigroup((3, 5, 7))),
-    (local_basis, lambda: NumericalSemigroup((3, 5, 7))),
-    (toric_ideal, lambda: AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])),
-    (reduced_basis, lambda: AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])),
+def numerical_357():
+    return NumericalSemigroup((3, 5, 7))
+
+
+def matrix_a():
+    return AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("accessor, make, ticks", [
+    (toric_ideal, numerical_357, True),
+    (reduced_basis, numerical_357, True),
+    (local_basis, numerical_357, True),
+    (toric_ideal, matrix_a, True),
+    (reduced_basis, matrix_a, True),
+    (NumericalSemigroup.apery_table, numerical_357, True),
+    # read from Ap(S, n_1), which the constructor built: nothing to tick
+    (NumericalSemigroup.axis_apery, numerical_357, False),
+    (AffineSemigroup.axis_apery, matrix_a, True),
+    (AffineSemigroup.gap_set, matrix_a, True),
+    (projective_closure_semigroup, numerical_357, True),
+    (closure_resolution, numerical_357, True),
+    (acm_projective_closure, numerical_357, True),
 ], ids=["toric-numerical", "reduced-numerical", "local-numerical",
-        "toric-affine", "reduced-affine"])
-def test_artifacts_are_built_once_per_object(monkeypatch, accessor, make):
+        "toric-affine", "reduced-affine", "apery-table", "axis-apery-numerical",
+        "axis-apery-affine", "gap-set", "projective-closure", "closure-resolution",
+        "acm-projective-closure"])
+def test_artifacts_are_built_once_per_object(monkeypatch, accessor, make, ticks):
     s = make()
-    # a build cut short by its deadline raises and stores nothing
-    with pytest.raises(DeadlineExceeded), Deadline(-1.0):
-        accessor(s)
-    assert accessor.__name__ not in s._memo
+    if ticks:
+        # a build cut short by its deadline raises and stores nothing
+        with pytest.raises(DeadlineExceeded), Deadline(-1.0):
+            accessor(s)
+        assert accessor.__name__ not in s._memo
     first = accessor(s)
 
     def rebuilt(*args, **kwargs):
@@ -165,6 +189,11 @@ def test_artifacts_are_built_once_per_object(monkeypatch, accessor, make):
         monkeypatch.setattr(toric, name, rebuilt)
     assert accessor(s) is first
     assert s._memo[accessor.__name__] is first
+
+
+def test_an_artifact_of_a_non_semigroup_is_an_input_error():
+    with pytest.raises(InputError, match="^expected a semigroup, got int$"):
+        toric_ideal(5)
 
 
 def test_gamma_degree():

@@ -342,8 +342,8 @@ def test_exhausted_closure_budget_is_not_memoized():
 
 def test_a_refused_closure_scan_is_the_note(monkeypatch):
     # the scan's refusals are resource bounds; the closure records them
-    from sgring import resolution
-    monkeypatch.setattr(resolution, "_MAX_BOARD_BITS", 1)
+    from sgring import semigroups
+    monkeypatch.setattr(semigroups, "_MAX_BOARD_BITS", 1)
     assert closure_resolution(NumericalSemigroup((3, 5, 7))) == (
         None, None, "scan box too large for the scan boards")
     assert closure_resolution(NumericalSemigroup(range(17, 34))) == (
