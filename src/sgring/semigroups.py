@@ -6,7 +6,8 @@ gluing / extension / join constructors, which return plain semigroups while
 `GluingSpec` and `ExtensionSpec` carry the provenance.  Everything is exact
 integer or rational arithmetic.  Numerical membership reads the Apery set of
 the multiplicity; the order function and the Hilbert function read the
-Apery table of the powers of the maximal ideal.  One bitboard engine
+Apery table of the powers of the maximal ideal, stored as runs of its
+columns (`AperyRuns`) and built from step changes.  One bitboard engine
 (`member_board`) gives the members of a box to `members_within`, the gap
 set and the Betti scan; its `Grid` refuses a box over the scan bit budget.
 Each derived artifact of an instance, Ap(S, E) included, is declared with
@@ -20,7 +21,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import wraps
-from operator import add
+from itertools import compress
+from operator import add, itemgetter, ne, not_
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificationError, InputError, tick
@@ -63,9 +65,11 @@ class NumericalSemigroup:
     Frobenius number, the gaps, minimality and the Gorenstein verdict take
     O(n_1) entries whatever the size of the integers.  `ord`, the Hilbert
     function and its stabilization index read the Apery table of the powers
-    of the maximal ideal, whose first row is Ap(S, n_1).  That table and
-    the toric ideal with its bases are built once per instance by
-    `artifact`.
+    of the maximal ideal, whose first row is Ap(S, n_1), stored as the runs
+    of its columns and its row sums (`AperyRuns`): `ord` bisects a column's
+    runs, the Hilbert function reads the row sums and the stabilization
+    index their count.  That table and the toric ideal with its bases are
+    built once per instance by `artifact`.
     """
 
     generators: tuple[int, ...]
@@ -140,56 +144,99 @@ class NumericalSemigroup:
                       if w and all(self.membership(w + g - n1) for g in rest))
 
     @artifact
-    def apery_table(self) -> tuple[list[int], ...]:
-        """Rows m_0, ..., m_r of the Apery table of the powers of the maximal
-        ideal M (Cortadellas Benitez, Jafari, Zarzuela, Semigroup Forum 86,
-        2013): m_l(i) is the least element of M^l congruent to i mod n_1, so
-        m_0 = Ap(S, n_1) and m_l(i) = min over generators g of g + m_{l-1}(i - g).
-        Columns step by 0 or n_1; the table stops at the reduction number r,
-        the first row whose successor is the row plus n_1, and r < n_1.  The
-        deadline is checked once per row.
+    def apery_table(self) -> AperyRuns:
+        """The Apery table of the powers of the maximal ideal M (Cortadellas
+        Benitez, Jafari, Zarzuela, Semigroup Forum 86, 2013), stored as runs.
+        Row l holds m_l(i), the least element of M^l congruent to i mod n_1:
+        m_0 = Ap(S, n_1) and m_(l+1)(i) = min over generators g of
+        g + m_l(i - g).  The table stops at the reduction number r, the first
+        row whose successor is the row plus n_1, and r < n_1.
+
+        Every column steps by 0 or n_1, and column i is flat into row l + 1
+        exactly when some generator g != n_1 has slack
+        g + m_l(i - g) - m_l(i) = 0 (the slack is never negative).  A slack
+        moves by -n_1, 0 or n_1 from one row to the next, and only when
+        columns i and i - g step differently.  So the build keeps one slack
+        per column and generator, the number of zero slacks per column, and
+        per generator the set of columns i that step unlike i - g; each row
+        it updates those slacks alone.  A column whose zero count turns to
+        or from 0 changes step, which toggles the pairs it belongs to in
+        those sets.
+        The deadline is checked once per row.
         """
-        n1 = self.multiplicity
-        rows = [self._apery_by_residue]
-        while True:
+        n1, ap = self.multiplicity, self._apery_by_residue
+        shifts = [(g, g % n1) for g in self.generators[1:]]
+        # slack[j][i] = g + m(i - g) - m(i) for the j-th generator g > n_1
+        slack = [[g + a - b for a, b in zip(ap[n1 - k:] + ap[:n1 - k], ap)]
+                 for g, k in shifts]
+        zeros = [0] * n1
+        for sl in slack:
+            zeros = list(map(add, zeros, map(not_, sl)))
+        flat = list(map(bool, zeros))
+        straddle = [set(compress(range(n1), map(ne, flat, flat[n1 - k:] + flat[:n1 - k])))
+                    for _, k in shifts]
+        columns = [[(0, v, 0 if f else n1)] for v, f in zip(ap, flat)]
+        sums, climbing, row = [sum(ap)], flat.count(False), 0
+        while climbing < n1:
             tick()
-            prev = rows[-1]
-            climbed = [v + n1 for v in prev]
-            row = climbed
-            for g in self.generators[1:]:
-                k = n1 - g % n1  # rotate so that shifted[i] = prev[(i - g) % n1]
-                row = [a if a <= b + g else b + g
-                       for a, b in zip(row, prev[k:] + prev[:k])]
-            if row == climbed:
-                return tuple(rows)
-            rows.append(row)
+            sums.append(sums[-1] + n1 * climbing)
+            changed = []
+            for sl, st in zip(slack, straddle):
+                for i in st:
+                    if flat[i]:  # i - g climbs: the slack grows
+                        if not sl[i]:
+                            zeros[i] -= 1
+                            if not zeros[i]:
+                                changed.append(i)
+                        sl[i] += n1
+                    else:  # i climbs and i - g is flat: the slack shrinks
+                        sl[i] -= n1
+                        if not sl[i]:
+                            zeros[i] += 1
+                            if zeros[i] == 1:
+                                changed.append(i)
+            row += 1
+            for i in changed:
+                start, value, step = columns[i][-1]
+                f = flat[i] = not flat[i]
+                climbing += -1 if f else 1
+                columns[i].append((row, value + (row - start) * step, 0 if f else n1))
+            flipped = set(changed)
+            for st, (_, k) in zip(straddle, shifts):
+                st ^= flipped
+                st ^= {(c + k) % n1 for c in changed}
+        return AperyRuns(tuple(sums), tuple(map(tuple, columns)))
 
     def ord(self, s: int) -> int:
         """Max factorization length of a member: the last row of the Apery
-        table whose entry in the residue of s is at most s, plus one per n_1
-        past the table."""
+        table whose entry in the residue of s is at most s.  The last run of
+        the column with start value at most s climbs (a flat run is followed
+        by a climbing run with the same start value, and the last run climbs
+        for ever), so that row is its start row plus one per n_1 of s past
+        its start value."""
         if s < 0 or not self.membership(s):
             raise InputError(f"{s} is not a member")
-        rows, r = self.apery_table(), s % self.multiplicity
-        below = bisect_right(rows, s, key=lambda row: row[r])
-        return below - 1 + max(0, s - rows[-1][r]) // self.multiplicity
+        n1 = self.multiplicity
+        runs = self.apery_table().columns[s % n1]
+        start, value, _ = runs[bisect_right(runs, s, key=itemgetter(1)) - 1]
+        return start + (s - value) // n1
 
     def hilbert_gr(self, upto: int) -> list[int]:
         """Hilbert function of the associated graded ring:
         H(l) = #(M^l minus M^(l+1)) = sum over residues of (m_(l+1) - m_l) / n_1,
-        which is n_1 from the reduction number on."""
+        read from the row sums through the reduction number r; H(l) = n_1
+        for every l >= r."""
         if upto < 0:
             raise InputError("upto must be >= 0")
-        sums = [sum(row) for row in self.apery_table()]
-        n1 = self.multiplicity
-        return [(sums[l + 1] - sums[l]) // n1 if l + 1 < len(sums) else n1
-                for l in range(upto + 1)]
+        sums, n1 = self.apery_table().sums, self.multiplicity
+        h = [(b - a) // n1 for a, b in zip(sums, sums[1:])]
+        return h[:upto + 1] + [n1] * (upto + 1 - len(h))
 
     def hilbert_stabilization(self) -> int:
         """Least index from which H equals the multiplicity n_1: the
         reduction number, the last row of the Apery table.  Every column
         step is 0 or n_1, so H(l) < n_1 exactly for l below it."""
-        return len(self.apery_table()) - 1
+        return len(self.apery_table().sums) - 1
 
     def hilbert_nondecreasing(self) -> bool:
         """True iff H is non-decreasing through its stabilization index, and
@@ -225,6 +272,19 @@ def _least_per_residue(gens: tuple[int, ...], m: int) -> list[int]:
                 heapq.heappush(heap, (nd, nr))
     assert all(d is not None for d in dist)
     return dist  # type: ignore[return-value]
+
+
+class AperyRuns(NamedTuple):
+    """`NumericalSemigroup.apery_table`: the rows 0..r of the Apery table of
+    the powers of M, stored as runs, in memory bounded by the number of
+    runs rather than n_1 * (r + 1) cells.  `sums[l]` is the sum of row l.
+    `columns[i]` lists the runs of column i as (start row, value at that
+    row, step), a run being a maximal stretch of rows l whose step
+    m_(l+1)(i) - m_l(i) is the same, 0 or n_1; runs alternate between the
+    two steps, and the last one climbs from its start row for ever, since
+    every column climbs from row r on."""
+    sums: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------

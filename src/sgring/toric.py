@@ -64,16 +64,18 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
     take i in one without n_1: then b - n_i is a member while b - n_i - n_1
     is not (else i and 1 would be adjacent), so b - n_i lies in Ap(S, n_1)
     and i >= 2.  Scanning the degrees w + n_i, w in Ap(S, n_1), 2 <= i <= e,
-    all of them members, therefore misses none.
+    all of them members, therefore misses none.  Membership reads Ap(S, n_1)
+    directly: x is a member iff x >= Ap[x mod n_1], which also refuses every
+    x < 0.
     """
-    gens = s.generators
-    e = len(gens)
+    gens, ap = s.generators, s._apery_by_residue
+    e, n1 = len(gens), gens[0]
 
     def factorization(v: int) -> list[int]:
         fac = [0] * e
         while v:
             for i, g in enumerate(gens):
-                if v >= g and (v - g) in s:
+                if v - g >= ap[(v - g) % n1]:
                     fac[i] += 1
                     v -= g
                     break
@@ -82,9 +84,9 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
         return fac
 
     out: list[Binomial] = []
-    for b in sorted({w + g for w in s._apery_by_residue for g in gens[1:]}):
+    for b in sorted({w + g for w in ap for g in gens[1:]}):
         tick()
-        verts = [i for i, g in enumerate(gens) if b >= g and (b - g) in s]
+        verts = [i for i, g in enumerate(gens) if b - g >= ap[(b - g) % n1]]
         if len(verts) < 2:
             continue
         comp = {i: i for i in verts}
@@ -98,7 +100,7 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
         for ii, i in enumerate(verts):
             for j in verts[ii + 1:]:
                 rest = b - gens[i] - gens[j]
-                if rest >= 0 and rest in s:
+                if rest >= ap[rest % n1]:
                     comp[find(i)] = find(j)
         roots = sorted({find(i) for i in verts})
         if len(roots) < 2:

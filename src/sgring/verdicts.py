@@ -160,13 +160,15 @@ def cm_tangent_cone(s: NumericalSemigroup) -> Verdict:
 
     Cross-check: the multiplicity m is a nonzerodivisor on the associated
     graded ring iff order is additive along m: ord(x + m) = ord(x) + 1 for
-    every member x.  It is read off the Apery table of the powers of the
-    maximal ideal (`NumericalSemigroup.apery_table`), whose columns step by
-    0 or m from row to row: x fails exactly when x = m_k(i) for a column i
-    that climbs into row k + 1 and is flat into row k + 2.  Past the table
-    every column climbs, so additivity holds iff every column is constant
-    and then climbs by m per row, and the least failing member is the least
-    such m_k(i).
+    every member x.  It is read off the runs of the Apery table of the
+    powers of the maximal ideal (`NumericalSemigroup.apery_table`), whose
+    columns step by 0 or m from row to row: x fails exactly when x = m_k(i)
+    for a column i that climbs into row k + 1 and is flat into row k + 2,
+    that is where a flat run starts at row k + 1 after a climbing run, with
+    start value m_k(i) + m.  Runs alternate, so every flat run but a
+    column's first is such a change.  Past the table every column climbs,
+    so additivity holds iff every column is constant and then climbs by m
+    per row, and the least failing member is the least such m_k(i).
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("cm_tangent_cone expects a numerical semigroup")
@@ -174,9 +176,8 @@ def cm_tangent_cone(s: NumericalSemigroup) -> Verdict:
     result = offender is None
 
     m = s.multiplicity
-    rows = s.apery_table()
-    bad = min((a for lo, mid, hi in zip(rows, rows[1:], rows[2:])
-               for a, b, c in zip(lo, mid, hi) if a + m == b == c), default=None)
+    bad = min((value - m for runs in s.apery_table().columns
+               for _, value, step in runs[1:] if not step), default=None)
     note = (f"every Apery-table column is constant, then climbs by {m}"
             if bad is None else f"ord({bad} + {m}) != ord({bad}) + 1")
     checks = (CrossCheck("order-additivity", bad is None, note),)

@@ -29,7 +29,15 @@ from sgring.semigroups import (
     iter_bits,
     join,
 )
-from numerical_oracle import redundant_by_reachability
+from sgring.verdicts import cm_tangent_cone
+from numerical_oracle import (
+    additivity_offender_by_rows,
+    apery_rows,
+    hilbert_by_rows,
+    ord_by_rows,
+    redundant_by_reachability,
+)
+from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: straight enumeration, no shared code with the module
@@ -289,9 +297,10 @@ def test_hilbert_stabilizes_at_certified_index():
 
 
 def test_hilbert_honours_deadline():
-    # reduction number 4000: the full Apery table of the powers of M takes
-    # about 32 million steps, seconds of pure Python
-    big = NumericalSemigroup([4001, 4003])
+    # most columns of this table change step every row: its runs number
+    # about 3 million, and storing them takes seconds of pure Python
+    # (3.5 s on a 2-vCPU host), so the deadline cuts the build short
+    big = NumericalSemigroup([3001, 3002, 6005])
     start = time.monotonic()
     with pytest.raises(DeadlineExceeded), Deadline(0.2):
         big.hilbert_stabilization()
@@ -300,6 +309,65 @@ def test_hilbert_honours_deadline():
     s = NumericalSemigroup([3, 5, 7])
     with Deadline(0.2):
         assert s.hilbert_gr(s.hilbert_stabilization()) == [1, 3]
+
+
+def test_apery_runs_take_memory_by_runs_not_cells():
+    # 4,001 rows of 4,001 columns, 16 million cells, but 8,001 runs
+    s = NumericalSemigroup([4001, 4003])
+    tracemalloc.start()
+    try:
+        assert s.hilbert_stabilization() == 4000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def large_draws(seed):
+    """The seeded draws of the benchmark's large-instances workload: one
+    semigroup of 3, 4 and 5 generators from [100, 3000] with Frobenius
+    number below 100,000, each with 8 offsets in [-500, 500] of its
+    membership points around 10^6 (drawn as the benchmark draws them, so
+    the next semigroup is the benchmark's too)."""
+    rng = random.Random(seed)
+    out = []
+    for k in (3, 4, 5):
+        while True:
+            cand = sorted(rng.sample(range(100, 3001), k))
+            try:
+                s = NumericalSemigroup(cand)
+            except InputError:
+                continue
+            if s.frobenius() < 100_000:
+                break
+        out.append((s, [10**6 + rng.randint(-500, 500) for _ in range(8)]))
+    return out
+
+
+def test_apery_runs_match_the_cell_by_cell_oracle():
+    rng = random.Random(25)
+    cases = [(random_numerical(rng, lo=3, hi=150, kmax=5), []) for _ in range(200)]
+    cases += [(NumericalSemigroup(g), []) for g in list(CLOSURE_REGRESSIONS) + GLUED_INSTANCES
+              + [(105, 252, 119, 136), (1009, 1013, 1019)]]
+    cases += [case for seed in (1, 2) for case in large_draws(seed)]
+    for s, near_million in cases:
+        rows, n1 = apery_rows(s), s.multiplicity
+        assert s.apery_table().sums == tuple(sum(row) for row in rows), s
+        assert s.hilbert_stabilization() == len(rows) - 1, s
+        for upto in (len(rows) // 2, len(rows) + 2):
+            assert s.hilbert_gr(upto) == hilbert_by_rows(rows, upto), (s, upto)
+        top = max(rows[-1]) + 2 * n1
+        points = rng.sample(range(top), min(top, 40)) + near_million
+        points += [rng.choice(rng.choice(rows)) for _ in range(10)]  # table cells
+        points += [10**18 + rng.randrange(4 * n1) for _ in range(8)]
+        for x in points:
+            if x in s:
+                assert s.ord(x) == ord_by_rows(rows, x), (s, x)
+        bad = additivity_offender_by_rows(rows)
+        check = cm_tangent_cone(s).cross_checks[0]
+        assert check.result is (bad is None), s
+        if bad is not None:
+            assert check.note == f"ord({bad} + {n1}) != ord({bad}) + 1", s
 
 
 def test_hilbert_counts_match_ord():

@@ -7,7 +7,7 @@ import pytest
 from sgring import verdicts
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.resolution import betti_degrees
-from sgring.semigroups import AffineSemigroup, NumericalSemigroup, axis_apery
+from sgring.semigroups import AffineSemigroup, AperyRuns, NumericalSemigroup, axis_apery
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
@@ -95,8 +95,12 @@ def test_cm_tangent_cone_short_audit_flags_conflict(monkeypatch):
     # table misses the failure; the disagreement must surface as a
     # conflict, not vanish
     full = NumericalSemigroup.apery_table
-    monkeypatch.setattr(NumericalSemigroup, "apery_table",
-                        lambda self: full(self)[:1])
+
+    def first_row(self):
+        table = full(self)
+        return AperyRuns(table.sums[:1], tuple(runs[:1] for runs in table.columns))
+
+    monkeypatch.setattr(NumericalSemigroup, "apery_table", first_row)
     v = cm_tangent_cone(NumericalSemigroup([105, 252, 119, 136]))
     assert v.result is False
     assert v.cross_checks[0].result is True
