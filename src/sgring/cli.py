@@ -3,7 +3,8 @@
 Subcommands: analyze, glue, star-glue, extend, join, betti, pf, sifr,
 hilbert, verify <check-id>, fixtures.  Exit codes: 0 success, 1 mathematical
 conflict (a cross-check or theorem check disagrees), 2 input error,
-3 resource bound (deadline, scan box, or certification failure).
+3 resource bound (deadline, scan box, or certification failure), 141 stdout
+closed by its reader (no traceback).
 
 JSON documents carry {"schema_version", "type", "generators", "params"}
 with every integer as a decimal string; reports add "command" and "result"
@@ -12,9 +13,9 @@ the default for --deadline; --threads is validated but changes nothing,
 since fixture batches run serially.
 
 Each `cmd_*` handler computes and returns a `Report` and writes nothing;
-`main` alone writes stdout and picks the exit code.  It opens the command's
-one deadline scope (`errors.Deadline`) before the handler runs, and every
-loop that can run long checks it.  A scope covers only the thread that
+`main` alone writes stdout and picks the exit code.  Its one deadline scope
+(`errors.Deadline`) covers the handler and the rendering of the report, and
+every loop that can run long checks it.  A scope covers only the thread that
 opened it; the CLI runs one thread.
 
 Only the parsing layers (errors, monomials, linalg, semigroups) load with
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (BoundInsufficient, CertificationError, Deadline,
-                     DeadlineExceeded, InputError)
+                     DeadlineExceeded, InputError, tick)
 from .monomials import format_binomial
 from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
                          embed_axis, extend, glue, gluing, is_nice_gluing,
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
     from .theorems import TheoremReport
 
 SCHEMA_VERSION = "1"
-EXIT_OK, EXIT_CONFLICT, EXIT_INPUT, EXIT_BOUND = 0, 1, 2, 3
+EXIT_OK, EXIT_CONFLICT, EXIT_INPUT, EXIT_BOUND, EXIT_PIPE = 0, 1, 2, 3, 128 + 13
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +560,29 @@ def main(argv=None) -> int:
         seconds = _deadline_seconds(args)
         if args.threads is not None and args.threads < 1:
             raise InputError("--threads: must be at least 1")
-        # the one deadline scope: every computation of the command runs in it
-        with Deadline(seconds):
+        with Deadline(seconds):    # covers the command and rendering its report
             report = args.handler(args)
+            lines = report.lines
+            if args.format == "json":
+                doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                       "params": report.params, "result": report.result,
+                       **semigroup_doc(report.carrier)}
+                lines = [json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":"))]
+            tick()
     except InputError as ex:
         sys.stderr.write(f"input error: {ex}\n")
         return EXIT_INPUT
     except (DeadlineExceeded, BoundInsufficient, CertificationError) as ex:
         sys.stderr.write(f"resource bound: {ex}\n")
         return EXIT_BOUND
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "params": report.params, "result": report.result,
-               **semigroup_doc(report.carrier)}
-        sys.stdout.write(json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        for line in report.lines:
+    try:
+        for line in lines:
             sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: /dev/null takes the flush at exit; exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return EXIT_CONFLICT if report.conflict else EXIT_OK
 
 

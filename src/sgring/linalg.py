@@ -1,45 +1,44 @@
 """Exact rational linear algebra: rank and nonnegative solvability.
 
-No floats anywhere.  Ranks run fraction-free Bareiss elimination over the
-integers; the cone solves run a Bland-rule phase-1 simplex over Fractions.
-Sizes are tiny (matrices of semigroup generators, boundary matrices of
-complexes on few vertices), so nothing cleverer is needed.
+No floats anywhere.  Ranks run sparse Gaussian elimination, in integers
+while the pivots are ±1 and in `Fraction` otherwise; the cone solves run a
+Bland-rule phase-1 simplex over Fractions.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import tick
 
 
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
-
-    After each pivot p every row below it becomes (p*x - a*y) // prev, prev
-    being the previous pivot.  By Sylvester's identity the entries stay
-    minors of the input, so every division is exact and no Fraction is made.
-    """
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def rational_rank(rows: Sequence[Union[Sequence[int], Mapping[object, int]]]) -> int:
+    """Rank over Q of an integer matrix given as rows: sequences or
+    {column: value} maps.  Sparse Gaussian elimination: each step pivots on
+    the shortest remaining row, at a ±1 entry when it has one (the update
+    stays integral) and else at its first entry, dividing exactly in
+    Fraction, and clears that column from the other rows."""
+    pending = [{c: v for c, v in (r.items() if isinstance(r, Mapping) else enumerate(r)) if v}
+               for r in rows]
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for i in range(rank + 1, len(mat)):
-            a = mat[i][col]
-            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], prow)]
-        prev = p
+    while pending := [r for r in pending if r]:
+        tick()
+        row = min(pending, key=len)
+        col = next((c for c, v in row.items() if v in (1, -1)), next(iter(row)))
+        p = row[col]
+        for other in pending:
+            a = other.get(col)
+            if a and other is not row:
+                f = a * p if p in (1, -1) else Fraction(a, p)
+                for c, v in row.items():
+                    w = other.get(c, 0) - f * v
+                    if w:
+                        other[c] = w
+                    else:
+                        del other[c]
+        row.clear()
         rank += 1
-        if rank == len(mat):
-            break
     return rank
 
 

@@ -9,10 +9,11 @@ and internal degree b.
 The degree scan holds a few big Python ints over the box (one bit per
 lattice point): the member board of `semigroups.member_board` and shifts of
 its Apery boards, which drop every point whose complex is a cone over a
-vertex.  Exact homology over Q is computed only at the few points left, with
-faces read from the member bytes at the 2^n subset-sum offsets.  The
-certified box reads the stored Ap(S, E) of the semigroup; `semigroups.Grid`
-holds the scan to its bit budget.
+vertex.  Exact homology over Q is computed only at the few points left: the
+complex is read from the member bytes at the 2^n subset-sum offsets as a
+face mask, and each of its faces gives one sparse boundary row for
+`linalg.rational_rank`.  The certified box reads the stored Ap(S, E) of the
+semigroup; `semigroups.Grid` holds the scan to its bit budget.
 """
 from __future__ import annotations
 
@@ -44,21 +45,24 @@ def _gen_vectors(s: Semigroup) -> tuple[tuple[Vec, ...], int, bool]:
 # exact homology of divisor complexes
 
 
-def _ranks_from_faces(faces_by_size: list[list[tuple[int, ...]]]) -> list[int]:
-    """Reduced rational homology ranks; entry i is dim of homology in degree i-1."""
-    index = [{f: i for i, f in enumerate(level)} for level in faces_by_size]
+def _homology_ranks(bits: int, n: int) -> list[int]:
+    """Reduced rational homology ranks of the complex on n vertices whose
+    faces are the set bits of `bits` (bit k is the vertex subset k); entry i
+    is the rank in degree i-1.  The boundary of a face drops one vertex at a
+    time, with sign (-1)^(number of its vertices below the dropped one)."""
+    levels: list[list[int]] = [[] for _ in range(n + 1)]
+    for k in iter_bits(bits, 1 << n):
+        levels[k.bit_count()].append(k)
+    while not levels[-1]:
+        levels.pop()
     boundary_ranks = [0]  # rank of the map out of size-s chains, s = 0 is zero
-    for s in range(1, len(faces_by_size)):
-        rows = []
-        for face in faces_by_size[s]:
-            row = [0] * len(faces_by_size[s - 1])
-            for j in range(s):
-                row[index[s - 1][face[:j] + face[j + 1:]]] = -1 if j & 1 else 1
-            rows.append(row)
-        boundary_ranks.append(rational_rank(rows))
+    for faces in levels[1:]:
+        boundary_ranks.append(rational_rank(
+            [{k ^ 1 << v: -1 if (k & (1 << v) - 1).bit_count() & 1 else 1
+              for v in range(n) if k >> v & 1} for k in faces]))
     boundary_ranks.append(0)
-    return [len(faces_by_size[s]) - boundary_ranks[s] - boundary_ranks[s + 1]
-            for s in range(len(faces_by_size))]
+    return [len(faces) - boundary_ranks[s] - boundary_ranks[s + 1]
+            for s, faces in enumerate(levels)]
 
 
 def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:
@@ -162,9 +166,7 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     n = len(gens)
     if n > _MAX_VERTICES:
         raise CertificationError(f"{n} generators exceed the subset-enumeration limit")
-    gen_sum = (0,) * d
-    for g in gens:
-        gen_sum = vec_add(gen_sum, g)
+    gen_sum = tuple(map(sum, zip(*gens)))
     if degree_bound is not None:
         bound = ((degree_bound,) if isinstance(degree_bound, int)
                  else tuple(int(c) for c in degree_bound))
@@ -215,13 +217,7 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
                 bits |= 1 << k
         ranks = rank_memo.get(bits)
         if ranks is None:
-            grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-            for k in iter_bits(bits, 1 << n):
-                face = tuple(i for i in range(n) if k >> i & 1)
-                grouped[len(face)].append(face)
-            while not grouped[-1]:
-                grouped.pop()
-            ranks = rank_memo[bits] = _ranks_from_faces(grouped)
+            ranks = rank_memo[bits] = _homology_ranks(bits, n)
         b = grid.coords(idx)
         deg: Degree = b[0] if numerical else b
         for i, r in enumerate(ranks):
@@ -270,14 +266,12 @@ def resolution_summary(s: Semigroup, table: BettiTable) -> ResolutionSummary:
 def pf_via_betti(s: Semigroup, table: BettiTable) -> list[Degree]:
     """Pseudo-Frobenius elements of a maximal-projective-dimension semigroup:
     top Betti degrees shifted down by the sum of all generators."""
-    gens, d, numerical = _gen_vectors(s)
+    gens, _, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         raise InputError(
             f"pd {table.pd} != {len(gens) - 1}: semigroup is not MPD, top Betti "
             f"degrees do not determine pseudo-Frobenius elements")
-    gen_sum = (0,) * d
-    for g in gens:
-        gen_sum = vec_add(gen_sum, g)
+    gen_sum = tuple(map(sum, zip(*gens)))
     degs = sorted(set(table.rows[-1]))
     if numerical:
         return [b - gen_sum[0] for b in degs]

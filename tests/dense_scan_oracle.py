@@ -3,17 +3,20 @@
 It shifts the member board into one board per generator subset (2^n boards
 over the whole box) and finds the points whose divisor complex is a cone
 over no vertex with n * 2^(n-1) AND/XOR steps, then builds each face mask
-from per-subset difference tuples.  `resolution.betti_degrees` finds the
-same points from n Apery boards and reads faces at linear offsets, so equal
-tables and equal exceptions check that filter.  Bound, certification and
-clipping logic are the scan's own, repeated here so that the oracle stands
-alone.
+from per-subset difference tuples, ranked by the tuple-face homology of
+`homology_oracle`.  `resolution.betti_degrees` finds the same points from
+n Apery boards, reads faces at linear offsets and ranks face masks, so
+equal tables and equal exceptions check that filter and that homology.
+Bound, certification and clipping logic are the scan's own, repeated here
+so that the oracle stands alone.
 """
 
 from sgring.errors import BoundInsufficient, InputError, tick
 from sgring.monomials import Vec, vec_add
-from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors, _ranks_from_faces
+from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors
 from sgring.semigroups import Grid, iter_bits, member_board
+
+from homology_oracle import faces_of_mask, ranks_from_faces
 
 MAX_VERTICES = 16
 MAX_BOARD_BITS = 1 << 31   # total bits across all subset boards
@@ -91,13 +94,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
                     bits |= 1 << k
         ranks = rank_memo.get(bits)
         if ranks is None:
-            grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-            for k in iter_bits(bits, 1 << n):
-                face = tuple(i for i in range(n) if k >> i & 1)
-                grouped[len(face)].append(face)
-            while not grouped[-1]:
-                grouped.pop()
-            ranks = rank_memo[bits] = _ranks_from_faces(grouped)
+            ranks = rank_memo[bits] = ranks_from_faces(faces_of_mask(bits, n))
         deg: Degree = b[0] if numerical else b
         for i, r in enumerate(ranks):
             if r:

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from sgring import cli
 from sgring.cli import (
     EXIT_BOUND,
     EXIT_CONFLICT,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_PIPE,
     _resolve_semigroup,
     main,
     parse_input,
@@ -295,6 +297,22 @@ def test_hilbert_command_at_large_generators(capsys):
     assert doc["result"]["values"][-2] != "1009"
 
 
+HERZOG_WALDI = "30,35,42,47,148,153,157,169,181,193"
+
+
+def test_betti_certifies_the_herzog_waldi_table(capsys):
+    # ten generators: the scan is bound by the homology of its divisor
+    # complexes (up to 1,023 faces each), not by its box
+    code, doc = run_json(capsys, "betti", "--numerical", HERZOG_WALDI)
+    assert code == EXIT_OK and doc["result"]["certified"] is True
+    totals = [int(t) for t in doc["result"]["totals"]]
+    assert totals == [1, 49, 272, 742, 1232, 1330, 944, 427, 112, 13]
+    assert sum((-1) ** i * t for i, t in enumerate(totals)) == 0
+    gens = [int(g) for g in HERZOG_WALDI.split(",")]
+    assert ([int(d) - sum(gens) for d, in doc["result"]["top_degrees"]]
+            == sgring.NumericalSemigroup(gens).pf_numeric())
+
+
 def test_join_command_runs_the_sifr_statement(capsys):
     code, doc = run_json(capsys, "join", "--left", "2,3", "--right", "6,8,9")
     assert code == EXIT_OK
@@ -567,6 +585,62 @@ def test_an_expired_command_leaves_no_deadline_behind(capsys):
                          "--deadline", "0.01")
     assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
     assert run(capsys, "hilbert", "--numerical", "3,5") == (EXIT_OK, fresh, "")
+
+
+def test_rendering_counts_against_the_deadline(capsys, monkeypatch):
+    # a report rendered after its deadline is not written: exit 3, no stdout
+    fast = cli.jsonable
+
+    def slow(value):
+        time.sleep(0.3)
+        return fast(value)
+
+    monkeypatch.setattr(cli, "jsonable", slow)
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5,7", "--upto", "8",
+                         "--deadline", "0.2")
+    assert (code, out, err) == (EXIT_BOUND, "", "resource bound: cooperative deadline exceeded\n")
+    code, out, err = run(capsys, "hilbert", "--numerical", "3,5,7", "--upto", "8",
+                         "--deadline", "60")
+    assert code == EXIT_OK and out and err == ""
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away; its descriptor is /dev/null."""
+
+    def __init__(self):
+        self.fd = os.open(os.devnull, os.O_WRONLY)
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch):
+    closed = ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        for fmt in ("json", "text"):
+            assert main(["hilbert", "--numerical", "3,5,7", "--format", fmt]) == EXIT_PIPE == 141
+    finally:
+        os.close(closed.fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_exits_141_in_a_process():
+    # the read end is closed before the command starts, so its first write fails
+    src = str(Path(sgring.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sgring.cli", "hilbert",
+                               "--numerical", "3,5,7", "--format", "text"],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
 
 def test_threads_env(capsys, monkeypatch):

@@ -1,36 +1,12 @@
-"""Exact ranks: the integer Bareiss rank against a Fraction elimination oracle."""
+"""Exact ranks: the sparse elimination rank against a Fraction elimination oracle."""
 import random
-from fractions import Fraction
 
 from sgring.linalg import rational_rank
 
+from homology_oracle import fraction_rank
+
 MATRIX_A = ((3, 0), (5, 0), (0, 1), (1, 3), (2, 3))
 MATRIX_B = ((6, 0), (10, 0), (0, 2), (2, 6), (4, 6), (6, 9))
-
-
-def fraction_rank(rows):
-    """Rank over Q by Gauss-Jordan elimination over Fractions."""
-    mat = [[Fraction(a) for a in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        mat[rank] = prow = [a * inv for a in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 def random_matrix(rng):
@@ -54,6 +30,8 @@ def test_rank_matches_fraction_oracle_on_random_matrices():
         rows = random_matrix(rng)
         r = rational_rank(rows)
         assert r == fraction_rank(rows), rows
+        # the same matrix as {column: value} maps, zero entries included
+        assert rational_rank([dict(enumerate(row)) for row in rows]) == r, rows
         deficient += r < min(len(rows), len(rows[0]))
     assert deficient > 2_000   # the dependent rows are really exercised
 

@@ -1,19 +1,20 @@
 """Betti tables via divisor-complex homology: oracles, fixtures, invariants."""
 import random
+import time
 import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
 
-from sgring import theorems, verdicts
+from sgring import linalg, theorems, verdicts
 from sgring.errors import BoundInsufficient, CertificationError, Deadline, DeadlineExceeded, InputError
 from sgring.semigroups import (
     AffineSemigroup, Grid, NumericalSemigroup, axis_apery, embed_axis, join, member_board)
 from sgring.resolution import (
     BettiTable,
     ResolutionSummary,
-    _ranks_from_faces,
+    _homology_ranks,
     betti_degrees,
     is_prec_symmetric,
     pf_via_betti,
@@ -24,6 +25,7 @@ from sgring.resolution import (
 from sgring.verdicts import closure_resolution, projective_closure_semigroup
 
 from dense_scan_oracle import dense_betti_degrees
+from homology_oracle import faces_of_mask, ranks_from_faces
 from test_acceptance import CLOSURE_REGRESSIONS
 
 MAT_A = AffineSemigroup([(3, 0), (5, 0), (0, 1), (1, 3), (2, 3)])
@@ -68,7 +70,7 @@ class SimplicialComplex:
 
 def homology_ranks(k: SimplicialComplex) -> list[int]:
     """Reduced homology ranks over Q; entry i feeds the Betti number at level i."""
-    return _ranks_from_faces(k.faces_by_size())
+    return ranks_from_faces(k.faces_by_size())
 
 
 def sq_divisor_complex(s, b) -> SimplicialComplex:
@@ -173,6 +175,59 @@ def test_divisor_complex_worked():
     with pytest.raises(InputError):
         sq_divisor_complex(s, 4)
     assert sq_divisor_complex(MAT_A, (3, 0)).facets == ((0,),)
+
+
+# --- homology read from face masks ---------------------------------------------
+
+
+def mask_of(n, tops):
+    """Face mask (bit k for the vertex subset k) of the complex whose facets
+    are the vertex subsets in tops."""
+    return sum(1 << k for k in range(1 << n) if any(k & t == k for t in tops))
+
+
+# the 6-vertex real projective plane: H_1(Z) = Z/2, reduced rational homology 0
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+       (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
+def test_face_mask_homology_of_the_projective_plane():
+    edges = [e for f in RP2 for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2]))]
+    assert len(set(edges)) == 15 and all(edges.count(e) == 2 for e in set(edges))
+    tris = [sum(1 << v for v in f) for f in RP2]
+    bits = mask_of(6, tris)
+    assert _homology_ranks(bits, 6) == [0, 0, 0, 0]
+    assert ranks_from_faces(faces_of_mask(bits, 6)) == [0, 0, 0, 0]
+    # The boundary of the triangles has rank 10 over Q but 9 over GF(2),
+    # since H_1(Z) = Z/2.  A run of unit pivots is also an elimination mod 2,
+    # so the elimination behind the ranks above met a non-unit pivot.
+    assert linalg.rational_rank([{t ^ 1 << v: (-1) ** i for i, v in enumerate(f)}
+                                 for t, f in zip(tris, RP2)]) == 10
+    basis: dict[int, int] = {}
+    for t, f in zip(tris, RP2):
+        row = sum(1 << (t ^ 1 << v) for v in f)
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+    assert len(basis) == 9
+
+
+def test_face_mask_homology_matches_the_tuple_oracle():
+    rng = random.Random(2026)
+    homology = 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        picks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))]
+        if trial % 2:   # near empty: the faces of a few random subsets
+            bits = mask_of(n, picks)
+        else:           # near full: the simplex less a few faces and their cofaces
+            bits = sum(1 << k for k in range(1 << n)
+                       if not any(k & g == g for g in picks))
+        ranks = _homology_ranks(bits, n)
+        assert ranks == ranks_from_faces(faces_of_mask(bits, n)), (n, bin(bits))
+        homology += any(ranks)
+    assert homology > 50   # nonzero homology is really exercised
 
 
 # --- betti tables -------------------------------------------------------------
@@ -432,6 +487,15 @@ def test_depth_above_dim_rejected():
 def test_betti_respects_deadline():
     with pytest.raises(DeadlineExceeded), Deadline(0):
         betti_degrees(MAT_B)
+
+
+def test_the_herzog_waldi_scan_honours_the_deadline():
+    # its 938 distinct divisor complexes take seconds to rank; every pivot ticks
+    s = NumericalSemigroup((30, 35, 42, 47, 148, 153, 157, 169, 181, 193))
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded), Deadline(0.5):
+        betti_degrees(s)
+    assert time.monotonic() - start < 2
 
 
 def test_table_validation():
