@@ -35,8 +35,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (BoundInsufficient, CertificationError, Deadline,
                      DeadlineExceeded, InputError, tick)
@@ -56,8 +55,7 @@ EXIT_OK, EXIT_CONFLICT, EXIT_INPUT, EXIT_BOUND, EXIT_PIPE = 0, 1, 2, 3, 128 + 13
 # input parsing
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     type: str                       # "numerical" | "affine"
     generators: tuple[tuple[int, ...], ...]
     params: dict
@@ -154,8 +152,7 @@ def _resolve_semigroup(args):
 # output rendering
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What a handler computed: the semigroup the document describes (None for
     a fixture batch), params, result, text lines, and whether a check disagreed."""
     carrier: object
@@ -416,10 +413,12 @@ def cmd_hilbert(args) -> Report:
     nondecreasing = s.hilbert_nondecreasing()  # over the whole function
     result = {"upto": upto, "values": values, "stabilization": stab,
               "nondecreasing": nondecreasing}
-    return Report(s, {"upto": upto}, result,
-                  [f"hilbert function of the associated graded ring: {values}",
-                   f"nondecreasing={str(nondecreasing).lower()} "
-                   f"(stabilizes by index {stab})"])
+    lines = []
+    if args.format == "text":  # a long function takes longer to print than to compute
+        lines = [f"hilbert function of the associated graded ring: {values}",
+                 f"nondecreasing={str(nondecreasing).lower()} "
+                 f"(stabilizes by index {stab})"]
+    return Report(s, {"upto": upto}, result, lines)
 
 
 def cmd_fixtures(args) -> Report:
@@ -553,6 +552,25 @@ def _deadline_seconds(args) -> Optional[float]:
     return seconds
 
 
+def _write_all(text: str) -> None:
+    """Write all of text to stdout, or raise BrokenPipeError.  An unbuffered
+    stdout (python -u) passes a write to the pipe once; if the reader
+    leaves during it, the pipe takes only a part and the text layer drops
+    the rest without an error.  So the bytes go to the binary layer in a
+    loop until all are taken, and the write after a short one raises."""
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
+
+
 def main(argv=None) -> int:
     """Run one command; the only writer of its report and its exit code."""
     args = build_parser().parse_args(argv)
@@ -576,9 +594,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"resource bound: {ex}\n")
         return EXIT_BOUND
     try:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        sys.stdout.flush()
+        _write_all("".join(line + "\n" for line in lines))
     except BrokenPipeError:
         # the reader left: /dev/null takes the flush at exit; exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -12,13 +12,13 @@ is no coefficient arithmetic anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, tick
 from .monomials import (
     Binomial,
     BinomialIdeal,
+    Frozen,
     Order,
     Vec,
     divides,
@@ -32,12 +32,16 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
+    __slots__ = _fields = ("order", "elements", "reduced", "minimal")
     order: Order
     elements: tuple[Binomial, ...]
     reduced: bool
     minimal: bool
+
+    def __init__(self, order: Order, elements: tuple[Binomial, ...], reduced: bool,
+                 minimal: bool):
+        self._set(order=order, elements=elements, reduced=reduced, minimal=minimal)
 
     def __iter__(self):
         return iter(self.elements)

@@ -9,19 +9,58 @@ field arithmetic exists anywhere.
 The same tuples double as points of N^d (semigroup elements and degrees);
 `BinomialIdeal` ties a generating set to the degree map it is homogeneous for.
 
+`Frozen` gives the value classes that validate their input or hold more
+than their fields (`Order`, `BinomialIdeal`, the semigroups and their
+specs, `GroebnerBasis`, `BettiTable`) equality, hash and repr over their
+fields, and refuses assignment; plain records are NamedTuples.
+
 A monomial order is its sort key: `Order.key` maps a monomial to a tuple
 whose lexicographic comparison is the order, so callers sort and orient on
 keys, and `compare` is the three-way form of the same comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
 Vec = tuple[int, ...]
+
+
+class Frozen:
+    """Value semantics over the attributes named in `_fields`: equality
+    between instances of the same class, a hash, a repr in constructor
+    form, and an AttributeError on any assignment or deletion.  Subclass
+    constructors set their attributes once, with `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -72,23 +111,25 @@ def gamma_degree(m: Vec, degree_map: Sequence[Vec]) -> Vec:
     return out
 
 
-@dataclass(frozen=True)
-class BinomialIdeal:
+class BinomialIdeal(Frozen):
     """Binomial generators over named variables, each checked homogeneous
     for the degree map (one degree vector per variable)."""
 
+    __slots__ = _fields = ("variables", "generators", "degree_map")
     variables: tuple[str, ...]
     generators: tuple[Binomial, ...]
     degree_map: tuple[Vec, ...]
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.degree_map):
+    def __init__(self, variables: tuple[str, ...], generators: tuple[Binomial, ...],
+                 degree_map: tuple[Vec, ...]):
+        if len(variables) != len(degree_map):
             raise InputError("one degree vector per variable required")
-        for b in self.generators:
-            if len(b.lead) != len(self.variables):
+        for b in generators:
+            if len(b.lead) != len(variables):
                 raise InputError("generator does not match the variable set")
-            if gamma_degree(b.lead, self.degree_map) != gamma_degree(b.tail, self.degree_map):
+            if gamma_degree(b.lead, degree_map) != gamma_degree(b.tail, degree_map):
                 raise InputError(f"generator {b} is not homogeneous for the degree map")
+        self._set(variables=variables, generators=generators, degree_map=degree_map)
 
     def __iter__(self):
         return iter(self.generators)
@@ -99,8 +140,7 @@ _GRADINGS = ("degree", "negdegree", "none")
 _TIEBREAKS = ("lex", "revlex")
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Frozen):
     """A monomial order: grading, tie-break, and variable priority (highest first).
 
     grading "negdegree" marks a local order (not a well-order); callers must
@@ -115,20 +155,23 @@ class Order:
     monomials.
     """
 
+    __slots__ = _fields = ("grading", "tiebreak", "priority", "blocks")
     grading: str
     tiebreak: str
     priority: Vec
-    blocks: Optional[Vec] = None
+    blocks: Optional[Vec]
 
-    def __post_init__(self):
-        if self.grading not in _GRADINGS:
-            raise InputError(f"unknown grading {self.grading!r}")
-        if self.tiebreak not in _TIEBREAKS:
-            raise InputError(f"unknown tiebreak {self.tiebreak!r}")
-        if sorted(self.priority) != list(range(len(self.priority))):
+    def __init__(self, grading: str, tiebreak: str, priority: Vec,
+                 blocks: Optional[Vec] = None):
+        if grading not in _GRADINGS:
+            raise InputError(f"unknown grading {grading!r}")
+        if tiebreak not in _TIEBREAKS:
+            raise InputError(f"unknown tiebreak {tiebreak!r}")
+        if sorted(priority) != list(range(len(priority))):
             raise InputError("priority must be a permutation of variable indices")
-        if self.blocks is not None and sum(self.blocks) != len(self.priority):
+        if blocks is not None and sum(blocks) != len(priority):
             raise InputError("block sizes must cover the priority list")
+        self._set(grading=grading, tiebreak=tiebreak, priority=priority, blocks=blocks)
 
     @property
     def nvars(self) -> int:

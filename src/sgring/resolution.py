@@ -17,12 +17,11 @@ semigroup; `semigroups.Grid` holds the scan to its bit budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import BoundInsufficient, CertificationError, InputError, tick
 from .linalg import rational_rank
-from .monomials import Vec, vec_add
+from .monomials import Frozen, Vec, vec_add
 from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
 
 Semigroup = Union[NumericalSemigroup, AffineSemigroup]
@@ -75,24 +74,26 @@ def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:
 # Betti tables
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """rows[i] = sorted degrees (with multiplicity) of the i-th free module.
 
     certified is True only when the scan box provably contains every Betti
     degree, which `betti_degrees` proves when every extremal ray of the
     semigroup is a coordinate axis; tables from heuristic boxes carry False
     and callers needing a guarantee must corroborate them."""
+    __slots__ = _fields = ("rows", "nvars", "certified")
     rows: tuple[tuple[Degree, ...], ...]
     nvars: int
-    certified: bool = True
+    certified: bool
 
-    def __post_init__(self):
-        if not self.rows or any(not r for r in self.rows):
+    def __init__(self, rows: tuple[tuple[Degree, ...], ...], nvars: int,
+                 certified: bool = True):
+        if not rows or any(not r for r in rows):
             raise InputError("Betti rows must be contiguous and nonempty")
-        zero: Degree = self.rows[0][0]
-        if len(self.rows[0]) != 1 or (zero if isinstance(zero, int) else any(zero)):
+        zero: Degree = rows[0][0]
+        if len(rows[0]) != 1 or (zero if isinstance(zero, int) else any(zero)):
             raise InputError("row 0 must be exactly one copy of degree 0")
+        self._set(rows=rows, nvars=nvars, certified=certified)
 
     @property
     def total(self) -> tuple[int, ...]:
@@ -107,8 +108,7 @@ class BettiTable:
         return self.rows[-1]
 
 
-@dataclass(frozen=True)
-class ResolutionSummary:
+class ResolutionSummary(NamedTuple):
     pd: int
     depth: int
     dim: int

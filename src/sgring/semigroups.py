@@ -19,7 +19,6 @@ import heapq
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import wraps
 from itertools import compress
 from operator import add, itemgetter, ne, not_
@@ -27,24 +26,25 @@ from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificationError, InputError, tick
 from .linalg import nonneg_solve, rational_rank
-from .monomials import Vec, scale, vec_add
+from .monomials import Frozen, Vec, scale, vec_add
 
 T = TypeVar("T")
 
 
 def artifact(build: Callable[..., T]) -> Callable[..., T]:
     """Declare build(s) a stored result of semigroup s: kept in the dict
-    s._memo, which only this decorator fills, under build's name when it
-    first returns and never changed; a build cut short by the deadline
-    scope of its thread (`errors.Deadline`) raises and stores nothing, so a
-    later call with more time can finish it."""
+    s._memo, which the constructor makes empty and only this decorator
+    fills, under build's name when it first returns and never changed; a
+    build cut short by the deadline scope of its thread (`errors.Deadline`)
+    raises and stores nothing, so a later call with more time can finish
+    it."""
     name = build.__name__
 
     @wraps(build)
     def stored(s) -> T:
         if not isinstance(s, (NumericalSemigroup, AffineSemigroup)):
             raise InputError(f"expected a semigroup, got {type(s).__name__}")
-        memo = vars(s).setdefault("_memo", {})
+        memo = s._memo
         if name not in memo:
             memo[name] = build(s)
         return memo[name]
@@ -56,8 +56,7 @@ def artifact(build: Callable[..., T]) -> Callable[..., T]:
 # numerical semigroups
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Frozen):
     """Submonoid of N with gcd 1, stored by its minimal generators n_1 < ... < n_e.
 
     Every numerical question reads one engine, Ap(S, n_1) indexed by residue
@@ -72,6 +71,8 @@ class NumericalSemigroup:
     built once per instance by `artifact`.
     """
 
+    __slots__ = ("generators", "_apery_by_residue", "_memo")
+    _fields = ("generators",)
     generators: tuple[int, ...]
 
     def __init__(self, generators: Sequence[int]):
@@ -95,8 +96,7 @@ class NumericalSemigroup:
                      if any(g - h >= apery[(g - h) % n1] for h in gens if h < g)]
         if redundant:
             raise InputError(f"generating set not minimal: {redundant} are redundant")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_apery_by_residue", apery)
+        self._set(generators=gens, _apery_by_residue=apery, _memo={})
 
     @property
     def embedding_dim(self) -> int:
@@ -299,11 +299,12 @@ class Membership(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
-class AffineSemigroup:
+class AffineSemigroup(Frozen):
     """Submonoid of N^d given by distinct nonzero minimal generators; the
     constructor's minimality search runs under the deadline."""
 
+    __slots__ = ("generators", "dim", "_memo")
+    _fields = ("generators", "dim")
     generators: tuple[Vec, ...]
     dim: int
 
@@ -320,8 +321,7 @@ class AffineSemigroup:
             raise InputError("zero vector is not a generator")
         if len(set(gens)) != len(gens):
             raise InputError("generators must be pairwise distinct")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "dim", d)
+        self._set(generators=gens, dim=d, _memo={})
         bad = [g for g in gens
                if _affine_member(tuple(h for h in gens if h != g), g).ok]
         if bad:
@@ -613,8 +613,7 @@ def member_board(grid: Grid, gens: Sequence[Vec]) -> int:
         board = grown
 
 
-@dataclass(frozen=True)
-class GapScan:
+class GapScan(NamedTuple):
     """The gaps inside box; finite is True when they are the whole gap set,
     False when the gap set is infinite, None when the scan cannot tell."""
     gaps: tuple[Vec, ...]
@@ -644,21 +643,19 @@ def embed_axis(s: NumericalSemigroup, dim: int, axis: int) -> AffineSemigroup:
 # gluing
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(Frozen):
     """Glue left (gens m_1<...<m_l) and right (gens n_1<...<n_k) along
     p = sum b_i m_i and q = sum a_j n_j."""
 
+    __slots__ = _fields = ("left", "right", "b", "a")
     left: NumericalSemigroup
     right: NumericalSemigroup
     b: tuple[int, ...]
     a: tuple[int, ...]
 
     def __init__(self, left, right, b, a):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "b", tuple(int(c) for c in b))
-        object.__setattr__(self, "a", tuple(int(c) for c in a))
+        self._set(left=left, right=right, b=tuple(int(c) for c in b),
+                  a=tuple(int(c) for c in a))
         problems = self.violations()
         if problems:
             raise InputError("invalid gluing: " + "; ".join(problems))
@@ -743,8 +740,7 @@ def is_star_gluing(spec: GluingSpec) -> bool:
     return sum(spec.a) < sum(spec.b)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Literal lcm test of a gluing witness vector against basis lead exponents.
 
     The test is lcm(w_i, alpha_i) != w_i for every basis lead exponent alpha
@@ -801,10 +797,10 @@ def condition_B(spec: GluingSpec, gb_right) -> ConditionReport:
 # extension and join
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(Frozen):
     """E = <l*a_1, ..., l*a_n, a> where a = sum u_i a_i is a member of base."""
 
+    __slots__ = _fields = ("base", "l", "u")
     base: AffineSemigroup
     l: int
     u: tuple[int, ...]
@@ -812,9 +808,7 @@ class ExtensionSpec:
     def __init__(self, base, l, u):
         if isinstance(base, NumericalSemigroup):
             base = AffineSemigroup([(g,) for g in base.generators])
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "l", int(l))
-        object.__setattr__(self, "u", tuple(int(c) for c in u))
+        self._set(base=base, l=int(l), u=tuple(int(c) for c in u))
         if self.l < 1:
             raise InputError("l must be a positive integer")
         if len(self.u) != len(base.generators) or any(c < 0 for c in self.u):

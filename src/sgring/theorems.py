@@ -11,7 +11,6 @@ as a flagged report instead of a silent wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -34,8 +33,7 @@ class HypothesisCheck(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """One statement checked on one instance: hypotheses, both sides, notes."""
 
     theorem: str
@@ -454,7 +452,7 @@ def _star_instance(build: Callable[[], GluingSpec]) -> TheoremReport:
                 "list reproduces the b=(2,3,0), a=(2,1) instance instead")
     else:
         note = "constructed generators match the catalogued list"
-    return replace(report, notes=report.notes + (note,))
+    return report._replace(notes=report.notes + (note,))
 
 
 def _mat_a() -> AffineSemigroup:

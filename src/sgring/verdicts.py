@@ -14,7 +14,6 @@ Betti-totals note of the gluing harness and as a test oracle.  Both are
 stored results of the semigroup object (`@semigroups.artifact`).
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import CertificationError, InputError, tick
@@ -30,8 +29,7 @@ class CrossCheck(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     result: Optional[bool]  # None = undecided (primary method unavailable)
     method: str

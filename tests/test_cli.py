@@ -643,6 +643,22 @@ def test_a_closed_pipe_exits_141_in_a_process():
     assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_leaving_mid_report_exits_141_unbuffered(fmt):
+    # about 400 KB, past the pipe's capacity: the write is under way when the
+    # reader leaves, and an unbuffered stdout takes a part of it
+    src = str(Path(sgring.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-m", "sgring.cli", "hilbert",
+                           "--numerical", "3,5,7", "--upto", "100000", "--format", fmt],
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(60)
+    assert (len(head), code, err) == (10, EXIT_PIPE, b"")
+
+
 def test_threads_env(capsys, monkeypatch):
     # SGRING_THREADS is not read: even a malformed value changes nothing
     _, plain, _ = run(capsys, "hilbert", "--numerical", "3,5")

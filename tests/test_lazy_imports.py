@@ -1,6 +1,7 @@
 """Modules load on first use: `import sgring` loads no submodule, and each
-CLI command loads only the modules it runs.  The import checks run in a
-fresh interpreter, since this test process has imported everything already."""
+CLI command loads only the modules it runs and none of `UNNEEDED`.  The
+import checks run in a fresh interpreter, since this test process has
+imported everything already."""
 import json
 import os
 import subprocess
@@ -15,6 +16,9 @@ import sgring
 SUBMODULES = {"errors", "groebner", "linalg", "monomials", "resolution",
               "semigroups", "theorems", "toric", "verdicts"}
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+# standard-library modules no command needs: `dataclasses` builds each class
+# with exec and imports `inspect`, several milliseconds of every start-up
+UNNEEDED = ("dataclasses", "inspect")
 
 
 def fresh_python(code: str) -> str:
@@ -28,17 +32,21 @@ def fresh_python(code: str) -> str:
     return res.stdout.splitlines()[-1]
 
 
-def loaded_after(code: str) -> set[str]:
-    """The sgring submodules a fresh interpreter holds after running code."""
-    return set(fresh_python(textwrap.dedent(code) + textwrap.dedent("""
-        import sys
-        print(" ".join(sorted(m[len("sgring."):] for m in sys.modules
-                              if m.startswith("sgring."))))
-        """)).split())
+def loaded_after(code: str) -> tuple[set[str], set[str]]:
+    """The sgring submodules a fresh interpreter holds after running code,
+    and the names of `UNNEEDED` it holds."""
+    sgring_modules, unneeded = json.loads(fresh_python(
+        textwrap.dedent(code) + textwrap.dedent(f"""
+        import json, sys
+        print(json.dumps([[m[len("sgring."):] for m in sys.modules
+                           if m.startswith("sgring.")],
+                          [m for m in {UNNEEDED!r} if m in sys.modules]]))
+        """)))
+    return set(sgring_modules), set(unneeded)
 
 
 def test_import_sgring_loads_no_submodule():
-    assert loaded_after("import sgring") == set()
+    assert loaded_after("import sgring") == (set(), set())
 
 
 # the parsing layers, which load with sgring.cli
@@ -67,6 +75,10 @@ COMMAND_MODULES = [
 ]
 
 
+def test_import_cli_loads_the_parsing_layers_only():
+    assert loaded_after("import sgring.cli") == (PARSING, set())
+
+
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
 def test_command_loads_exactly(argv, modules):
     loaded = loaded_after(f"""
@@ -75,18 +87,18 @@ def test_command_loads_exactly(argv, modules):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main({argv!r}) == 0
         """)
-    assert loaded == modules
+    assert loaded == (modules, set())
 
 
 def test_verify_loads_theorems_only_when_parsed():
     assert "theorems" not in loaded_after("""
         from sgring import cli
         cli.build_parser().parse_args(["hilbert", "--numerical", "3,5"])
-        """)
+        """)[0]
     assert "theorems" in loaded_after("""
         from sgring import cli
         cli.build_parser().parse_args(["verify", "join-sifr"])
-        """)
+        """)[0]
 
 
 def test_tracer_wraps_the_names_handlers_import():

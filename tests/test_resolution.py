@@ -499,10 +499,16 @@ def test_the_herzog_waldi_scan_honours_the_deadline():
 
 
 def test_table_validation():
-    with pytest.raises(InputError):
-        BettiTable(((0, 0),), 2)  # two copies of degree zero
-    with pytest.raises(InputError):
-        BettiTable(((0,), ()), 1)  # empty middle row
+    for rows, message in [
+        (((0, 0),), "row 0 must be exactly one copy of degree 0"),  # two copies
+        (((3,),), "row 0 must be exactly one copy of degree 0"),
+        ((((0, 1),),), "row 0 must be exactly one copy of degree 0"),
+        (((0,), ()), "Betti rows must be contiguous and nonempty"),  # empty middle row
+        ((), "Betti rows must be contiguous and nonempty"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            BettiTable(rows, 2)
+        assert str(exc.value) == message
 
 
 # --- the cone filter against the dense subset-board scan ----------------------

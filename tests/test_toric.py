@@ -204,12 +204,16 @@ def test_gamma_degree():
 
 
 def test_binomial_ideal_validates():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         BinomialIdeal(("x1", "x2"), (Binomial((1, 0), (0, 1)),), ((3,), (5,)))
-    with pytest.raises(InputError):
+    assert str(exc.value) == ("generator Binomial(lead=(1, 0), tail=(0, 1)) is not "
+                              "homogeneous for the degree map")
+    with pytest.raises(InputError) as exc:
         BinomialIdeal(("x1",), (), ((3,), (5,)))
-    with pytest.raises(InputError):
+    assert str(exc.value) == "one degree vector per variable required"
+    with pytest.raises(InputError) as exc:
         BinomialIdeal(("x1", "x2"), (Binomial((1, 0, 0), (0, 1, 0)),), ((3,), (5,)))
+    assert str(exc.value) == "generator does not match the variable set"
 
 
 def test_toric_35():
