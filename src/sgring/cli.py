@@ -15,7 +15,7 @@ since fixture batches run serially.
 Each `cmd_*` handler computes and returns a `Report` and writes nothing;
 `main` alone writes stdout and picks the exit code.  Its one deadline scope
 (`errors.Deadline`) covers the handler and the rendering of the report, and
-every loop that can run long checks it.  A scope covers only the thread that
+every loop that can run long checks it, `jsonable` included.  A scope covers only the thread that
 opened it; the CLI runs one thread.
 
 Only the parsing layers (errors, monomials, linalg, semigroups) load with
@@ -24,7 +24,8 @@ or theorems names it calls, so `hilbert` and `glue` never compile the
 Groebner or Betti code; `glue` loads verdicts (and through it the Groebner
 stack) only under --projective or --tangent-cone.  `verify` reads its
 theorem ids from `theorems` only when its arguments are parsed or its help
-is printed.
+is printed.  A command line naming a command builds that command's
+arguments alone; help, usage and errors read as with every command built.
 """
 
 from __future__ import annotations
@@ -163,18 +164,28 @@ class Report(NamedTuple):
 
 
 def jsonable(value):
-    """Ints become decimal strings, tuples become arrays, recursively."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    """Ints become decimal strings, tuples become arrays, recursively,
+    checking the deadline every 4096 values."""
+    seen = 0
+
+    def convert(value):
+        nonlocal seen
+        seen += 1
+        if not seen & 4095:
+            tick()
+        if isinstance(value, bool) or value is None:
+            return value
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, str):
+            return value
+        if isinstance(value, dict):
+            return {str(k): convert(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [convert(v) for v in value]
         return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return str(value)
+
+    return convert(value)
 
 
 def semigroup_doc(s) -> dict:
@@ -457,76 +468,98 @@ class _TheoremIds:
         return iter(THEOREM_IDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands and their help lines, in help order
+COMMANDS = {
+    "analyze": "ideal, reduced basis, and verdicts",
+    "glue": "glue two numerical semigroups",
+    "star-glue": "star-glue two numerical semigroups",
+    "extend": "scaled extension by one member",
+    "join": "join of two axis-embedded factors",
+    "betti": "multigraded Betti table",
+    "pf": "pseudo-Frobenius elements",
+    "sifr": "strong indispensability check",
+    "hilbert": "Hilbert function of the tangent cone",
+    "verify": "run the curated checks for one id",
+    "fixtures": "run every curated check",
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The sgring parser.  Every command is listed, for the top-level help
+    and usage; given a command's name, only that command gets its
+    arguments, which is all that parsing a command line naming it reads.
+    Any other value builds them all."""
     top = argparse.ArgumentParser(
         prog="sgring",
         description="Exact semigroup-ring computations and theorem checks.")
     sub = top.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=line) for name, line in COMMANDS.items()}
+    built = {command: parsers[command]} if command in parsers else parsers
 
-    p = sub.add_parser("analyze", help="ideal, reduced basis, and verdicts")
-    _add_semigroup_source(p)
-    p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true")
-    p.add_argument("--projective", action="store_true")
-    p.add_argument("--gorenstein", action="store_true")
-    p.set_defaults(handler=cmd_analyze)
+    if p := built.get("analyze"):
+        _add_semigroup_source(p)
+        p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true")
+        p.add_argument("--projective", action="store_true")
+        p.add_argument("--gorenstein", action="store_true")
+        p.set_defaults(handler=cmd_analyze)
 
     for name, handler in (("glue", cmd_glue), ("star-glue", cmd_star_glue)):
-        p = sub.add_parser(name, help=f"{name} two numerical semigroups")
+        if p := built.get(name):
+            p.add_argument("--left", required=True)
+            p.add_argument("--right", required=True)
+            p.add_argument("--b", required=True, help="witness exponents of p over --left")
+            p.add_argument("--a", required=True, help="witness exponents of q over --right")
+            if name == "glue":
+                p.add_argument("--projective", action="store_true",
+                               help="add the closure ACM verdict")
+                p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true",
+                               help="add the tangent-cone CM verdict")
+            p.set_defaults(handler=handler)
+
+    if p := built.get("extend"):
+        p.add_argument("--numerical", help="base generators, e.g. 3,5")
+        p.add_argument("--affine", help="base rows, e.g. '3 0;5 0;0 1'")
+        p.add_argument("--l", type=int, required=True, help="scaling factor")
+        p.add_argument("--u", required=True, help="coefficients of the new member")
+        p.set_defaults(handler=cmd_extend)
+
+    if p := built.get("join"):
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
-        p.add_argument("--b", required=True, help="witness exponents of p over --left")
-        p.add_argument("--a", required=True, help="witness exponents of q over --right")
-        if name == "glue":
-            p.add_argument("--projective", action="store_true",
-                           help="add the closure ACM verdict")
-            p.add_argument("--tangent-cone", dest="tangent_cone", action="store_true",
-                           help="add the tangent-cone CM verdict")
-        p.set_defaults(handler=handler)
+        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--left-axis", dest="left_axis", type=int, default=0)
+        p.add_argument("--right-axis", dest="right_axis", type=int, default=1)
+        p.set_defaults(handler=cmd_join)
 
-    p = sub.add_parser("extend", help="scaled extension by one member")
-    p.add_argument("--numerical", help="base generators, e.g. 3,5")
-    p.add_argument("--affine", help="base rows, e.g. '3 0;5 0;0 1'")
-    p.add_argument("--l", type=int, required=True, help="scaling factor")
-    p.add_argument("--u", required=True, help="coefficients of the new member")
-    p.set_defaults(handler=cmd_extend)
+    if p := built.get("betti"):
+        _add_semigroup_source(p)
+        p.add_argument("--bound", help="degree bound override")
+        p.set_defaults(handler=cmd_betti)
 
-    p = sub.add_parser("join", help="join of two axis-embedded factors")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--left-axis", dest="left_axis", type=int, default=0)
-    p.add_argument("--right-axis", dest="right_axis", type=int, default=1)
-    p.set_defaults(handler=cmd_join)
+    if p := built.get("pf"):
+        _add_semigroup_source(p)
+        p.add_argument("--direct", action="store_true",
+                       help="also run the direct gap-set computation")
+        p.set_defaults(handler=cmd_pf)
 
-    p = sub.add_parser("betti", help="multigraded Betti table")
-    _add_semigroup_source(p)
-    p.add_argument("--bound", help="degree bound override")
-    p.set_defaults(handler=cmd_betti)
+    if p := built.get("sifr"):
+        _add_semigroup_source(p)
+        p.set_defaults(handler=cmd_sifr)
 
-    p = sub.add_parser("pf", help="pseudo-Frobenius elements")
-    _add_semigroup_source(p)
-    p.add_argument("--direct", action="store_true",
-                   help="also run the direct gap-set computation")
-    p.set_defaults(handler=cmd_pf)
+    if p := built.get("hilbert"):
+        _add_semigroup_source(p)
+        p.add_argument("--upto", type=int, default=None)
+        p.set_defaults(handler=cmd_hilbert)
 
-    p = sub.add_parser("sifr", help="strong indispensability check")
-    _add_semigroup_source(p)
-    p.set_defaults(handler=cmd_sifr)
+    if p := built.get("verify"):
+        # set after add_argument, which would iterate choices to check the metavar
+        p.add_argument("theorem").choices = _TheoremIds()
+        p.set_defaults(handler=cmd_fixtures)
 
-    p = sub.add_parser("hilbert", help="Hilbert function of the tangent cone")
-    _add_semigroup_source(p)
-    p.add_argument("--upto", type=int, default=None)
-    p.set_defaults(handler=cmd_hilbert)
+    if p := built.get("fixtures"):
+        p.set_defaults(handler=cmd_fixtures)
 
-    p = sub.add_parser("verify", help="run the curated checks for one id")
-    # set after add_argument, which would iterate choices to check the metavar
-    p.add_argument("theorem").choices = _TheoremIds()
-    p.set_defaults(handler=cmd_fixtures)
-
-    p = sub.add_parser("fixtures", help="run every curated check")
-    p.set_defaults(handler=cmd_fixtures)
-
-    for p in sub.choices.values():  # after each command's own arguments
+    for p in built.values():  # after each command's own arguments
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--deadline", type=float, default=None,
                        help="seconds before aborting with exit code 3")
@@ -573,7 +606,9 @@ def _write_all(text: str) -> None:
 
 def main(argv=None) -> int:
     """Run one command; the only writer of its report and its exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level has no option taking a value: a command is the first word
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         seconds = _deadline_seconds(args)
         if args.threads is not None and args.threads < 1:
@@ -585,7 +620,9 @@ def main(argv=None) -> int:
                 doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                        "params": report.params, "result": report.result,
                        **semigroup_doc(report.carrier)}
-                lines = [json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":"))]
+                doc = jsonable(doc)
+                tick()
+                lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))]
             tick()
     except InputError as ex:
         sys.stderr.write(f"input error: {ex}\n")

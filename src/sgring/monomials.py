@@ -20,8 +20,8 @@ keys, and `compare` is the three-way form of the same comparison.
 """
 from __future__ import annotations
 
-from operator import le
-from typing import NamedTuple, Optional, Sequence
+from operator import add, itemgetter, le, neg, sub
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -64,7 +64,9 @@ class Frozen:
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("monomials of different lengths")
+    return tuple(map(add, u, v))
 
 
 def scale(k: int, u: Vec) -> Vec:
@@ -76,7 +78,9 @@ def total_degree(m: Vec) -> int:
 
 
 def lcm_monomial(m1: Vec, m2: Vec) -> Vec:
-    return tuple(max(a, b) for a, b in zip(m1, m2, strict=True))
+    if len(m1) != len(m2):
+        raise ValueError("monomials of different lengths")
+    return tuple(map(max, m1, m2))
 
 
 def divides(m1: Vec, m2: Vec) -> bool:
@@ -89,7 +93,7 @@ def quotient(m1: Vec, m2: Vec) -> Vec:
     """m1 / m2, defined only when m2 divides m1."""
     if not divides(m2, m1):
         raise InputError(f"{m2} does not divide {m1}")
-    return tuple(a - b for a, b in zip(m1, m2, strict=True))
+    return tuple(map(sub, m1, m2))
 
 
 class Binomial(NamedTuple):
@@ -152,14 +156,17 @@ class Order(Frozen):
     Every such order is a matrix order (Robbiano, Term orderings on the
     polynomial ring, EUROCAL 1985): `key` maps a monomial to a tuple whose
     lexicographic comparison is the order, and is the only code that ranks
-    monomials.
+    monomials.  The constructor builds it once from the four fields; it is
+    not one of them, so equality, hash and repr ignore it.
     """
 
-    __slots__ = _fields = ("grading", "tiebreak", "priority", "blocks")
+    __slots__ = ("grading", "tiebreak", "priority", "blocks", "key")
+    _fields = ("grading", "tiebreak", "priority", "blocks")
     grading: str
     tiebreak: str
     priority: Vec
     blocks: Optional[Vec]
+    key: Callable[[Vec], Vec]
 
     def __init__(self, grading: str, tiebreak: str, priority: Vec,
                  blocks: Optional[Vec] = None):
@@ -171,7 +178,8 @@ class Order(Frozen):
             raise InputError("priority must be a permutation of variable indices")
         if blocks is not None and sum(blocks) != len(priority):
             raise InputError("block sizes must cover the priority list")
-        self._set(grading=grading, tiebreak=tiebreak, priority=priority, blocks=blocks)
+        self._set(grading=grading, tiebreak=tiebreak, priority=priority, blocks=blocks,
+                  key=_sort_key(grading, tiebreak, priority, blocks))
 
     @property
     def nvars(self) -> int:
@@ -180,22 +188,42 @@ class Order(Frozen):
     def is_local(self) -> bool:
         return self.grading == "negdegree"
 
-    def key(self, m: Vec) -> Vec:
-        """Sort key of m: per block, the degree (negated for "negdegree",
-        left out for "none"), then the exponents in priority order for lex,
-        or negated in reverse priority order for revlex."""
-        if len(m) != self.nvars:
-            raise InputError("monomial does not match the order's variable set")
+
+def _sort_key(grading: str, tiebreak: str, priority: Vec,
+              blocks: Optional[Vec]) -> Callable[[Vec], Vec]:
+    """`Order.key`: the sort key of m is, per block, the degree (negated for
+    "negdegree", left out for "none"), then the exponents in priority order
+    for lex, or negated in reverse priority order for revlex.  One block of
+    a graded revlex order on two or more variables reads its exponents with
+    one itemgetter."""
+    nvars = len(priority)
+    mismatch = "monomial does not match the order's variable set"
+
+    if blocks is None and tiebreak == "revlex" and grading != "none" and nvars > 1:
+        sign, pick = (1 if grading == "degree" else -1), itemgetter(*reversed(priority))
+
+        def key(m: Vec) -> Vec:
+            if len(m) != nvars:
+                raise InputError(mismatch)
+            return (sign * sum(m), *map(neg, pick(m)))
+
+        return key
+
+    def key(m: Vec) -> Vec:
+        if len(m) != nvars:
+            raise InputError(mismatch)
         out: list[int] = []
         pos = 0
-        for size in self.blocks or (self.nvars,):
-            chunk = self.priority[pos:pos + size]
+        for size in blocks or (nvars,):
+            chunk = priority[pos:pos + size]
             pos += size
             part = [m[i] for i in chunk]
-            if self.grading != "none":
-                out.append(sum(part) if self.grading == "degree" else -sum(part))
-            out += part if self.tiebreak == "lex" else [-e for e in reversed(part)]
+            if grading != "none":
+                out.append(sum(part) if grading == "degree" else -sum(part))
+            out += part if tiebreak == "lex" else [-e for e in reversed(part)]
         return tuple(out)
+
+    return key
 
 
 def compare(order: Order, m1: Vec, m2: Vec) -> int:

@@ -3,17 +3,24 @@
 toric_ideal computes the kernel of the monomial map attached to a semigroup,
 by one route per semigroup kind.  For a numerical semigroup it links the
 connected components of divisor graphs, which yields a minimal generating set
-directly (Briales, Campillo, Marijuan, Pison, JPAA 124, 1998).  Only the
-degrees w + n_i with w in Ap(S, n_1) and i >= 2 are tested: every degree with
-a disconnected divisor graph has that form, so at most n_1 * (e - 1) degrees
-are examined whatever the size of the integers.  For an affine semigroup it
-eliminates auxiliary variables through the Buchberger engine.
+directly (Briales, Campillo, Marijuan, Pison, JPAA 124, 1998; Rosales and
+Garcia-Sanchez, Numerical Semigroups, 2009, ch. 7).  Every degree with a
+disconnected divisor graph is some w + n_i with w in Ap(S, n_1) and i >= 2,
+one per residue mod n_1 and generator.  Within a residue class the graph
+only grows with the degree, so the graphs of all n_1 candidates of n_i are
+read at once from bit boards, one per vertex and edge, with a lane per
+residue; only the degrees whose graph is disconnected are factored.  Time
+and memory follow e^2 * n_1 lanes whatever the size of the integers.  For an
+affine semigroup it eliminates auxiliary variables through the Buchberger
+engine.
 
 The toric ideal, its reduced basis and its local standard basis are built
 once per semigroup object; only this module fixes their monomial orders.
 """
 from __future__ import annotations
 
+from array import array
+from itertools import combinations
 from typing import Union
 
 from .errors import InputError, tick
@@ -28,7 +35,7 @@ from .monomials import (
     negdegrevlex,
     oriented,
 )
-from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifact
+from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifact, iter_bits
 
 
 def _canonical(els, order: Order) -> tuple[Binomial, ...]:
@@ -58,18 +65,101 @@ def _toric_by_elimination(vecs: tuple[Vec, ...]) -> list[Binomial]:
 
 
 def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
-    """Link the components of the divisor graph of every degree that can
-    have more than one.  The graph of b has a vertex i when b - n_i is a
-    member and an edge ij when b - n_i - n_j is.  If it has two components,
-    take i in one without n_1: then b - n_i is a member while b - n_i - n_1
-    is not (else i and 1 would be adjacent), so b - n_i lies in Ap(S, n_1)
-    and i >= 2.  Scanning the degrees w + n_i, w in Ap(S, n_1), 2 <= i <= e,
-    all of them members, therefore misses none.  Membership reads Ap(S, n_1)
-    directly: x is a member iff x >= Ap[x mod n_1], which also refuses every
-    x < 0.
+    """Link the components of the divisor graph of every degree that has
+    more than one.  The graph of b has a vertex i when b - n_i is a member
+    and an edge ij when b - n_i - n_j is.  If it has two components, take i
+    in one without n_1: then b - n_i is a member while b - n_i - n_1 is not
+    (else i and 1 would be adjacent), so b - n_i lies in Ap(S, n_1) and
+    i >= 2.  Every disconnected degree is therefore some w + n_i, w in
+    Ap(S, n_1), 2 <= i <= e.
+
+    Membership reads Ap(S, n_1): x is a member iff x >= Ap[x mod n_1].  So
+    for a shift t (n_j for a vertex, n_j + n_k for an edge) and a residue
+    rho, b - t is a member for the degrees b = rho (mod n_1) at or above
+    the threshold T_t[rho] = Ap[(rho - t) mod n_1] + t, and for no other:
+    along one residue class the graph only gains vertices and edges as b
+    grows, and the candidates of generator i are the degrees
+    b = T_{n_i}[rho], one per residue.  The graph at such a b has the
+    vertices and edges whose thresholds are at most b.
+
+    Every threshold of the class of rho is rho + n_1 * H, so thresholds
+    compare by their heights H, all below `top`.  The heights of one shift,
+    for all residues, are one integer with a lane of `lane` bits per
+    residue: the lanes of Ap // n_1, rotated by t mod n_1 lanes, plus
+    t // n_1, plus 1 in the lanes below t mod n_1.  A lane keeps its top
+    bit free, so (H' + guard) - H carries no borrow between lanes and
+    leaves the top bit of lane rho set exactly when H[rho] <= H'[rho]: each
+    vertex and edge of every candidate graph of generator i is one
+    subtraction, a board with a bit per residue.  The component of vertex i
+    grows through the edge boards until it stops; a vertex board's bits
+    left outside it are the disconnected degrees, and only those go through
+    the union-find and the factorizations below.
+
+    Memory: e + e(e - 1)/2 height integers, plus the edge boards and the
+    component of one generator at a time, each of n_1 lanes.  An Apery
+    element sums at most n_1 - 1 generators, so `top` is below 2 * n_e + 1
+    and a lane has 8 to 64 bits unless n_e passes 2^62.
     """
     gens, ap = s.generators, s._apery_by_residue
     e, n1 = len(gens), gens[0]
+    quot = [w // n1 for w in ap]
+    top = max(quot) + sum(gens[-2:]) // n1 + 1
+    lane = 8
+    while top.bit_length() >= lane:
+        lane *= 2
+    if lane <= 64:
+        raw = array({8: "B", 16: "H", 32: "I", 64: "Q"}[lane], quot).tobytes()
+    else:
+        raw = b"".join(h.to_bytes(lane // 8, "little") for h in quot)
+    packed = int.from_bytes(raw, "little")
+    del quot, raw
+    width = n1 * lane
+    full = (1 << width) - 1
+    ones = full // ((1 << lane) - 1)
+    guard = ones << (lane - 1)
+
+    def heights(t: int) -> int:
+        a, r = divmod(t, n1)
+        cut = r * lane
+        rotated = (packed << cut) & full | packed >> (width - cut)
+        return rotated + a * ones + (ones & ((1 << cut) - 1))
+
+    vert = []
+    for g in gens:
+        tick()
+        vert.append(heights(g))
+    edges = []
+    for j, k in combinations(range(e), 2):
+        tick()
+        edges.append((j, k, heights(gens[j] + gens[k])))
+
+    def unreached(i: int) -> int:
+        """The board of the candidate degrees of generator i whose graph
+        leaves a vertex outside the component of i."""
+        ceiling = vert[i] + guard
+        links = [(j, k, (ceiling - h) & guard) for j, k, h in edges]
+        reach = [0] * e
+        reach[i] = guard
+        grown = True
+        while grown:
+            tick()
+            grown = False
+            for j, k, board in links:
+                via = (reach[j] | reach[k]) & board
+                if via & ~(reach[j] & reach[k]):
+                    reach[j] |= via
+                    reach[k] |= via
+                    grown = True
+        lost = 0
+        for j, h in enumerate(vert):
+            lost |= (ceiling - h) & guard & ~reach[j]
+        return lost
+
+    degrees: set[int] = set()
+    for i in range(1, e):
+        tick()
+        for bit in iter_bits(unreached(i), width):
+            degrees.add(ap[(bit // lane - gens[i]) % n1] + gens[i])
 
     def factorization(v: int) -> list[int]:
         fac = [0] * e
@@ -84,11 +174,9 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
         return fac
 
     out: list[Binomial] = []
-    for b in sorted({w + g for w in ap for g in gens[1:]}):
+    for b in sorted(degrees):
         tick()
         verts = [i for i, g in enumerate(gens) if b - g >= ap[(b - g) % n1]]
-        if len(verts) < 2:
-            continue
         comp = {i: i for i in verts}
 
         def find(i: int) -> int:
@@ -103,8 +191,6 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
                 if rest >= ap[rest % n1]:
                     comp[find(i)] = find(j)
         roots = sorted({find(i) for i in verts})
-        if len(roots) < 2:
-            continue
         reps = []
         for r in roots:
             fac = factorization(b - gens[r])

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from argparse import Namespace
+from argparse import Namespace, _SubParsersAction
 from pathlib import Path
 
 import pytest
@@ -445,6 +445,29 @@ def test_reports_and_help_match_pinned_output(capsys, monkeypatch, case):
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
+def _commands(parser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, _SubParsersAction))
+
+
+def test_a_command_line_builds_only_its_own_arguments(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    for name in cli.COMMANDS:
+        one = cli.build_parser(name)
+        assert one.format_help() == full.format_help()
+        assert _commands(one)[name].format_help() == _commands(full)[name].format_help()
+        # the others keep their name and help line, and only -h
+        assert all([a.dest for a in p._actions] == ["help"]
+                   for other, p in _commands(one).items() if other != name)
+    # a stray word is refused by the top level, whose usage lists every command
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--numerical", "3,5", "stray"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: sgring [-h]\n              {" + ",".join(cli.COMMANDS) + "}\n"
+        "              ...\nsgring: error: unrecognized arguments: stray\n")
+
+
 def test_thread_count_does_not_change_output(capsys):
     _, serial, _ = run(capsys, "fixtures", "--threads", "1")
     _, pooled, _ = run(capsys, "fixtures", "--threads", "4")
@@ -602,6 +625,19 @@ def test_rendering_counts_against_the_deadline(capsys, monkeypatch):
     code, out, err = run(capsys, "hilbert", "--numerical", "3,5,7", "--upto", "8",
                          "--deadline", "60")
     assert code == EXIT_OK and out and err == ""
+
+
+def test_a_long_report_is_cut_while_it_renders():
+    # the handler takes about 0.1 s; turning 6 M values into JSON takes
+    # seconds, and the deadline is checked every 4096 of them
+    src = str(Path(sgring.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sgring.cli", "hilbert", "--numerical", "3,5,7",
+                           "--upto", "6000000", "--deadline", "0.2"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+    wall = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (EXIT_BOUND, b"")
+    assert wall < 1.5, wall
 
 
 class ClosedStdout:

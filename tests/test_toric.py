@@ -1,5 +1,6 @@
 """Defining ideals: kernel computation, closures, glued generators, equality."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -108,14 +109,18 @@ def window_scan_generators(s: NumericalSemigroup) -> tuple[Binomial, ...]:
     return _canonical(out, degrevlex(e))
 
 
+HERZOG_WALDI = (30, 35, 42, 47, 148, 153, 157, 169, 181, 193)
+
+
 def apery_route_instances() -> list[NumericalSemigroup]:
-    """The acceptance population and regressions, small classics, and one
-    seeded draw of 3, 4 and 5 generators in [100, 3000]."""
+    """The acceptance population and regressions, small classics, the
+    Herzog-Waldi semigroup, and one seeded draw of each of 3 to 8 generators
+    in [100, 3000]."""
     out = list(population())
     out += [NumericalSemigroup(g) for g in list(CLOSURE_REGRESSIONS) + GLUED_INSTANCES]
-    out += [NumericalSemigroup(g) for g in [(2, 3), (3, 5, 7), (6, 9, 20)]]
+    out += [NumericalSemigroup(g) for g in [(2, 3), (3, 5, 7), (6, 9, 20), HERZOG_WALDI]]
     rng = random.Random(8)
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6, 7, 8):
         while True:
             try:
                 s = NumericalSemigroup(rng.sample(range(100, 3001), k))
@@ -136,6 +141,23 @@ def test_pf_numeric_matches_gap_scan():
     for s in apery_route_instances():
         pf = [f for f in s.gaps() if all(f + g in s for g in s.generators)]
         assert s.pf_numeric() == pf, s.generators
+
+
+def test_toric_ideal_peak_memory_on_a_large_multiplicity():
+    # multiplicity 164952, from a Rossi sweep; the per-degree union-find this
+    # route replaced peaked at 17,617,072 traced bytes here (Python 3.11)
+    s = NumericalSemigroup((164952, 223728, 234520, 241285))
+    tracemalloc.start()
+    try:
+        with Deadline(2.0):
+            ideal = toric_ideal(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ideal.generators == (Binomial((11, 11, 0, 0), (0, 0, 10, 8)),
+                                Binomial((0, 0, 107, 0), (0, 0, 0, 104)),
+                                Binomial((118, 0, 0, 0), (0, 87, 0, 0)))
+    assert peak <= 17_617_072
 
 
 def test_toric_ideal_cost_follows_multiplicity():

@@ -7,7 +7,8 @@ import pytest
 from sgring import verdicts
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.resolution import betti_degrees
-from sgring.semigroups import AffineSemigroup, AperyRuns, NumericalSemigroup, axis_apery
+from sgring.semigroups import (AffineSemigroup, AperyRuns, NumericalSemigroup, axis_apery,
+                               glue, gluing)
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
@@ -177,6 +178,34 @@ def test_gorenstein_numerical_matches_type_on_randoms():
         v = gorenstein_numerical(s)
         assert not v.conflict, s.generators
         assert v.result == (len(s.pf_numeric()) == 1)
+
+
+def test_rossi_question_on_glued_symmetric_factors():
+    # Rossi: is the Hilbert function of a one-dimensional Gorenstein local
+    # ring nondecreasing?  Two-generated semigroups are symmetric, and so is
+    # every gluing of symmetric ones; a non-CM tangent cone is where the
+    # answer is open
+    rng = random.Random(5)
+    specs = []
+    while len(specs) < 40:
+        left, right = (sorted(rng.sample(range(3, 40), 2)) for _ in range(2))
+        b, a = (tuple(rng.randint(0, 6) for _ in range(2)) for _ in range(2))
+        try:
+            specs.append(gluing(left, right, b, a))
+        except InputError:
+            continue
+    open_cases = 0
+    for spec in specs:
+        s = glue(spec)
+        cm = cm_tangent_cone(s)
+        assert not cm.conflict, s.generators
+        if cm.result:
+            continue
+        open_cases += 1
+        gorenstein = gorenstein_numerical(s)
+        assert gorenstein.result and not gorenstein.conflict, s.generators
+        assert s.hilbert_nondecreasing(), s.generators
+    assert open_cases >= 1  # 23 of the 40
 
 
 def test_gorenstein_projective_closure_fixtures():
