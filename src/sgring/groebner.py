@@ -21,6 +21,7 @@ from .monomials import (
     Frozen,
     Order,
     Vec,
+    degrevlex,
     divides,
     homogenize,
     lcm_monomial,
@@ -33,15 +34,12 @@ from .monomials import (
 
 
 class GroebnerBasis(Frozen):
-    __slots__ = _fields = ("order", "elements", "reduced", "minimal")
+    __slots__ = _fields = ("order", "elements")
     order: Order
     elements: tuple[Binomial, ...]
-    reduced: bool
-    minimal: bool
 
-    def __init__(self, order: Order, elements: tuple[Binomial, ...], reduced: bool,
-                 minimal: bool):
-        self._set(order=order, elements=elements, reduced=reduced, minimal=minimal)
+    def __init__(self, order: Order, elements: tuple[Binomial, ...]):
+        self._set(order=order, elements=elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -185,7 +183,7 @@ def _buchberger(gens: Iterable[Binomial], order: Order) -> GroebnerBasis:
             push_pairs(len(basis) - 1)
     kept = _interreduce(_minimalize(basis, order), order)
     kept.sort(key=lambda b: order.key(b.lead))
-    return GroebnerBasis(order, tuple(kept), reduced=True, minimal=True)
+    return GroebnerBasis(order, tuple(kept))
 
 
 def is_groebner(candidate, order: Order) -> bool:
@@ -212,17 +210,17 @@ def homogenize_ideal(gb: GroebnerBasis) -> GroebnerBasis:
     """
     if not isinstance(gb, GroebnerBasis):
         raise InputError("homogenize_ideal expects a GroebnerBasis")
-    if gb.order.grading != "degree" or gb.order.tiebreak != "revlex" or gb.order.blocks:
-        raise InputError("homogenization needs a degree-graded revlex order")
+    if gb.order.grading != "degree" or gb.order.blocks:
+        raise InputError("homogenization needs a degree revlex order without blocks")
     n = gb.order.nvars
-    ext_order = Order("degree", "revlex", gb.order.priority + (n,))
+    ext_order = degrevlex(n + 1, gb.order.priority + (n,))
     out = []
     for b in gb.elements:
         hb = homogenize(Binomial(b.lead + (0,), b.tail + (0,)), n)
         assert ext_order.key(hb.lead) > ext_order.key(hb.tail)
         assert hb.lead[:n] == b.lead
         out.append(hb)
-    return GroebnerBasis(ext_order, tuple(out), gb.reduced, gb.minimal)
+    return GroebnerBasis(ext_order, tuple(out))
 
 
 def standard_basis_local(ideal: BinomialIdeal, local_order: Order) -> GroebnerBasis:

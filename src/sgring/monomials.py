@@ -16,7 +16,8 @@ fields, and refuses assignment; plain records are NamedTuples.
 
 A monomial order is its sort key: `Order.key` maps a monomial to a tuple
 whose lexicographic comparison is the order, so callers sort and orient on
-keys, and `compare` is the three-way form of the same comparison.
+keys.  Every order here is graded revlex, globally or block by block:
+degree revlex, negative-degree revlex and degree-revlex block orders.
 """
 from __future__ import annotations
 
@@ -138,14 +139,10 @@ class BinomialIdeal(Frozen):
     def __iter__(self):
         return iter(self.generators)
 
-LT, EQ, GT = -1, 0, 1
-
-_GRADINGS = ("degree", "negdegree", "none")
-_TIEBREAKS = ("lex", "revlex")
-
 
 class Order(Frozen):
-    """A monomial order: grading, tie-break, and variable priority (highest first).
+    """A graded revlex monomial order: grading and variable priority
+    (highest first).
 
     grading "negdegree" marks a local order (not a well-order); callers must
     route those through the standard-basis machinery, which runs on ideals
@@ -156,30 +153,26 @@ class Order(Frozen):
     Every such order is a matrix order (Robbiano, Term orderings on the
     polynomial ring, EUROCAL 1985): `key` maps a monomial to a tuple whose
     lexicographic comparison is the order, and is the only code that ranks
-    monomials.  The constructor builds it once from the four fields; it is
+    monomials.  The constructor builds it once from the three fields; it is
     not one of them, so equality, hash and repr ignore it.
     """
 
-    __slots__ = ("grading", "tiebreak", "priority", "blocks", "key")
-    _fields = ("grading", "tiebreak", "priority", "blocks")
+    __slots__ = ("grading", "priority", "blocks", "key")
+    _fields = ("grading", "priority", "blocks")
     grading: str
-    tiebreak: str
     priority: Vec
     blocks: Optional[Vec]
     key: Callable[[Vec], Vec]
 
-    def __init__(self, grading: str, tiebreak: str, priority: Vec,
-                 blocks: Optional[Vec] = None):
-        if grading not in _GRADINGS:
+    def __init__(self, grading: str, priority: Vec, blocks: Optional[Vec] = None):
+        if grading not in ("degree", "negdegree"):
             raise InputError(f"unknown grading {grading!r}")
-        if tiebreak not in _TIEBREAKS:
-            raise InputError(f"unknown tiebreak {tiebreak!r}")
         if sorted(priority) != list(range(len(priority))):
             raise InputError("priority must be a permutation of variable indices")
         if blocks is not None and sum(blocks) != len(priority):
             raise InputError("block sizes must cover the priority list")
-        self._set(grading=grading, tiebreak=tiebreak, priority=priority, blocks=blocks,
-                  key=_sort_key(grading, tiebreak, priority, blocks))
+        self._set(grading=grading, priority=priority, blocks=blocks,
+                  key=_sort_key(grading, priority, blocks))
 
     @property
     def nvars(self) -> int:
@@ -189,47 +182,30 @@ class Order(Frozen):
         return self.grading == "negdegree"
 
 
-def _sort_key(grading: str, tiebreak: str, priority: Vec,
-              blocks: Optional[Vec]) -> Callable[[Vec], Vec]:
-    """`Order.key`: the sort key of m is, per block, the degree (negated for
-    "negdegree", left out for "none"), then the exponents in priority order
-    for lex, or negated in reverse priority order for revlex.  One block of
-    a graded revlex order on two or more variables reads its exponents with
-    one itemgetter."""
+def _sort_key(grading: str, priority: Vec, blocks: Optional[Vec]) -> Callable[[Vec], Vec]:
+    """`Order.key`: the sort key of m is, block by block, the block's degree
+    (negated for "negdegree"), then its exponents negated in reverse
+    priority order.  Each block reads its exponents with one getter."""
     nvars = len(priority)
-    mismatch = "monomial does not match the order's variable set"
-
-    if blocks is None and tiebreak == "revlex" and grading != "none" and nvars > 1:
-        sign, pick = (1 if grading == "degree" else -1), itemgetter(*reversed(priority))
-
-        def key(m: Vec) -> Vec:
-            if len(m) != nvars:
-                raise InputError(mismatch)
-            return (sign * sum(m), *map(neg, pick(m)))
-
-        return key
+    sign = 1 if grading == "degree" else -1
+    picks = []
+    pos = 0
+    for size in blocks or (nvars,):
+        chunk = priority[pos:pos + size][::-1]
+        pos += size
+        picks.append(itemgetter(*chunk) if size > 1 else
+                     (lambda m, i=chunk[0]: (m[i],)) if size else (lambda m: ()))
 
     def key(m: Vec) -> Vec:
         if len(m) != nvars:
-            raise InputError(mismatch)
-        out: list[int] = []
-        pos = 0
-        for size in blocks or (nvars,):
-            chunk = priority[pos:pos + size]
-            pos += size
-            part = [m[i] for i in chunk]
-            if grading != "none":
-                out.append(sum(part) if grading == "degree" else -sum(part))
-            out += part if tiebreak == "lex" else [-e for e in reversed(part)]
-        return tuple(out)
+            raise InputError("monomial does not match the order's variable set")
+        out: Vec = ()
+        for pick in picks:
+            part = pick(m)
+            out += (sign * sum(part), *map(neg, part))
+        return out
 
     return key
-
-
-def compare(order: Order, m1: Vec, m2: Vec) -> int:
-    """Total order on monomials by `Order.key`: returns LT, EQ or GT."""
-    k1, k2 = order.key(m1), order.key(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def _natural(nvars: int, priority: Optional[Vec]) -> Vec:
@@ -237,16 +213,16 @@ def _natural(nvars: int, priority: Optional[Vec]) -> Vec:
 
 
 def degrevlex(nvars: int, priority: Optional[Vec] = None) -> Order:
-    return Order("degree", "revlex", _natural(nvars, priority))
+    return Order("degree", _natural(nvars, priority))
 
 
 def negdegrevlex(nvars: int, priority: Optional[Vec] = None) -> Order:
-    return Order("negdegree", "revlex", _natural(nvars, priority))
+    return Order("negdegree", _natural(nvars, priority))
 
 
 def elimination_order(nelim: int, nvars: int) -> Order:
     """Block order eliminating the first nelim variables; degrevlex inside blocks."""
-    return Order("degree", "revlex", tuple(range(nvars)), blocks=(nelim, nvars - nelim))
+    return Order("degree", tuple(range(nvars)), blocks=(nelim, nvars - nelim))
 
 
 def oriented(lead: Vec, tail: Vec, order: Order) -> Optional[Binomial]:

@@ -765,8 +765,6 @@ class ConditionReport(NamedTuple):
 
 def _condition_check(name: str, weights: tuple[int, ...], gb) -> ConditionReport:
     elements = getattr(gb, "elements", gb)
-    if hasattr(gb, "reduced") and not gb.reduced:
-        raise InputError("condition test requires a reduced basis")
     bad_m: list[str] = []
     bad_z: list[str] = []
     for f in elements:

@@ -118,8 +118,8 @@ def verify_glued_basis_homogeneous(spec: GluingSpec) -> TheoremReport:
               for b in gb2.elements]
     bridge = homogenize(Binomial(spec.b + (0,) * (e2 + 1), (0,) * e1 + spec.a + (0,)), n)
     union.append(bridge)
-    x_first = Order("degree", "revlex", tuple(range(n + 1)))
-    y_first = Order("degree", "revlex", tuple(range(e1, n)) + tuple(range(e1)) + (n,))
+    x_first = degrevlex(n + 1)
+    y_first = degrevlex(n + 1, tuple(range(e1, n)) + tuple(range(e1)) + (n,))
     ok_x = is_groebner(union, x_first)
     ok_y = is_groebner(union, y_first)
     notes = [f"x-block-first order: {'a' if ok_x else 'NOT a'} Groebner basis",

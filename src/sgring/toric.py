@@ -83,7 +83,7 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
     vertices and edges whose thresholds are at most b.
 
     Every threshold of the class of rho is rho + n_1 * H, so thresholds
-    compare by their heights H, all below `top`.  The heights of one shift,
+    are ordered by their heights H, all below `top`.  The heights of one shift,
     for all residues, are one integer with a lane of `lane` bits per
     residue: the lanes of Ap // n_1, rotated by t mod n_1 lanes, plus
     t // n_1, plus 1 in the lanes below t mod n_1.  A lane keeps its top
@@ -162,15 +162,14 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
             degrees.add(ap[(bit // lane - gens[i]) % n1] + gens[i])
 
     def factorization(v: int) -> list[int]:
-        fac = [0] * e
-        while v:
-            for i, g in enumerate(gens):
-                if v - g >= ap[(v - g) % n1]:
-                    fac[i] += 1
-                    v -= g
-                    break
-            else:  # pragma: no cover - v is always a member here
-                raise AssertionError
+        # n_1 as often as it goes, down to w = Ap[v mod n_1]; then each step
+        # lands on the Apery element of another class: at most n_1 - 1 steps
+        w = ap[v % n1]
+        fac = [(v - w) // n1] + [0] * (e - 1)
+        while w:
+            i = next(i for i in range(1, e) if w - gens[i] >= ap[(w - gens[i]) % n1])
+            fac[i] += 1
+            w -= gens[i]
         return fac
 
     out: list[Binomial] = []

@@ -1,4 +1,5 @@
-"""Lazard's route to local standard bases, kept as a test oracle.
+"""Lazard's route to local standard bases, kept as a test oracle, and the
+three-way comparison of monomials that the order tests read.
 
 Homogenize with a balancing variable x0 appended last, run the global
 Buchberger engine under an order that compares total degree first and then
@@ -11,7 +12,15 @@ from functools import cmp_to_key
 from typing import Optional
 
 from sgring.groebner import GroebnerBasis, _minimalize, buchberger
-from sgring.monomials import GT, LT, Binomial, Order, compare, homogenize, oriented
+from sgring.monomials import Binomial, Order, homogenize, oriented
+
+LT, EQ, GT = -1, 0, 1
+
+
+def compare(order: Order, m1, m2) -> int:
+    """Total order on monomials by `Order.key`: returns LT, EQ or GT."""
+    k1, k2 = order.key(m1), order.key(m2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def lazard_compare(local_order: Order, m1, m2) -> int:
@@ -26,12 +35,12 @@ def lazard_compare(local_order: Order, m1, m2) -> int:
 def lazard_order(local_order: Order) -> Order:
     """A global order equal to `lazard_compare` on monomials of one total
     degree: x0's exponent first (the larger wins, so the smaller degree in
-    the original variables wins), then degree and the local tie-break on the
-    original variables.  Buchberger on homogenized input only compares
-    monomials of one total degree, so it runs as under the Lazard order."""
+    the original variables wins), then degree and the local order's revlex
+    tie-break on the original variables.  Buchberger on homogenized input
+    only compares monomials of one total degree, so it runs as under the
+    Lazard order."""
     n = local_order.nvars
-    return Order("degree", local_order.tiebreak, (n,) + local_order.priority,
-                 blocks=(1, n))
+    return Order("degree", (n,) + local_order.priority, blocks=(1, n))
 
 
 def dehomogenize(b: Binomial, x0: int) -> Optional[Binomial]:
@@ -61,4 +70,4 @@ def lazard_standard_basis(gens, local_order: Order) -> GroebnerBasis:
             out.append(ob)
     kept = _minimalize(out, local_order)
     kept.sort(key=cmp_to_key(lambda a, b: compare(local_order, a.lead, b.lead)))
-    return GroebnerBasis(local_order, tuple(kept), reduced=False, minimal=True)
+    return GroebnerBasis(local_order, tuple(kept))

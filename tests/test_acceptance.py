@@ -14,7 +14,7 @@ from sgring.groebner import buchberger, homogenize_ideal
 from sgring.monomials import degrevlex
 from sgring.resolution import betti_degrees, pf_via_betti, sifr_check, tensor_betti
 from sgring.semigroups import AffineSemigroup, NumericalSemigroup, embed_axis, join
-from sgring.theorems import run_fixtures
+from sgring.theorems import run_fixtures, verify_join_sifr
 from sgring.toric import toric_ideal
 from sgring.verdicts import acm_projective_closure, cm_tangent_cone
 
@@ -137,6 +137,7 @@ def test_criterion_5_homogenized_lead_identity():
 def test_criterion_6_join_kuenneth_and_sifr():
     rng = random.Random(64)
     pairs = 0
+    outcomes = set()
     while pairs < 20:
         left = random_numerical(rng, max_gens=3, max_val=20)
         right = random_numerical(rng, max_gens=3, max_val=20)
@@ -148,9 +149,16 @@ def test_criterion_6_join_kuenneth_and_sifr():
         assert tj.rows == tensor_betti(tl, tr).rows, (left.generators,
                                                       right.generators)
         both = sifr_check(l2, tl).holds and sifr_check(r2, tr).holds
-        assert sifr_check(joined, tj).holds == both, (left.generators,
-                                                                right.generators)
+        computed = sifr_check(joined, tj).holds
+        assert computed == both, (left.generators, right.generators)
+        # the theorem harness on the same pair reaches the same verdict
+        rep = verify_join_sifr(l2, r2)
+        hyps = [(h.name, h.holds) for h in rep.hypotheses_checked]
+        assert hyps == [("join-defined", True)], rep
+        assert rep.computed == computed and rep.agree, rep
+        outcomes.add(computed)
         pairs += 1
+    assert outcomes == {True, False}
 
 
 def test_criterion_7_theorem_harness():

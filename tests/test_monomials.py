@@ -5,13 +5,10 @@ from functools import cmp_to_key, partial
 import pytest
 
 from sgring.errors import InputError
+from sgring.groebner import GroebnerBasis, homogenize_ideal
 from sgring.monomials import (
     Binomial,
-    EQ,
-    GT,
-    LT,
     Order,
-    compare,
     degrevlex,
     divides,
     elimination_order,
@@ -23,7 +20,8 @@ from sgring.monomials import (
     quotient,
     s_pair,
 )
-from lazard_oracle import dehomogenize, lazard_compare, lazard_order
+from sgring.theorems import _local_block_order
+from lazard_oracle import EQ, GT, LT, compare, dehomogenize, lazard_compare, lazard_order
 
 
 def vec_sub(u, v):
@@ -66,17 +64,31 @@ def check_order_axioms(cmp, nvars, mons, rng):
 def _lazard(n):
     # the test oracle's Lazard order: the last variable balances, the others
     # follow negative-degree revlex
-    return partial(lazard_compare, Order("negdegree", "revlex", tuple(range(n - 1))))
+    return partial(lazard_compare, Order("negdegree", tuple(range(n - 1))))
+
+
+def _y_first(n):
+    # `theorems.verify_glued_basis_homogeneous` checks the closure of a
+    # gluing of e1 + e2 = n - 1 variables under degrevlex(n), x block first,
+    # and under this order, y block first; x0 sits lowest in both
+    e1 = n // 2
+    return degrevlex(n, tuple(range(e1, n - 1)) + tuple(range(e1)) + (n - 1,))
+
+
+def _homogenized(n):
+    # the order `homogenize_ideal` extends a basis on n - 1 variables to
+    return homogenize_ideal(GroebnerBasis(degrevlex(n - 1, tuple(reversed(range(n - 1)))),
+                                          ())).order
 
 
 # the Order values of test_global_order_axioms, by number of variables
 GLOBAL_ORDERS = [
-    lambda n: Order("degree", "revlex", tuple(range(n))),
-    lambda n: Order("degree", "lex", tuple(range(n))),
-    lambda n: Order("none", "lex", tuple(range(n))),
-    lambda n: Order("none", "lex", tuple(reversed(range(n)))),
-    lambda n: Order("degree", "revlex", tuple(reversed(range(n)))),
-    lambda n: Order("degree", "revlex", tuple(range(n)), blocks=(1, n - 1)),
+    lambda n: Order("degree", tuple(range(n))),
+    lambda n: Order("degree", tuple(reversed(range(n)))),
+    lambda n: Order("degree", tuple(range(n)), blocks=(1, n - 1)),
+    lambda n: degrevlex(n),   # the x-block-first order of a gluing
+    _y_first,
+    _homogenized,
 ]
 
 
@@ -90,32 +102,25 @@ def test_global_order_axioms(nvars, make):
     cmp = make(nvars)
     mons = monomials_upto(nvars, 4 if nvars < 4 else 3)
     check_order_axioms(cmp, nvars, mons, random.Random(7))
-    # 1 is minimal: every order here is degree-graded or lex
+    # 1 is minimal: every order here is degree-graded
     zero = (0,) * nvars
     for m in mons:
         if m != zero:
             assert cmp(m, zero) == GT
 
 
-def _reference_chunk(grading, tiebreak, chunk, m1, m2):
-    if grading != "none":
-        d1 = sum(m1[i] for i in chunk)
-        d2 = sum(m2[i] for i in chunk)
-        if d1 != d2:
-            bigger_wins = grading == "degree"
-            return (GT if d1 > d2 else LT) if bigger_wins else (LT if d1 > d2 else GT)
-    if tiebreak == "lex":
-        for i in chunk:
-            d = m1[i] - m2[i]
-            if d:
-                return GT if d > 0 else LT
-    else:
-        # revlex: last nonzero entry of the difference, read highest-to-lowest
-        # priority, negative => m1 greater.
-        for i in reversed(chunk):
-            d = m1[i] - m2[i]
-            if d:
-                return GT if d < 0 else LT
+def _reference_chunk(grading, chunk, m1, m2):
+    d1 = sum(m1[i] for i in chunk)
+    d2 = sum(m2[i] for i in chunk)
+    if d1 != d2:
+        bigger_wins = grading == "degree"
+        return (GT if d1 > d2 else LT) if bigger_wins else (LT if d1 > d2 else GT)
+    # revlex: last nonzero entry of the difference, read highest-to-lowest
+    # priority, negative => m1 greater.
+    for i in reversed(chunk):
+        d = m1[i] - m2[i]
+        if d:
+            return GT if d < 0 else LT
     return EQ
 
 
@@ -124,8 +129,7 @@ def reference_compare(order, m1, m2):
     `Order.key`: the reference the keys are checked against."""
     pos = 0
     for size in order.blocks or (order.nvars,):
-        c = _reference_chunk(order.grading, order.tiebreak,
-                             order.priority[pos:pos + size], m1, m2)
+        c = _reference_chunk(order.grading, order.priority[pos:pos + size], m1, m2)
         if c:
             return c
         pos += size
@@ -138,6 +142,11 @@ KEYED_ORDERS = GLOBAL_ORDERS + [
     lambda n: elimination_order(1, n),
     lambda n: elimination_order(n - 1, n),
     lambda n: lazard_order(negdegrevlex(n - 1, priority=tuple(reversed(range(n - 1))))),
+    # the tangent-cone orders of a gluing, with either factor lowest
+    lambda n: _local_block_order(n // 2, n - n // 2, True),
+    lambda n: _local_block_order(n // 2, n - n // 2, False),
+    # one variable, whose key reads a 1-tuple; the same order for every nvars
+    lambda n: degrevlex(1),
 ]
 
 
@@ -145,6 +154,7 @@ KEYED_ORDERS = GLOBAL_ORDERS + [
 @pytest.mark.parametrize("make", KEYED_ORDERS)
 def test_key_matches_reference_compare(nvars, make):
     order = make(nvars)
+    nvars = order.nvars
     mons = monomials_upto(nvars, 4)
     for m1 in mons:
         for m2 in mons:
@@ -157,10 +167,10 @@ def test_key_matches_reference_compare(nvars, make):
 
 
 @pytest.mark.parametrize("fields, message", [
-    (("weighted", "lex", (0, 1)), "unknown grading 'weighted'"),
-    (("degree", "grlex", (0, 1)), "unknown tiebreak 'grlex'"),
-    (("degree", "lex", (0, 2)), "priority must be a permutation of variable indices"),
-    (("degree", "lex", (0, 1), (1, 2)), "block sizes must cover the priority list"),
+    (("weighted", (0, 1)), "unknown grading 'weighted'"),
+    (("none", (0, 1)), "unknown grading 'none'"),
+    (("degree", (0, 2)), "priority must be a permutation of variable indices"),
+    (("degree", (0, 1), (1, 2)), "block sizes must cover the priority list"),
 ])
 def test_order_rejects_malformed_fields(fields, message):
     with pytest.raises(InputError) as exc:

@@ -819,10 +819,8 @@ def test_condition_b_uses_right_witness():
 
 def test_condition_duck_typing():
     spec = make_spec((3, 5, 7), (9, 11), (0, 0, 2), (2, 1))
-    basis = SimpleNamespace(elements=IDEAL_357_LEADS, reduced=True)
+    basis = SimpleNamespace(elements=IDEAL_357_LEADS)
     assert condition_A(spec, basis).name == "A"
-    with pytest.raises(InputError):
-        condition_A(spec, SimpleNamespace(elements=IDEAL_357_LEADS, reduced=False))
 
 
 # ---------------------------------------------------------------------------

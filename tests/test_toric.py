@@ -168,6 +168,15 @@ def test_toric_ideal_cost_follows_multiplicity():
     assert ideal.generators == (Binomial((10009, 0), (0, 10007)),)
 
 
+def test_toric_ideal_factors_without_walking_the_multiplicity():
+    # the one relation's n_1 side has 2^40 + 1 copies of x1, taken at once
+    # from Ap(S, 3) rather than one n_1 at a time
+    s = NumericalSemigroup((3, 2**40 + 1))
+    with Deadline(1.0):
+        ideal = toric_ideal(s)
+    assert ideal.generators == (Binomial((2**40 + 1, 0), (0, 3)),)
+
+
 def numerical_357():
     return NumericalSemigroup((3, 5, 7))
 
