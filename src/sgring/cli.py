@@ -373,8 +373,7 @@ def cmd_betti(args) -> Report:
     result = {"totals": table.total, "pd": table.pd, "certified": table.certified,
               "rows": [[degree_doc(d) for d in row] for row in table.rows],
               "top_degrees": [degree_doc(d) for d in table.top_degrees]}
-    lines = [f"betti totals {table.total} (pd {table.pd})"
-             + ("" if table.certified else " [heuristic scan box]")]
+    lines = [f"betti totals {table.total} (pd {table.pd})"]
     for i, row in enumerate(table.rows):
         lines.append(f"    level {i}: {list(row)}")
     return Report(s, {"bound": bound}, result, lines)

@@ -23,7 +23,8 @@ class DeadlineExceeded(SgringError, RuntimeError):
 
 
 class BoundInsufficient(SgringError, RuntimeError):
-    """A scan bound was certified too small (nonzero data found on the boundary shell)."""
+    """A scan bound does not contain the certified Betti box, or a Betti table
+    lacks degrees that its semigroup must have."""
 
 
 class CertificationError(SgringError, RuntimeError):

@@ -12,8 +12,10 @@ its Apery boards, which drop every point whose complex is a cone over a
 vertex.  Exact homology over Q is computed only at the few points left: the
 complex is read from the member bytes at the 2^n subset-sum offsets as a
 face mask, and each of its faces gives one sparse boundary row for
-`linalg.rational_rank`.  The certified box reads the stored Ap(S, E) of the
-semigroup; `semigroups.Grid` holds the scan to its bit budget.
+`linalg.rational_rank`.  The box is certified to hold every Betti degree:
+it reads the stored Ap(S, E) when the extremal rays are the coordinate axes,
+and the leads of the reduced toric basis otherwise (see `betti_degrees`);
+`semigroups.Grid` holds the scan to its bit budget.
 """
 from __future__ import annotations
 
@@ -77,23 +79,21 @@ def _member(s: Semigroup, v: Vec, numerical: bool) -> bool:
 class BettiTable(Frozen):
     """rows[i] = sorted degrees (with multiplicity) of the i-th free module.
 
-    certified is True only when the scan box provably contains every Betti
-    degree, which `betti_degrees` proves when every extremal ray of the
-    semigroup is a coordinate axis; tables from heuristic boxes carry False
-    and callers needing a guarantee must corroborate them."""
-    __slots__ = _fields = ("rows", "nvars", "certified")
+    `betti_degrees` scans a box that provably holds every Betti degree, so
+    each table is complete; `certified` is a constant kept for the reports
+    that quote it."""
+    __slots__ = _fields = ("rows", "nvars")
     rows: tuple[tuple[Degree, ...], ...]
     nvars: int
-    certified: bool
+    certified = True
 
-    def __init__(self, rows: tuple[tuple[Degree, ...], ...], nvars: int,
-                 certified: bool = True):
+    def __init__(self, rows: tuple[tuple[Degree, ...], ...], nvars: int):
         if not rows or any(not r for r in rows):
             raise InputError("Betti rows must be contiguous and nonempty")
         zero: Degree = rows[0][0]
         if len(rows[0]) != 1 or (zero if isinstance(zero, int) else any(zero)):
             raise InputError("row 0 must be exactly one copy of degree 0")
-        self._set(rows=rows, nvars=nvars, certified=certified)
+        self._set(rows=rows, nvars=nvars)
 
     @property
     def total(self) -> tuple[int, ...]:
@@ -132,18 +132,31 @@ class SifrReport(NamedTuple):
 def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     """Scan semigroup degrees up to the bound and sum divisor-complex homology.
 
-    When every extremal ray is a coordinate axis (numerical semigroups,
-    their axis embeddings and joins, projective closures), the default
-    bound is b_i = max over w in Ap(S, E) of w_i plus the sum of g_i over
-    the generators g other than e_i, with E = {e_i} the least generator on
-    each axis in use (`axis_apery`), and the table is certified: it holds
-    every Betti degree.  Proof: a Betti degree b of positive level has a
-    divisor complex with reduced homology, so the complex is not a cone
-    over e_i; some face F without e_i has b - sum(F) in S but not
+    The default bound is a box proved to hold every Betti degree, chosen
+    from the input.  When every extremal ray is a coordinate axis (numerical
+    semigroups, their axis embeddings and joins, projective closures), it is
+    b_i = max over w in Ap(S, E) of w_i plus the sum of g_i over the
+    generators g other than e_i, with E = {e_i} the least generator on each
+    axis in use (`axis_apery`).  Proof: a Betti degree b of positive level
+    has a divisor complex with reduced homology, so the complex is not a
+    cone over e_i; some face F without e_i has b - sum(F) in S but not
     b - sum(F) - e_i, so u = b - sum(F) lies in Ap(S, e_i).  Writing
     u = w + (a combination of E) with w in Ap(S, E), e_i takes no part in
     it, and the other e_j vanish at i, so u_i = w_i and b_i <= w_i + sum(F)_i.
-    A given bound must contain that box, or BoundInsufficient names both.
+    This box is the tighter one, and it needs no Groebner basis.
+
+    Otherwise the box is A * lcm(leads of `toric.reduced_basis`), where the
+    generators are the columns of A.  Proof: A grades the polynomial ring
+    positively and the toric ideal I is A-homogeneous, so Betti numbers can
+    only grow under Groebner degeneration: beta_{i,b}(S/I) <=
+    beta_{i,b}(S/in(I)) in every degree b (Miller and Sturmfels,
+    Combinatorial Commutative Algebra, ch. 8).  The Taylor resolution of
+    in(I) puts each of its Betti degrees at A * lcm(F) for F a set of
+    minimal generators of in(I), which are the leads; A >= 0, so each such
+    degree is at most A * lcm(all leads), coordinate by coordinate.
+
+    A given bound, an int or a nonnegative vector of the ambient dimension,
+    must contain that box, or BoundInsufficient names both.
 
     Cone filter: the complex of b is a cone over v, hence acyclic, unless
     some face F without v misses F + v, i.e. b - sum(F) is in Ap(S, g_v).
@@ -152,15 +165,9 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     a b - sum(F) with a negative coordinate lands in the zero padding (the
     generator sum) or below index 0.
 
-    With a ray off the axes there is no such box, and the bound (default
-    (number of generators) * (sum of generators)) is heuristic: a Betti
-    degree within one max-generator of the box raises BoundInsufficient as
-    probable clipping, but consecutive levels can jump by an arbitrary
-    semigroup element, so silence is evidence rather than proof and the
-    table returns with certified=False.  A bound is an int or a vector of
-    the ambient dimension, and must be nonnegative.  More than 16
-    generators, or a box whose boards would pass the bit budget of
-    `semigroups.Grid`, raise CertificationError before any board is built.
+    More than 16 generators, or a box whose boards would pass the bit
+    budget of `semigroups.Grid`, raise CertificationError before any board
+    is built.
     """
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
@@ -173,18 +180,21 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
         if len(bound) != d or any(c < 0 for c in bound):
             raise InputError(f"degree bound {degree_bound} is not a nonnegative "
                              f"vector of the ambient dimension {d}")
-    complete = None
     axis = s.axis_apery()
     if axis is not None:
         extremal, apery = axis
         complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
                          for i in range(d))
+    else:
+        from .toric import reduced_basis
+        # a free semigroup has no leads, and its box is the origin
+        lcm = tuple(map(max, zip(*(b.lead for b in reduced_basis(s).elements))))
+        complete = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
     if degree_bound is None:
-        bound = complete if complete is not None else tuple(n * c for c in gen_sum)
-    elif complete is not None and any(b < c for b, c in zip(bound, complete)):
+        bound = complete
+    elif any(b < c for b, c in zip(bound, complete)):
         raise BoundInsufficient(f"degree bound {bound} does not contain the "
                                 f"certified box {complete}")
-    certified = complete is not None
 
     grid = Grid(bound, gen_sum, _HELD_BOARDS)
     members_board = member_board(grid, gens)
@@ -224,23 +234,10 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
             if r:
                 rows_acc.setdefault(i, []).extend([deg] * r)
 
-    if not certified:
-        rim = tuple(max(g[i] for g in gens) for i in range(d))
-        for i, degs in rows_acc.items():
-            if i == 0:
-                continue
-            for deg in degs:
-                v = (deg,) if numerical else deg
-                if any(c + w >= b for c, w, b in zip(v, rim, bound)):
-                    raise BoundInsufficient(
-                        f"degree bound {bound} insufficient: Betti degree {deg} "
-                        f"at level {i} reaches the boundary shell")
-
     top = max(rows_acc)
     if sorted(rows_acc) != list(range(top + 1)):
         raise BoundInsufficient(f"degree bound {bound} produced a gap in the rows")
-    return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)),
-                      n, certified)
+    return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +254,8 @@ def resolution_summary(s: Semigroup, table: BettiTable) -> ResolutionSummary:
     dim = 1 if numerical else rational_rank(gens)
     if depth > dim:
         raise BoundInsufficient(
-            f"depth {depth} exceeds dimension {dim}: the scan bound behind this "
-            f"table must have missed Betti degrees")
+            f"depth {depth} exceeds dimension {dim}: the table lacks Betti "
+            f"degrees of this semigroup")
     cm = depth == dim
     return ResolutionSummary(pd, depth, dim, cm, cm and len(table.rows[-1]) == 1)
 
@@ -326,8 +323,7 @@ def tensor_betti(t1: BettiTable, t2: BettiTable) -> BettiTable:
                 for b2 in t2.rows[i - p]:
                     level.append(_add_degree(b1, b2))
         rows.append(tuple(sorted(level)))
-    return BettiTable(tuple(rows), t1.nvars + t2.nvars,
-                      t1.certified and t2.certified)
+    return BettiTable(tuple(rows), t1.nvars + t2.nvars)
 
 
 def _add_degree(a: Degree, b: Degree) -> Degree:

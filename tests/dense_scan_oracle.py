@@ -7,14 +7,16 @@ from per-subset difference tuples, ranked by the tuple-face homology of
 `homology_oracle`.  `resolution.betti_degrees` finds the same points from
 n Apery boards, reads faces at linear offsets and ranks face masks, so
 equal tables and equal exceptions check that filter and that homology.
-Bound, certification and clipping logic are the scan's own, repeated here
-so that the oracle stands alone.
+The bound logic and the certified box are the scan's own (the Apery box
+when the extremal rays are the axes, A * lcm of the reduced basis leads
+otherwise), repeated here so that the oracle stands alone.
 """
 
 from sgring.errors import BoundInsufficient, InputError, tick
 from sgring.monomials import Vec, vec_add
 from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors
 from sgring.semigroups import Grid, iter_bits, member_board
+from sgring.toric import reduced_basis
 
 from homology_oracle import faces_of_mask, ranks_from_faces
 
@@ -38,18 +40,21 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
         if len(bound) != d or any(c < 0 for c in bound):
             raise InputError(f"degree bound {degree_bound} is not a nonnegative "
                              f"vector of the ambient dimension {d}")
-    complete = None
     axis = s.axis_apery()
     if axis is not None:
         extremal, apery = axis
         complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
                          for i in range(d))
+    else:
+        lcm = [0] * n
+        for b in reduced_basis(s).elements:
+            lcm = [max(x, y) for x, y in zip(lcm, b.lead)]
+        complete = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
     if degree_bound is None:
-        bound = complete if complete is not None else tuple(n * c for c in gen_sum)
-    elif complete is not None and any(b < c for b, c in zip(bound, complete)):
+        bound = complete
+    elif any(b < c for b, c in zip(bound, complete)):
         raise BoundInsufficient(f"degree bound {bound} does not contain the "
                                 f"certified box {complete}")
-    certified = complete is not None
 
     grid = Grid(bound, gen_sum)
     if (1 << n) * grid.total > MAX_BOARD_BITS:
@@ -100,20 +105,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
             if r:
                 rows_acc.setdefault(i, []).extend([deg] * r)
 
-    if not certified:
-        rim = tuple(max(g[i] for g in gens) for i in range(d))
-        for i, degs in rows_acc.items():
-            if i == 0:
-                continue
-            for deg in degs:
-                v = (deg,) if numerical else deg
-                if any(c + w >= b for c, w, b in zip(v, rim, bound)):
-                    raise BoundInsufficient(
-                        f"degree bound {bound} insufficient: Betti degree {deg} "
-                        f"at level {i} reaches the boundary shell")
-
     top = max(rows_acc)
     if sorted(rows_acc) != list(range(top + 1)):
         raise BoundInsufficient(f"degree bound {bound} produced a gap in the rows")
-    return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)),
-                      n, certified)
+    return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)), n)

@@ -157,6 +157,15 @@ def test_glue_projective_closure_not_acm(capsys):
     assert verdict["cross_checks"][1]["result"] is False
 
 
+def test_analyze_affine_with_an_off_axis_ray(capsys):
+    # its one relation x1^8*x3 - x2^6 lies at (12, 24): a hypersurface
+    code, doc = run_json(capsys, "analyze", "--affine", "1 3;2 4;4 0")
+    assert code == EXIT_OK
+    assert doc["result"]["betti_totals"] == ["1", "1"]
+    assert doc["result"]["resolution"]["cm"] is True
+    assert doc["result"]["resolution"]["gorenstein"] is True
+
+
 def test_betti_command(capsys):
     code, doc = run_json(capsys, "betti", "--numerical", "3,5,7")
     assert code == EXIT_OK

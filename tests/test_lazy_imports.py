@@ -67,6 +67,9 @@ COMMAND_MODULES = [
                  id="extend"),
     pytest.param(["join", "--left", "2,3", "--right", "4,5"], HARNESS, id="join"),
     pytest.param(["betti", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="betti"),
+    # a ray off the axes: the certified box reads the reduced toric basis
+    pytest.param(["betti", "--affine", "2 1;3 0;1 3"],
+                 PARSING | {"resolution", "toric", "groebner"}, id="betti-off-axis"),
     pytest.param(["pf", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="pf"),
     pytest.param(["sifr", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="sifr"),
     pytest.param(["hilbert", "--numerical", "3,5,7"], PARSING, id="hilbert"),

@@ -22,6 +22,7 @@ from sgring.resolution import (
     sifr_check,
     tensor_betti,
 )
+from sgring.toric import reduced_basis
 from sgring.verdicts import closure_resolution, projective_closure_semigroup
 
 from dense_scan_oracle import dense_betti_degrees
@@ -460,14 +461,29 @@ def test_join_equals_tensor():
 # --- failure detection ---------------------------------------------------------
 
 
-def test_bound_insufficiency_detected_on_shell():
+def test_bounds_must_contain_the_certified_box():
     # matrix A's rays are the axes: its certified box is (18, 9), so a
-    # bound of (19, 10) contains it and the table is certified
+    # bound of (19, 10) contains it
     t = betti_degrees(MAT_A, degree_bound=(19, 10))
-    assert t.total == (1, 7, 11, 6, 1) and t.certified
-    # an off-axis ray leaves only the heuristic box, whose rim is linted
-    with pytest.raises(BoundInsufficient):
-        betti_degrees(AffineSemigroup([(1, 2), (2, 1), (1, 1)]), degree_bound=(3, 3))
+    assert t.total == (1, 7, 11, 6, 1)
+    # off the axes the box is A * lcm(leads): the one relation x1*x2 - x3^3
+    # has lead x3^3, so the box is 3 * (1, 1)
+    s = AffineSemigroup([(1, 2), (2, 1), (1, 1)])
+    with pytest.raises(BoundInsufficient, match=r"\(2, 3\).*certified box \(3, 3\)"):
+        betti_degrees(s, degree_bound=(2, 3))
+    assert betti_degrees(s, degree_bound=(3, 3)).rows == (((0, 0),), ((3, 3),))
+
+
+@pytest.mark.parametrize("gens, rows", [
+    ([(1, 3), (2, 4), (4, 0)], (((0, 0),), ((12, 24),))),        # x1^8*x3 - x2^6
+    ([(2, 1), (3, 0), (1, 3)], (((0, 0),), ((18, 9),))),         # x1^9 - x2^5*x3^3
+    ([(3, 1), (1, 2), (2, 2), (5, 0)], (((0, 0),), ((6, 2), (10, 10)), ((16, 12),))),
+])
+def test_off_axis_tables_are_complete(gens, rows):
+    s = AffineSemigroup(gens)
+    assert betti_degrees(s).rows == rows
+    doubled = tuple(2 * c for c in certified_box(s))
+    assert betti_degrees(s, degree_bound=doubled).rows == rows
 
 
 def test_bound_below_the_certified_box_is_refused():
@@ -487,6 +503,12 @@ def test_depth_above_dim_rejected():
 def test_betti_respects_deadline():
     with pytest.raises(DeadlineExceeded), Deadline(0):
         betti_degrees(MAT_B)
+    # off the axes the box waits on the elimination basis, about 0.5 s here
+    s = AffineSemigroup([(3, 8), (5, 5), (6, 7), (8, 1), (8, 4)])
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded), Deadline(0.05):
+        betti_degrees(s)
+    assert time.monotonic() - start < 0.3
 
 
 def test_the_herzog_waldi_scan_honours_the_deadline():
@@ -520,7 +542,7 @@ def scan_outcome(scan, s, bound=None):
         t = scan(s, bound)
     except (InputError, BoundInsufficient) as exc:
         return type(exc).__name__, str(exc)
-    return t.rows, t.nvars, t.certified
+    return t.rows, t.nvars
 
 
 def fixture_scans(monkeypatch) -> list:
@@ -568,7 +590,8 @@ def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
             cases.append((embed_axis(left, dim, axes[0]), None))
             cases.append((join(embed_axis(left, dim, axes[0]),
                                embed_axis(right, dim, axes[1])), None))
-    # heuristic boxes: off-axis rays, alone or joined with an axis factor
+    # boxes from the reduced basis: off-axis rays, alone or joined with an
+    # axis factor
     for _ in range(12):
         s = random_off_axis(rng, 2, 4)
         cases.append((s, None))
@@ -588,21 +611,25 @@ def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
             oracle_refused += 1
             continue
         assert scan_outcome(betti_degrees, s, bound) == want, (s.generators, bound)
-        if isinstance(want[0], str):
-            kinds.add("clipped" if "boundary shell" in want[1] else want[0])
-        else:
-            kinds.add(want[2])  # certified or heuristic table
+        kinds.add(want[0] if isinstance(want[0], str) else "table")
     assert oracle_refused == 1  # the (250, 350, 425, 476, 550) closure
-    assert kinds == {True, False, "InputError", "BoundInsufficient", "clipped"}
+    assert kinds == {"table", "InputError", "BoundInsufficient"}
 
 
 # --- certified tables against the K-polynomial --------------------------------
 
 
 def certified_box(s: AffineSemigroup) -> tuple:
-    """The box `betti_degrees` certifies: max over Ap(S, E) plus the sum of
-    the generators off E, per coordinate."""
-    extremal, apery = axis_apery(s.generators)
+    """The box `betti_degrees` certifies: with the extremal rays on the axes,
+    max over Ap(S, E) plus the sum of the generators off E, per coordinate;
+    otherwise A * lcm of the reduced basis leads."""
+    axis = axis_apery(s.generators)
+    if axis is None:
+        lcm = [0] * len(s.generators)
+        for b in reduced_basis(s).elements:
+            lcm = [max(x, y) for x, y in zip(lcm, b.lead)]
+        return tuple(sum(c * g[i] for c, g in zip(lcm, s.generators)) for i in range(s.dim))
+    extremal, apery = axis
     return tuple(max(w[i] for w in apery) + sum(g[i] for g in s.generators)
                  - sum(e[i] for e in extremal) for i in range(s.dim))
 
@@ -625,13 +652,22 @@ def k_polynomial_planes(grid: Grid, gens, width: int) -> list[int]:
 
 def test_certified_tables_match_the_k_polynomial():
     # the alternating Betti sum is the numerator of the Hilbert series; it
-    # shares only the member board with the scan, no cone filter, no homology
-    cases = [(MAT_A, betti_degrees(MAT_A)), (MAT_B, betti_degrees(MAT_B))]
+    # shares only the member board with the scan, no cone filter, no homology.
+    # Off the axes the series is read over twice the certified box, so a
+    # Betti degree past the box would show as a coefficient the table lacks,
+    # unless another one cancelled it.
+    cases = [(MAT_A, betti_degrees(MAT_A), 1), (MAT_B, betti_degrees(MAT_B), 1)]
     for gens in list(CLOSURE_REGRESSIONS) + [(42, 70, 77, 121), (87, 145, 203, 252, 308)]:
         s = NumericalSemigroup(gens)
-        cases.append((projective_closure_semigroup(s), closure_resolution(s)[0]))
-    for s, table in cases:
-        assert table.certified, s.generators
+        cases.append((projective_closure_semigroup(s), closure_resolution(s)[0], 1))
+    rng, off_axis = random.Random(32), []
+    while len(off_axis) < 18:
+        dim = 2 + len(off_axis) % 2
+        s = random_off_axis(rng, dim, 6)
+        if len(s.generators) > dim and axis_apery(s.generators) is None:
+            off_axis.append(s)
+    cases += [(s, betti_degrees(s), 2) for s in off_axis]
+    for s, table, scale in cases:
         box = certified_box(s)
         numerator: dict = {}
         for i, row in enumerate(table.rows):
@@ -641,7 +677,8 @@ def test_certified_tables_match_the_k_polynomial():
         # two's-complement width holding both sides: a K coefficient is a
         # signed count of 2^n subsets
         width = max(len(s.generators), *(abs(c).bit_length() for c in numerator.values())) + 2
-        grid = Grid(box, tuple(max(g[i] for g in s.generators) for i in range(len(box))))
+        grid = Grid(tuple(scale * c for c in box),
+                    tuple(max(g[i] for g in s.generators) for i in range(len(box))))
         want = [0] * width
         for b, c in numerator.items():
             for j in range(width):
