@@ -15,8 +15,8 @@ import importlib
 
 # public names by defining module, so that a name loads no more than it needs
 _EXPORTS = {
-    "errors": ("BoundInsufficient", "CertificationError", "Deadline",
-               "DeadlineExceeded", "InputError", "SgringError"),
+    "errors": ("CertificationError", "Deadline", "DeadlineExceeded", "InputError",
+               "SgringError"),
     "monomials": ("Binomial", "BinomialIdeal", "Order", "degrevlex", "homogenize",
                   "negdegrevlex"),
     "semigroups": ("AffineSemigroup", "ExtensionSpec", "GluingSpec",

@@ -3,8 +3,9 @@
 Subcommands: analyze, glue, star-glue, extend, join, betti, pf, sifr,
 hilbert, verify <check-id>, fixtures.  Exit codes: 0 success, 1 mathematical
 conflict (a cross-check or theorem check disagrees), 2 input error,
-3 resource bound (deadline, scan box, or certification failure), 141 stdout
-closed by its reader (no traceback).
+3 resource bound (DeadlineExceeded or CertificationError: a deadline, a scan
+box past its budget, or a failed certificate), 141 stdout closed by its
+reader (no traceback).
 
 JSON documents carry {"schema_version", "type", "generators", "params"}
 with every integer as a decimal string; reports add "command" and "result"
@@ -38,8 +39,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import (BoundInsufficient, CertificationError, Deadline,
-                     DeadlineExceeded, InputError, tick)
+from .errors import CertificationError, Deadline, DeadlineExceeded, InputError, tick
 from .monomials import format_binomial
 from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
                          embed_axis, extend, glue, gluing, is_nice_gluing,
@@ -366,17 +366,14 @@ def cmd_join(args) -> Report:
 def cmd_betti(args) -> Report:
     from .resolution import betti_degrees
     s = _resolve_semigroup(args)
-    bound = _int_list(args.bound, "--bound") if args.bound else None
-    table = betti_degrees(s, degree_bound=bound)
-    if bound is not None and isinstance(s, NumericalSemigroup):
-        bound = bound[0]  # reported as a number, like the numerical input
+    table = betti_degrees(s)
     result = {"totals": table.total, "pd": table.pd, "certified": table.certified,
               "rows": [[degree_doc(d) for d in row] for row in table.rows],
               "top_degrees": [degree_doc(d) for d in table.top_degrees]}
     lines = [f"betti totals {table.total} (pd {table.pd})"]
     for i, row in enumerate(table.rows):
         lines.append(f"    level {i}: {list(row)}")
-    return Report(s, {"bound": bound}, result, lines)
+    return Report(s, {}, result, lines)
 
 
 def cmd_pf(args) -> Report:
@@ -532,7 +529,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if p := built.get("betti"):
         _add_semigroup_source(p)
-        p.add_argument("--bound", help="degree bound override")
         p.set_defaults(handler=cmd_betti)
 
     if p := built.get("pf"):
@@ -626,7 +622,7 @@ def main(argv=None) -> int:
     except InputError as ex:
         sys.stderr.write(f"input error: {ex}\n")
         return EXIT_INPUT
-    except (DeadlineExceeded, BoundInsufficient, CertificationError) as ex:
+    except (DeadlineExceeded, CertificationError) as ex:
         sys.stderr.write(f"resource bound: {ex}\n")
         return EXIT_BOUND
     try:

@@ -22,13 +22,9 @@ class DeadlineExceeded(SgringError, RuntimeError):
     """A cooperative deadline ran out before the computation finished."""
 
 
-class BoundInsufficient(SgringError, RuntimeError):
-    """A scan bound does not contain the certified Betti box, or a Betti table
-    lacks degrees that its semigroup must have."""
-
-
 class CertificationError(SgringError, RuntimeError):
-    """A window or budget was too small to certify the requested property."""
+    """A window or budget was too small to certify the requested property, or
+    a Betti table lacks degrees that its semigroup must have."""
 
 
 class Deadline:

@@ -12,16 +12,18 @@ its Apery boards, which drop every point whose complex is a cone over a
 vertex.  Exact homology over Q is computed only at the few points left: the
 complex is read from the member bytes at the 2^n subset-sum offsets as a
 face mask, and each of its faces gives one sparse boundary row for
-`linalg.rational_rank`.  The box is certified to hold every Betti degree:
-it reads the stored Ap(S, E) when the extremal rays are the coordinate axes,
-and the leads of the reduced toric basis otherwise (see `betti_degrees`);
-`semigroups.Grid` holds the scan to its bit budget.
+`linalg.rational_rank`.  `betti_degrees` takes only the semigroup and picks
+the one box certified to hold every Betti degree: it reads the stored
+Ap(S, E) when the extremal rays are the coordinate axes, and the leads of
+the reduced toric basis otherwise; `semigroups.Grid` holds the scan to its
+bit budget.  A table read with a gap in its rows, or with depth above
+dimension, raises CertificationError.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .errors import BoundInsufficient, CertificationError, InputError, tick
+from .errors import CertificationError, InputError, tick
 from .linalg import rational_rank
 from .monomials import Frozen, Vec, vec_add
 from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
@@ -129,10 +131,10 @@ class SifrReport(NamedTuple):
 # bitboard scan
 
 
-def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
-    """Scan semigroup degrees up to the bound and sum divisor-complex homology.
+def betti_degrees(s: Semigroup) -> BettiTable:
+    """Scan a box that holds every Betti degree and sum divisor-complex homology.
 
-    The default bound is a box proved to hold every Betti degree, chosen
+    The box is proved to hold every Betti degree, and is chosen
     from the input.  When every extremal ray is a coordinate axis (numerical
     semigroups, their axis embeddings and joins, projective closures), it is
     b_i = max over w in Ap(S, E) of w_i plus the sum of g_i over the
@@ -155,8 +157,29 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     minimal generators of in(I), which are the leads; A >= 0, so each such
     degree is at most A * lcm(all leads), coordinate by coordinate.
 
-    A given bound, an int or a nonnegative vector of the ambient dimension,
-    must contain that box, or BoundInsufficient names both.
+    More than 16 generators, or a box whose boards would pass the bit
+    budget of `semigroups.Grid`, raise CertificationError before any board
+    is built.
+    """
+    gens, d, _ = _gen_vectors(s)
+    if len(gens) > _MAX_VERTICES:
+        raise CertificationError(f"{len(gens)} generators exceed the subset-enumeration limit")
+    axis = s.axis_apery()
+    if axis is not None:
+        extremal, apery = axis
+        box = tuple(max(w[i] for w in apery) + sum(g[i] for g in gens)
+                    - sum(e[i] for e in extremal) for i in range(d))
+    else:
+        from .toric import reduced_basis
+        # a free semigroup has no leads, and its box is the origin
+        lcm = tuple(map(max, zip(*(b.lead for b in reduced_basis(s).elements))))
+        box = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
+    return _scan(s, box)
+
+
+def _scan(s: Semigroup, box: Vec) -> BettiTable:
+    """The Betti table read from the degrees in [0, box]; complete when box
+    contains the box `betti_degrees` certifies.
 
     Cone filter: the complex of b is a cone over v, hence acyclic, unless
     some face F without v misses F + v, i.e. b - sum(F) is in Ap(S, g_v).
@@ -164,39 +187,10 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     for every v are evaluated, A_v = M & ~(M << g_v) for the member board M;
     a b - sum(F) with a negative coordinate lands in the zero padding (the
     generator sum) or below index 0.
-
-    More than 16 generators, or a box whose boards would pass the bit
-    budget of `semigroups.Grid`, raise CertificationError before any board
-    is built.
     """
-    gens, d, numerical = _gen_vectors(s)
+    gens, _, numerical = _gen_vectors(s)
     n = len(gens)
-    if n > _MAX_VERTICES:
-        raise CertificationError(f"{n} generators exceed the subset-enumeration limit")
-    gen_sum = tuple(map(sum, zip(*gens)))
-    if degree_bound is not None:
-        bound = ((degree_bound,) if isinstance(degree_bound, int)
-                 else tuple(int(c) for c in degree_bound))
-        if len(bound) != d or any(c < 0 for c in bound):
-            raise InputError(f"degree bound {degree_bound} is not a nonnegative "
-                             f"vector of the ambient dimension {d}")
-    axis = s.axis_apery()
-    if axis is not None:
-        extremal, apery = axis
-        complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
-                         for i in range(d))
-    else:
-        from .toric import reduced_basis
-        # a free semigroup has no leads, and its box is the origin
-        lcm = tuple(map(max, zip(*(b.lead for b in reduced_basis(s).elements))))
-        complete = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
-    if degree_bound is None:
-        bound = complete
-    elif any(b < c for b, c in zip(bound, complete)):
-        raise BoundInsufficient(f"degree bound {bound} does not contain the "
-                                f"certified box {complete}")
-
-    grid = Grid(bound, gen_sum, _HELD_BOARDS)
+    grid = Grid(box, tuple(map(sum, zip(*gens))), _HELD_BOARDS)
     members_board = member_board(grid, gens)
 
     # The cone filter (see above).  Bits that reach past the box never carry
@@ -236,7 +230,7 @@ def betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
 
     top = max(rows_acc)
     if sorted(rows_acc) != list(range(top + 1)):
-        raise BoundInsufficient(f"degree bound {bound} produced a gap in the rows")
+        raise CertificationError(f"scan box {box} produced a gap in the rows")
     return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)), n)
 
 
@@ -253,7 +247,7 @@ def resolution_summary(s: Semigroup, table: BettiTable) -> ResolutionSummary:
     depth = len(gens) - pd
     dim = 1 if numerical else rational_rank(gens)
     if depth > dim:
-        raise BoundInsufficient(
+        raise CertificationError(
             f"depth {depth} exceeds dimension {dim}: the table lacks Betti "
             f"degrees of this semigroup")
     cm = depth == dim

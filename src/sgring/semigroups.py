@@ -132,16 +132,17 @@ class NumericalSemigroup(Frozen):
         return sorted(v for w in self._apery_by_residue for v in range(w % n1, w, n1))
 
     def pf_numeric(self) -> list[int]:
-        """Pseudo-Frobenius numbers: gaps f with f + n_i inside for every generator.
+        """Pseudo-Frobenius numbers: integers f outside S with f + n_i in S for
+        every generator; [-1] for S = N.
 
         They are the w - n_1 over the elements w of Ap(S, n_1) maximal in the
         semigroup order (Rosales, Garcia-Sanchez, Numerical Semigroups, 2009,
-        Prop. 2.20): w > 0 and no w + n_i, i >= 2, lies in Ap(S, n_1), that is
+        Prop. 2.20): no w + n_i, i >= 2, lies in Ap(S, n_1), that is
         w + n_i - n_1 is a member.  O(n_1 * e) membership tests.
         """
         n1, rest = self.multiplicity, self.generators[1:]
         return sorted(w - n1 for w in self._apery_by_residue
-                      if w and all(self.membership(w + g - n1) for g in rest))
+                      if all(self.membership(w + g - n1) for g in rest))
 
     @artifact
     def apery_table(self) -> AperyRuns:

@@ -200,16 +200,12 @@ def gorenstein_numerical(s: NumericalSemigroup) -> Verdict:
 
     Cross-check: the Cohen-Macaulay type equals one, read from Ap(S, n_1) as
     the number of its elements maximal in the semigroup order (the
-    pseudo-Frobenius numbers plus n_1).  The full semigroup (F = -1) has no
-    gaps and an empty pseudo-Frobenius set; its ring is a polynomial ring,
-    so the verdict is True with the type check skipped.
+    pseudo-Frobenius numbers plus n_1).  The full semigroup N (F = -1) has
+    no gaps and the one pseudo-Frobenius number -1: its ring is a polynomial
+    ring, and both reads say True.
     """
     if not isinstance(s, NumericalSemigroup):
         raise InputError("gorenstein_numerical expects a numerical semigroup")
-    if s.frobenius() < 0:
-        return Verdict("gorenstein-numerical", True, "gap symmetry", None,
-                       (CrossCheck("type-one", None,
-                                   "no gaps: polynomial ring, type check skipped"),))
     f, n1, ap = s.frobenius(), s.multiplicity, s._apery_by_residue
     bad = None
     for r, top in enumerate(ap):

@@ -6,13 +6,13 @@ over no vertex with n * 2^(n-1) AND/XOR steps, then builds each face mask
 from per-subset difference tuples, ranked by the tuple-face homology of
 `homology_oracle`.  `resolution.betti_degrees` finds the same points from
 n Apery boards, reads faces at linear offsets and ranks face masks, so
-equal tables and equal exceptions check that filter and that homology.
-The bound logic and the certified box are the scan's own (the Apery box
-when the extremal rays are the axes, A * lcm of the reduced basis leads
-otherwise), repeated here so that the oracle stands alone.
+equal tables check that filter and that homology.  The certified box (the
+Apery box when the extremal rays are the axes, A * lcm of the reduced basis
+leads otherwise) is repeated here so that the oracle stands alone; a given
+box replaces it, as `resolution._scan` takes one.
 """
 
-from sgring.errors import BoundInsufficient, InputError, tick
+from sgring.errors import CertificationError, InputError, tick
 from sgring.monomials import Vec, vec_add
 from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors
 from sgring.semigroups import Grid, iter_bits, member_board
@@ -24,9 +24,10 @@ MAX_VERTICES = 16
 MAX_BOARD_BITS = 1 << 31   # total bits across all subset boards
 
 
-def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
-    """`betti_degrees` by subset boards; same arguments, table and errors,
-    except that its cap counts 2^n boards."""
+def dense_betti_degrees(s: Semigroup, box=None) -> BettiTable:
+    """The table of `betti_degrees(s)`, or of `resolution._scan(s, box)` when
+    a box is given, by subset boards; its own cap counts 2^n boards and
+    raises InputError."""
     gens, d, numerical = _gen_vectors(s)
     n = len(gens)
     if n > MAX_VERTICES:
@@ -34,29 +35,17 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     gen_sum = (0,) * d
     for g in gens:
         gen_sum = vec_add(gen_sum, g)
-    if degree_bound is not None:
-        bound = ((degree_bound,) if isinstance(degree_bound, int)
-                 else tuple(int(c) for c in degree_bound))
-        if len(bound) != d or any(c < 0 for c in bound):
-            raise InputError(f"degree bound {degree_bound} is not a nonnegative "
-                             f"vector of the ambient dimension {d}")
-    axis = s.axis_apery()
-    if axis is not None:
+    if box is None and (axis := s.axis_apery()) is not None:
         extremal, apery = axis
-        complete = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
-                         for i in range(d))
-    else:
+        box = tuple(max(w[i] for w in apery) + gen_sum[i] - sum(e[i] for e in extremal)
+                    for i in range(d))
+    elif box is None:
         lcm = [0] * n
         for b in reduced_basis(s).elements:
             lcm = [max(x, y) for x, y in zip(lcm, b.lead)]
-        complete = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
-    if degree_bound is None:
-        bound = complete
-    elif any(b < c for b, c in zip(bound, complete)):
-        raise BoundInsufficient(f"degree bound {bound} does not contain the "
-                                f"certified box {complete}")
+        box = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
 
-    grid = Grid(bound, gen_sum)
+    grid = Grid(box, gen_sum)
     if (1 << n) * grid.total > MAX_BOARD_BITS:
         raise InputError("scan box too large for the subset boards")
     members_board = member_board(grid, gens)
@@ -68,7 +57,7 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
     boards = [0] * (1 << n)
     for k in range(1 << n):
         tick()
-        if all(c <= b for c, b in zip(subset_sums[k], bound)):
+        if all(c <= b for c, b in zip(subset_sums[k], box)):
             boards[k] = (members_board << grid.lin(subset_sums[k])) & grid.real
 
     # A complex that is a cone over vertex v is contractible; keep only points
@@ -107,5 +96,5 @@ def dense_betti_degrees(s: Semigroup, degree_bound=None) -> BettiTable:
 
     top = max(rows_acc)
     if sorted(rows_acc) != list(range(top + 1)):
-        raise BoundInsufficient(f"degree bound {bound} produced a gap in the rows")
+        raise CertificationError(f"scan box {box} produced a gap in the rows")
     return BettiTable(tuple(tuple(sorted(rows_acc[i])) for i in range(top + 1)), n)

@@ -38,11 +38,8 @@ def redundant_by_reachability(gens) -> list[int]:
 
 def gorenstein_by_gap_walk(s: NumericalSemigroup) -> Verdict:
     """`verdicts.gorenstein_numerical` by walking z over [0, F]: the first z
-    with z and F - z both members or both gaps is the witness."""
-    if s.frobenius() < 0:
-        return Verdict("gorenstein-numerical", True, "gap symmetry", None,
-                       (CrossCheck("type-one", None,
-                                   "no gaps: polynomial ring, type check skipped"),))
+    with z and F - z both members or both gaps is the witness; N has no z
+    to walk."""
     f = s.frobenius()
     bad = None
     for z in range(f + 1):

@@ -176,25 +176,21 @@ def test_betti_command(capsys):
     assert doc["result"]["top_degrees"] == [["17"], ["19"]]
 
 
-def test_betti_bound_is_checked_for_sign_and_dimension(capsys):
-    # a negative bound, or more entries than the ambient dimension, is an
-    # input error (exit 2), never a crash or a silently truncated box
-    for bound in ("-5", "-1", "1,2,3"):
-        code, out, err = run(capsys, "betti", "--numerical", "3,5,7", f"--bound={bound}")
-        assert code == EXIT_INPUT, (bound, err)
-        assert err.startswith("input error: degree bound"), (bound, err)
-    code, out, err = run(capsys, "betti", "--affine", "3 0;5 0;0 1;1 3;2 3", "--bound=18")
-    assert code == EXIT_INPUT, err
-    code, doc = run_json(capsys, "betti", "--numerical", "3,5,7", "--bound", "19")
+def test_betti_takes_no_bound(capsys):
+    # every scan box is the certified one: a bound is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--numerical", "3,5,7", "--bound", "19"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and captured.out == ""
+    assert "unrecognized arguments: --bound 19" in captured.err
+
+
+def test_pf_of_the_whole_numbers_agrees(capsys):
+    # Ap(N, 1) = {0}, and 0 is maximal in it: PF(N) = {-1} by both reads
+    code, doc = run_json(capsys, "pf", "--numerical", "1", "--direct")
     assert code == EXIT_OK
-    assert doc["params"]["bound"] == "19" and doc["result"]["certified"] is True
-
-
-def test_betti_bound_below_the_certified_box_is_a_resource_bound(capsys):
-    # <3, 5, 7> has its top Betti degree at 19, the edge of its certified box
-    code, out, err = run(capsys, "betti", "--numerical", "3,5,7", "--bound", "18")
-    assert code == EXIT_BOUND and out == ""
-    assert "degree bound (18,) does not contain the certified box (19,)" in err
+    assert doc["result"]["pf"] == doc["result"]["pf_direct"] == [["-1"]]
+    assert doc["result"]["direct_agrees"] is True
 
 
 def test_an_oversized_betti_box_is_refused_before_any_board(capsys):

@@ -129,7 +129,7 @@ def test_tracer_wraps_the_names_handlers_import():
 
 
 def test_every_public_name_is_its_defining_object():
-    assert len(sgring.__all__) == 68
+    assert len(sgring.__all__) == 67
     assert SUBMODULES <= set(sgring.__all__)
     assert set(sgring.__all__) <= set(dir(sgring))
     for name in sgring.__all__:

@@ -8,13 +8,14 @@ from typing import Sequence
 import pytest
 
 from sgring import linalg, theorems, verdicts
-from sgring.errors import BoundInsufficient, CertificationError, Deadline, DeadlineExceeded, InputError
+from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
 from sgring.semigroups import (
     AffineSemigroup, Grid, NumericalSemigroup, axis_apery, embed_axis, join, member_board)
 from sgring.resolution import (
     BettiTable,
     ResolutionSummary,
     _homology_ranks,
+    _scan,
     betti_degrees,
     is_prec_symmetric,
     pf_via_betti,
@@ -463,15 +464,14 @@ def test_join_equals_tensor():
 
 def test_bounds_must_contain_the_certified_box():
     # matrix A's rays are the axes: its certified box is (18, 9), so a
-    # bound of (19, 10) contains it
-    t = betti_degrees(MAT_A, degree_bound=(19, 10))
-    assert t.total == (1, 7, 11, 6, 1)
+    # scan to (19, 10) contains it
+    assert certified_box(MAT_A) == (18, 9)
+    assert _scan(MAT_A, (19, 10)).total == (1, 7, 11, 6, 1)
     # off the axes the box is A * lcm(leads): the one relation x1*x2 - x3^3
-    # has lead x3^3, so the box is 3 * (1, 1)
+    # has lead x3^3, so the box is 3 * (1, 1), the relation's own degree
     s = AffineSemigroup([(1, 2), (2, 1), (1, 1)])
-    with pytest.raises(BoundInsufficient, match=r"\(2, 3\).*certified box \(3, 3\)"):
-        betti_degrees(s, degree_bound=(2, 3))
-    assert betti_degrees(s, degree_bound=(3, 3)).rows == (((0, 0),), ((3, 3),))
+    assert certified_box(s) == (3, 3)
+    assert _scan(s, (3, 3)).rows == betti_degrees(s).rows == (((0, 0),), ((3, 3),))
 
 
 @pytest.mark.parametrize("gens, rows", [
@@ -483,20 +483,13 @@ def test_off_axis_tables_are_complete(gens, rows):
     s = AffineSemigroup(gens)
     assert betti_degrees(s).rows == rows
     doubled = tuple(2 * c for c in certified_box(s))
-    assert betti_degrees(s, degree_bound=doubled).rows == rows
-
-
-def test_bound_below_the_certified_box_is_refused():
-    # the certified box of <3, 5> is (15,), its one relation's degree
-    e = embed_axis(NumericalSemigroup((3, 5)), 1, 0)
-    with pytest.raises(BoundInsufficient, match=r"\(12,\).*certified box \(15,\)"):
-        betti_degrees(e, degree_bound=(12,))
+    assert _scan(s, doubled).rows == rows
 
 
 def test_depth_above_dim_rejected():
     # a table without the degree-15 relation of <3, 5>: depth 2 exceeds dim 1
     e = embed_axis(NumericalSemigroup((3, 5)), 1, 0)
-    with pytest.raises(BoundInsufficient):
+    with pytest.raises(CertificationError, match="depth 2 exceeds dimension 1"):
         resolution_summary(e, BettiTable((((0,),),), 2))
 
 
@@ -536,22 +529,13 @@ def test_table_validation():
 # --- the cone filter against the dense subset-board scan ----------------------
 
 
-def scan_outcome(scan, s, bound=None):
-    """The table, or the type and text of the scan's refusal."""
-    try:
-        t = scan(s, bound)
-    except (InputError, BoundInsufficient) as exc:
-        return type(exc).__name__, str(exc)
-    return t.rows, t.nvars
-
-
 def fixture_scans(monkeypatch) -> list:
-    """Every (semigroup, bound) that the curated fixtures scan."""
+    """Every semigroup that the curated fixtures scan."""
     seen = []
 
-    def record(s, degree_bound=None):
-        seen.append((s, degree_bound))
-        return betti_degrees(s, degree_bound)
+    def record(s):
+        seen.append(s)
+        return betti_degrees(s)
 
     for module in (theorems, verdicts):
         monkeypatch.setattr(module, "betti_degrees", record)
@@ -573,7 +557,7 @@ def random_off_axis(rng, dim, kmax):
 
 def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
     rng = random.Random(2111)
-    cases = fixture_scans(monkeypatch)
+    cases = [(s, None) for s in fixture_scans(monkeypatch)]
     assert len(cases) >= 10
     cases += [(MAT_A, None), (MAT_B, None)]
     cases += [(projective_closure_semigroup(NumericalSemigroup(g)), None)
@@ -581,7 +565,8 @@ def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
     for _ in range(40):
         s = random_numerical(rng, hi=60, kmax=5)
         cases.append((s, None))
-        cases.append((s, rng.randint(0, 2 * (s.frobenius() + sum(s.generators)))))
+        box, = certified_box(embed_axis(s, 1, 0))
+        cases.append((s, (box + rng.randint(0, 2 * (s.frobenius() + sum(s.generators))),)))
     for dim in (2, 3):
         for _ in range(6):
             left = random_numerical(rng, hi=15, kmax=3)
@@ -595,25 +580,25 @@ def test_cone_filter_matches_dense_scan_oracle(monkeypatch):
     for _ in range(12):
         s = random_off_axis(rng, 2, 4)
         cases.append((s, None))
-        cases.append((s, tuple(rng.randint(1, 8) for _ in range(2))))
+        cases.append((s, tuple(c + rng.randint(1, 8) for c in certified_box(s))))
     cases.append((AffineSemigroup([(1, 2), (2, 1), (1, 1)]), (3, 3)))
     lifted = AffineSemigroup([(1, 2, 0), (2, 1, 0), (1, 1, 0)])
     cases.append((join(lifted, embed_axis(NumericalSemigroup((2, 3)), 3, 2)), None))
     cases.append((random_off_axis(rng, 3, 4), None))
-    # explicit bounds around certified boxes: refused below, accepted above
-    cases += [(MAT_A, (18, 9)), (MAT_A, (17, 9)), (MAT_A, (25, 14)), (MAT_B, (60, 40)),
-              (MAT_A, (18,))]
+    # explicit boxes at and above certified ones
+    cases += [(MAT_A, (18, 9)), (MAT_A, (25, 14)), (MAT_B, (60, 40))]
 
-    oracle_refused, kinds = 0, set()
-    for s, bound in cases:
-        want = scan_outcome(dense_betti_degrees, s, bound)
-        if want == ("InputError", "scan box too large for the subset boards"):
+    oracle_refused = 0
+    for s, box in cases:
+        try:
+            want = dense_betti_degrees(s, box)
+        except InputError as exc:
+            assert str(exc) == "scan box too large for the subset boards"
             oracle_refused += 1
             continue
-        assert scan_outcome(betti_degrees, s, bound) == want, (s.generators, bound)
-        kinds.add(want[0] if isinstance(want[0], str) else "table")
+        got = betti_degrees(s) if box is None else _scan(s, box)
+        assert (got.rows, got.nvars) == (want.rows, want.nvars), (s.generators, box)
     assert oracle_refused == 1  # the (250, 350, 425, 476, 550) closure
-    assert kinds == {"table", "InputError", "BoundInsufficient"}
 
 
 # --- certified tables against the K-polynomial --------------------------------

@@ -108,7 +108,7 @@ def test_constructor_rejects(bad):
 def test_whole_numbers():
     n = NumericalSemigroup([1])
     assert n.frobenius() == -1
-    assert n.gaps() == [] and n.pf_numeric() == []
+    assert n.gaps() == [] and n.pf_numeric() == [-1]  # Ap(N, 1) = {0}, maximal
     assert n.apery(1) == [0]
     assert n.hilbert_gr(3) == [1, 1, 1, 1]
     assert n.hilbert_stabilization() == 0

@@ -6,7 +6,7 @@ import pytest
 
 from sgring import verdicts
 from sgring.errors import Deadline, DeadlineExceeded, InputError
-from sgring.resolution import betti_degrees
+from sgring.resolution import _scan
 from sgring.semigroups import (AffineSemigroup, AperyRuns, NumericalSemigroup, axis_apery,
                                glue, gluing)
 from sgring.verdicts import (
@@ -146,7 +146,8 @@ def test_gorenstein_numerical_fixtures():
 def test_gorenstein_numerical_whole_line():
     v = gorenstein_numerical(NumericalSemigroup([1]))
     assert v.result is True and not v.conflict
-    assert v.cross_checks[0].result is None
+    assert v.cross_checks[0].result is True
+    assert v.cross_checks[0].note == "pseudo-Frobenius elements [-1]"
 
 
 def test_gorenstein_numerical_matches_gap_walk_oracle():
@@ -438,7 +439,7 @@ def test_certified_closure_table_is_stable_under_doubling(gens):
     table, _, note = closure_resolution(s)
     assert table is not None and table.certified, note
     sbar = projective_closure_semigroup(s)
-    doubled = betti_degrees(sbar, tuple(2 * c for c in certified_box(sbar)))
+    doubled = _scan(sbar, tuple(2 * c for c in certified_box(sbar)))
     assert doubled.certified and doubled.rows == table.rows
 
 
