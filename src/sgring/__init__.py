@@ -19,10 +19,10 @@ _EXPORTS = {
                "SgringError"),
     "monomials": ("Binomial", "BinomialIdeal", "Order", "degrevlex", "homogenize",
                   "negdegrevlex"),
-    "semigroups": ("AffineSemigroup", "ExtensionSpec", "GluingSpec",
-                   "NumericalSemigroup", "condition_A", "condition_B",
-                   "embed_axis", "extend", "glue", "gluing",
-                   "is_nice_gluing", "is_star_gluing", "join"),
+    "semigroups": ("NumericalSemigroup",),
+    "affine": ("AffineSemigroup", "ExtensionSpec", "GluingSpec", "condition_A",
+               "condition_B", "embed_axis", "extend", "glue", "gluing",
+               "is_nice_gluing", "is_star_gluing", "join"),
     "toric": ("glued_ideal_generators", "ideal_equals", "toric_ideal"),
     "groebner": ("GroebnerBasis", "buchberger", "homogenize_ideal", "is_groebner",
                  "standard_basis_local"),

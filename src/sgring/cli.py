@@ -19,13 +19,14 @@ Each `cmd_*` handler computes and returns a `Report` and writes nothing;
 every loop that can run long checks it, `jsonable` included.  A scope covers only the thread that
 opened it; the CLI runs one thread.
 
-Only the parsing layers (errors, monomials, linalg, semigroups) load with
-this module.  Each handler imports the toric, groebner, resolution, verdicts
-or theorems names it calls, so `hilbert` and `glue` never compile the
-Groebner or Betti code; `glue` loads verdicts (and through it the Groebner
-stack) only under --projective or --tangent-cone.  `verify` reads its
-theorem ids from `theorems` only when its arguments are parsed or its help
-is printed.  A command line naming a command builds that command's
+Only errors and the numerical layer (semigroups) load with this module.
+Each handler, and each branch that reads affine input, imports the affine,
+monomials, toric, groebner, resolution, verdicts or theorems names it
+calls, so `hilbert` compiles no affine, linear-algebra or Groebner code and
+`glue` no Groebner or Betti code; `glue` loads verdicts (and through it the
+Groebner stack) only under --projective or --tangent-cone.  `verify` reads
+its theorem ids from `theorems` only when its arguments are parsed or its
+help is printed.  A command line naming a command builds that command's
 arguments alone; help, usage and errors read as with every command built.
 """
 
@@ -40,10 +41,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import CertificationError, Deadline, DeadlineExceeded, InputError, tick
-from .monomials import format_binomial
-from .semigroups import (AffineSemigroup, ExtensionSpec, NumericalSemigroup,
-                         embed_axis, extend, glue, gluing, is_nice_gluing,
-                         is_star_gluing, join)
+from .semigroups import NumericalSemigroup
 
 if TYPE_CHECKING:
     from .theorems import TheoremReport
@@ -115,6 +113,7 @@ def parse_job(doc) -> JobSpec:
 def job_semigroup(job: JobSpec):
     if job.type == "numerical":
         return NumericalSemigroup([g[0] for g in job.generators])
+    from .affine import AffineSemigroup
     return AffineSemigroup(job.generators)
 
 
@@ -146,6 +145,7 @@ def _resolve_semigroup(args):
         return job_semigroup(parse_input(args.input))
     if args.numerical:
         return NumericalSemigroup(_int_list(args.numerical, "--numerical"))
+    from .affine import AffineSemigroup
     return AffineSemigroup(_matrix(args.affine, "--affine"))
 
 
@@ -165,7 +165,8 @@ class Report(NamedTuple):
 
 def jsonable(value):
     """Ints become decimal strings, tuples become arrays, recursively,
-    checking the deadline every 4096 values."""
+    checking the deadline every 4096 values.  An array converts in chunks of
+    4096; a chunk of plain ints (bools are not) goes through `str` at once."""
     seen = 0
 
     def convert(value):
@@ -182,7 +183,15 @@ def jsonable(value):
         if isinstance(value, dict):
             return {str(k): convert(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
-            return [convert(v) for v in value]
+            out = []
+            for start in range(0, len(value), 4096):
+                chunk = value[start:start + 4096]
+                if all(type(v) is int for v in chunk):
+                    tick()
+                    out += map(str, chunk)
+                else:
+                    out += map(convert, chunk)
+            return out
         return str(value)
 
     return convert(value)
@@ -257,6 +266,7 @@ def theorem_conflict(rep: TheoremReport) -> bool:
 
 
 def cmd_analyze(args) -> Report:
+    from .monomials import format_binomial
     from .resolution import betti_degrees, resolution_summary
     from .toric import reduced_basis, toric_ideal
     from .verdicts import (acm_projective_closure, cm_tangent_cone,
@@ -297,11 +307,13 @@ def cmd_analyze(args) -> Report:
 
 
 def _gluing_from_args(args):
+    from .affine import gluing
     return gluing(_int_list(args.left, "--left"), _int_list(args.right, "--right"),
                   _int_list(args.b, "--b"), _int_list(args.a, "--a"))
 
 
 def cmd_glue(args) -> Report:
+    from .affine import glue, is_nice_gluing, is_star_gluing
     spec = _gluing_from_args(args)
     glued = glue(spec)
     result = {"glued_generators": spec.glued_generators,
@@ -326,6 +338,7 @@ def cmd_glue(args) -> Report:
 
 
 def cmd_star_glue(args) -> Report:
+    from .affine import glue, is_star_gluing
     from .theorems import verify_glued_tangent_cone
     spec = _gluing_from_args(args)
     if not is_star_gluing(spec):
@@ -338,6 +351,7 @@ def cmd_star_glue(args) -> Report:
 
 
 def cmd_extend(args) -> Report:
+    from .affine import AffineSemigroup, ExtensionSpec, extend
     from .theorems import verify_extension_pf
     if bool(args.numerical) == bool(args.affine):
         raise InputError("extend: give the base via exactly one of --numerical, --affine")
@@ -352,6 +366,7 @@ def cmd_extend(args) -> Report:
 
 
 def cmd_join(args) -> Report:
+    from .affine import embed_axis, join
     from .theorems import verify_join_sifr
     dim = args.dim
     left = embed_axis(NumericalSemigroup(_int_list(args.left, "--left")), dim, args.left_axis)

@@ -1,9 +1,17 @@
-"""Exception types shared across the package, and the cooperative deadline.
+"""What every layer of the package shares: the exception types, the
+cooperative deadline and the `Frozen` base of the value classes.
 
 `with Deadline(seconds):` sets the budget until the block exits, and
 `tick()`, called in every loop that can run long, raises DeadlineExceeded
 once it has run out.  The scope lives in a context variable, so it covers
 the thread that opened it and no other; the CLI runs one thread.
+
+`Frozen` gives the value classes that validate their input or hold more
+than their fields (`Order`, `BinomialIdeal`, the semigroups and their
+specs, `GroebnerBasis`, `BettiTable`) equality, hash and repr over their
+fields, and refuses assignment; plain records are NamedTuples.  It lives
+here, below every layer, so that the numerical semigroups load without the
+monomial layer.
 """
 import time
 from contextvars import ContextVar
@@ -56,3 +64,38 @@ def tick() -> None:
     deadline = _CURRENT.get()
     if deadline is not None:
         deadline.check()
+
+
+class Frozen:
+    """Value semantics over the attributes named in `_fields`: equality
+    between instances of the same class, a hash, a repr in constructor
+    form, and an AttributeError on any assignment or deletion.  Subclass
+    constructors set their attributes once, with `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

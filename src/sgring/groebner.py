@@ -14,11 +14,10 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional
 
-from .errors import InputError, tick
+from .errors import Frozen, InputError, tick
 from .monomials import (
     Binomial,
     BinomialIdeal,
-    Frozen,
     Order,
     Vec,
     degrevlex,

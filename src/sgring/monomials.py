@@ -9,11 +9,6 @@ field arithmetic exists anywhere.
 The same tuples double as points of N^d (semigroup elements and degrees);
 `BinomialIdeal` ties a generating set to the degree map it is homogeneous for.
 
-`Frozen` gives the value classes that validate their input or hold more
-than their fields (`Order`, `BinomialIdeal`, the semigroups and their
-specs, `GroebnerBasis`, `BettiTable`) equality, hash and repr over their
-fields, and refuses assignment; plain records are NamedTuples.
-
 A monomial order is its sort key: `Order.key` maps a monomial to a tuple
 whose lexicographic comparison is the order, so callers sort and orient on
 keys.  Every order here is graded revlex, globally or block by block:
@@ -24,44 +19,9 @@ from __future__ import annotations
 from operator import add, itemgetter, le, neg, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import InputError
+from .errors import Frozen, InputError
 
 Vec = tuple[int, ...]
-
-
-class Frozen:
-    """Value semantics over the attributes named in `_fields`: equality
-    between instances of the same class, a hash, a repr in constructor
-    form, and an AttributeError on any assignment or deletion.  Subclass
-    constructors set their attributes once, with `_set`."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

@@ -7,7 +7,7 @@ Betti number of the ring's minimal free resolution at homological position i
 and internal degree b.
 
 The degree scan holds a few big Python ints over the box (one bit per
-lattice point): the member board of `semigroups.member_board` and shifts of
+lattice point): the member board of `affine.member_board` and shifts of
 its Apery boards, which drop every point whose complex is a cone over a
 vertex.  Exact homology over Q is computed only at the few points left: the
 complex is read from the member bytes at the 2^n subset-sum offsets as a
@@ -15,7 +15,7 @@ face mask, and each of its faces gives one sparse boundary row for
 `linalg.rational_rank`.  `betti_degrees` takes only the semigroup and picks
 the one box certified to hold every Betti degree: it reads the stored
 Ap(S, E) when the extremal rays are the coordinate axes, and the leads of
-the reduced toric basis otherwise; `semigroups.Grid` holds the scan to its
+the reduced toric basis otherwise; `affine.Grid` holds the scan to its
 bit budget.  A table read with a gap in its rows, or with depth above
 dimension, raises CertificationError.
 """
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .errors import CertificationError, InputError, tick
+from .affine import AffineSemigroup, Grid, iter_bits, member_board
+from .errors import CertificationError, Frozen, InputError, tick
 from .linalg import rational_rank
-from .monomials import Frozen, Vec, vec_add
-from .semigroups import AffineSemigroup, Grid, NumericalSemigroup, iter_bits, member_board
+from .monomials import Vec, vec_add
+from .semigroups import NumericalSemigroup, Semigroup
 
-Semigroup = Union[NumericalSemigroup, AffineSemigroup]
 Degree = Union[int, Vec]
 
 _MAX_VERTICES = 16          # face masks read 2^n subset offsets
@@ -158,7 +158,7 @@ def betti_degrees(s: Semigroup) -> BettiTable:
     degree is at most A * lcm(all leads), coordinate by coordinate.
 
     More than 16 generators, or a box whose boards would pass the bit
-    budget of `semigroups.Grid`, raise CertificationError before any board
+    budget of `affine.Grid`, raise CertificationError before any board
     is built.
     """
     gens, d, _ = _gen_vectors(s)

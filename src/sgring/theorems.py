@@ -19,9 +19,10 @@ from .linalg import rational_rank
 from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex, scale, vec_add
 from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_local
 from .toric import glued_ideal_generators, local_basis, reduced_basis
-from .semigroups import (AffineSemigroup, ExtensionSpec, GluingSpec, NumericalSemigroup,
-                         condition_A, condition_B, embed_axis, extend, glue,
-                         gluing, is_nice_gluing, is_star_gluing, join)
+from .affine import (AffineSemigroup, ExtensionSpec, GluingSpec, condition_A,
+                     condition_B, embed_axis, extend, glue, gluing, is_nice_gluing,
+                     is_star_gluing, join)
+from .semigroups import NumericalSemigroup
 from .resolution import betti_degrees, is_prec_symmetric, pf_via_betti, sifr_check
 from .verdicts import (NOT_ACM, acm_projective_closure, closure_resolution,
                        cm_tangent_cone, gorenstein_projective_closure)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from array import array
 from itertools import combinations
-from typing import Union
 
+from .affine import GluingSpec, iter_bits
 from .errors import InputError, tick
 from .groebner import GroebnerBasis, _elements, buchberger, standard_basis_local
 from .monomials import (
@@ -35,7 +35,7 @@ from .monomials import (
     negdegrevlex,
     oriented,
 )
-from .semigroups import AffineSemigroup, GluingSpec, NumericalSemigroup, artifact, iter_bits
+from .semigroups import NumericalSemigroup, Semigroup, artifact
 
 
 def _canonical(els, order: Order) -> tuple[Binomial, ...]:
@@ -200,7 +200,7 @@ def _toric_by_divisor_graphs(s: NumericalSemigroup) -> list[Binomial]:
 
 
 @artifact
-def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup]) -> BinomialIdeal:
+def toric_ideal(s: Semigroup) -> BinomialIdeal:
     """Generators of the kernel of the monomial map x_i -> t^{a_i}.
 
     A numerical semigroup gets a minimal generating set from its divisor
@@ -217,13 +217,13 @@ def toric_ideal(s: Union[NumericalSemigroup, AffineSemigroup]) -> BinomialIdeal:
 
 
 @artifact
-def reduced_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
+def reduced_basis(s: Semigroup) -> GroebnerBasis:
     """Reduced degree-revlex basis of the toric ideal."""
     return buchberger(toric_ideal(s).generators, degrevlex(len(s.generators)))
 
 
 @artifact
-def local_basis(s: Union[NumericalSemigroup, AffineSemigroup]) -> GroebnerBasis:
+def local_basis(s: Semigroup) -> GroebnerBasis:
     """Reduced standard basis of the toric ideal under negative-degree revlex
     with x_1 (the multiplicity variable) lowest."""
     e = len(s.generators)

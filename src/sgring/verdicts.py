@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 from .errors import CertificationError, InputError, tick
 from .monomials import vec_add
 from .groebner import buchberger, homogenize_ideal
-from .semigroups import AffineSemigroup, NumericalSemigroup, artifact
+from .affine import AffineSemigroup
+from .semigroups import NumericalSemigroup, artifact
 from .resolution import betti_degrees, resolution_summary
 from .toric import local_basis, reduced_basis
 

@@ -15,7 +15,7 @@ box replaces it, as `resolution._scan` takes one.
 from sgring.errors import CertificationError, InputError, tick
 from sgring.monomials import Vec, vec_add
 from sgring.resolution import BettiTable, Degree, Semigroup, _gen_vectors
-from sgring.semigroups import Grid, iter_bits, member_board
+from sgring.affine import Grid, iter_bits, member_board
 from sgring.toric import reduced_basis
 
 from homology_oracle import faces_of_mask, ranks_from_faces

@@ -9,11 +9,12 @@ expectation.  Every other criterion is expected green.
 import random
 import time
 
+from sgring.affine import AffineSemigroup, embed_axis, join
 from sgring.errors import InputError
 from sgring.groebner import buchberger, homogenize_ideal
 from sgring.monomials import degrevlex
 from sgring.resolution import betti_degrees, pf_via_betti, sifr_check, tensor_betti
-from sgring.semigroups import AffineSemigroup, NumericalSemigroup, embed_axis, join
+from sgring.semigroups import NumericalSemigroup
 from sgring.theorems import run_fixtures, verify_join_sifr
 from sgring.toric import toric_ideal
 from sgring.verdicts import acm_projective_closure, cm_tangent_cone

@@ -632,6 +632,17 @@ def test_rendering_counts_against_the_deadline(capsys, monkeypatch):
     assert code == EXIT_OK and out and err == ""
 
 
+def test_jsonable_converts_runs_of_ints_and_keeps_bools():
+    # a run of plain ints crosses a 4096-value chunk; bools and None stay
+    values = list(range(5000)) + [True, None, 7, (8, False), {9: [10]}] + list(range(3))
+    assert cli.jsonable(values) == (
+        [str(v) for v in range(5000)]
+        + [True, None, "7", ["8", False], {"9": ["10"]}, "0", "1", "2"])
+    # each chunk checks the deadline, the first one included
+    with pytest.raises(DeadlineExceeded), Deadline(-1):
+        cli.jsonable(list(range(10)))
+
+
 def test_a_long_report_is_cut_while_it_renders():
     # the handler takes about 0.1 s; turning 6 M values into JSON takes
     # seconds, and the deadline is checked every 4096 of them

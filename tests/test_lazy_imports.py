@@ -13,7 +13,7 @@ import pytest
 
 import sgring
 
-SUBMODULES = {"errors", "groebner", "linalg", "monomials", "resolution",
+SUBMODULES = {"affine", "errors", "groebner", "linalg", "monomials", "resolution",
               "semigroups", "theorems", "toric", "verdicts"}
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 # standard-library modules no command needs: `dataclasses` builds each class
@@ -32,26 +32,35 @@ def fresh_python(code: str) -> str:
     return res.stdout.splitlines()[-1]
 
 
-def loaded_after(code: str) -> tuple[set[str], set[str]]:
+def loaded_after(code: str, unneeded=UNNEEDED) -> tuple[set[str], set[str]]:
     """The sgring submodules a fresh interpreter holds after running code,
-    and the names of `UNNEEDED` it holds."""
-    sgring_modules, unneeded = json.loads(fresh_python(
+    and the names of `unneeded` it holds."""
+    sgring_modules, held = json.loads(fresh_python(
         textwrap.dedent(code) + textwrap.dedent(f"""
         import json, sys
         print(json.dumps([[m[len("sgring."):] for m in sys.modules
                            if m.startswith("sgring.")],
-                          [m for m in {UNNEEDED!r} if m in sys.modules]]))
+                          [m for m in {tuple(unneeded)!r} if m in sys.modules]]))
         """)))
-    return set(sgring_modules), set(unneeded)
+    return set(sgring_modules), set(held)
 
 
 def test_import_sgring_loads_no_submodule():
     assert loaded_after("import sgring") == (set(), set())
 
 
+def test_the_numerical_layer_loads_alone():
+    """Numerical semigroups compile neither the affine nor the monomial
+    layer, nor linalg with the fractions and decimal modules it imports."""
+    assert loaded_after("from sgring.semigroups import NumericalSemigroup",
+                        UNNEEDED + ("fractions", "decimal")) == ({"errors", "semigroups"}, set())
+
+
 # the parsing layers, which load with sgring.cli
-PARSING = {"errors", "monomials", "linalg", "semigroups", "cli"}
-VERDICTS = PARSING | {"groebner", "toric", "resolution", "verdicts"}
+PARSING = {"errors", "semigroups", "cli"}
+# what affine input, a construction or a Betti scan loads on top of them
+AFFINE = {"affine", "monomials", "linalg"}
+VERDICTS = PARSING | AFFINE | {"groebner", "toric", "resolution", "verdicts"}
 HARNESS = VERDICTS | {"theorems"}
 GLUE = ["glue", "--left", "3,5", "--right", "7,12", "--b", "1,1", "--a", "1,1"]
 
@@ -59,19 +68,21 @@ GLUE = ["glue", "--left", "3,5", "--right", "7,12", "--b", "1,1", "--a", "1,1"]
 # named case
 COMMAND_MODULES = [
     pytest.param(["analyze", "--numerical", "3,5,7"], VERDICTS, id="analyze"),
-    pytest.param(GLUE, PARSING, id="glue"),
+    pytest.param(GLUE, PARSING | AFFINE, id="glue"),
     pytest.param(GLUE + ["--projective"], VERDICTS, id="glue-projective"),
     pytest.param(["star-glue", "--left", "3,5,7", "--right", "9,11", "--b", "0,0,4",
                   "--a", "2,1"], HARNESS, id="star-glue"),
     pytest.param(["extend", "--numerical", "3,5", "--l", "2", "--u", "2,1"], HARNESS,
                  id="extend"),
     pytest.param(["join", "--left", "2,3", "--right", "4,5"], HARNESS, id="join"),
-    pytest.param(["betti", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="betti"),
+    pytest.param(["betti", "--numerical", "3,5,7"], PARSING | AFFINE | {"resolution"},
+                 id="betti"),
     # a ray off the axes: the certified box reads the reduced toric basis
     pytest.param(["betti", "--affine", "2 1;3 0;1 3"],
-                 PARSING | {"resolution", "toric", "groebner"}, id="betti-off-axis"),
-    pytest.param(["pf", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="pf"),
-    pytest.param(["sifr", "--numerical", "3,5,7"], PARSING | {"resolution"}, id="sifr"),
+                 PARSING | AFFINE | {"resolution", "toric", "groebner"}, id="betti-off-axis"),
+    pytest.param(["pf", "--numerical", "3,5,7"], PARSING | AFFINE | {"resolution"}, id="pf"),
+    pytest.param(["sifr", "--numerical", "3,5,7"], PARSING | AFFINE | {"resolution"},
+                 id="sifr"),
     pytest.param(["hilbert", "--numerical", "3,5,7"], PARSING, id="hilbert"),
     pytest.param(["verify", "join-sifr"], HARNESS, id="verify"),
     pytest.param(["fixtures"], HARNESS, id="fixtures"),
@@ -129,7 +140,7 @@ def test_tracer_wraps_the_names_handlers_import():
 
 
 def test_every_public_name_is_its_defining_object():
-    assert len(sgring.__all__) == 67
+    assert len(sgring.__all__) == 68
     assert SUBMODULES <= set(sgring.__all__)
     assert set(sgring.__all__) <= set(dir(sgring))
     for name in sgring.__all__:

@@ -8,9 +8,9 @@ from typing import Sequence
 import pytest
 
 from sgring import linalg, theorems, verdicts
+from sgring.affine import AffineSemigroup, Grid, axis_apery, embed_axis, join, member_board
 from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
-from sgring.semigroups import (
-    AffineSemigroup, Grid, NumericalSemigroup, axis_apery, embed_axis, join, member_board)
+from sgring.semigroups import NumericalSemigroup
 from sgring.resolution import (
     BettiTable,
     ResolutionSummary,

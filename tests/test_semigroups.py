@@ -8,16 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from sgring import semigroups
-from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
-from sgring.linalg import rational_rank
-from sgring.monomials import Binomial
-from sgring.semigroups import (
+from sgring import affine
+from sgring.affine import (
     AffineSemigroup,
     ExtensionSpec,
     GapScan,
     GluingSpec,
-    NumericalSemigroup,
     axis_apery,
     condition_A,
     condition_B,
@@ -29,6 +25,10 @@ from sgring.semigroups import (
     iter_bits,
     join,
 )
+from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
+from sgring.linalg import rational_rank
+from sgring.monomials import Binomial
+from sgring.semigroups import NumericalSemigroup
 from sgring.verdicts import cm_tangent_cone
 from numerical_oracle import (
     additivity_offender_by_rows,
@@ -103,6 +103,31 @@ def test_constructor_normalizes():
 def test_constructor_rejects(bad):
     with pytest.raises(InputError):
         NumericalSemigroup(bad)
+
+
+class Index:
+    """An int-like value that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_non_integral_input_is_refused_not_truncated():
+    for build in (lambda: NumericalSemigroup([3.7, 5]),
+                  lambda: NumericalSemigroup([3, 5.0]),
+                  lambda: NumericalSemigroup(["3", 5]),
+                  lambda: AffineSemigroup([(1.5, 0), (0, 1)]),
+                  lambda: AffineSemigroup([(1, 0), (0, 1)]).membership((1.5, 0)),
+                  lambda: GluingSpec(NumericalSemigroup((3, 5)), NumericalSemigroup((2, 7)),
+                                     (1.5, 0), (1, 0)),
+                  lambda: ExtensionSpec(NumericalSemigroup((3, 5)), 2.5, (1, 0))):
+        with pytest.raises(InputError, match="expected an integer, got"):
+            build()
+    assert NumericalSemigroup([Index(5), Index(3)]).generators == (3, 5)
+    assert AffineSemigroup([(Index(1), 0), (0, 1)]).membership((2, Index(3)))
 
 
 def test_whole_numbers():
@@ -507,7 +532,7 @@ def test_an_over_budget_member_box_is_refused_before_any_board():
 
 def test_an_over_budget_gap_scan_raises_and_stores_nothing(monkeypatch):
     s = AffineSemigroup(MAT_A.generators)  # MAT_A may already hold its gap set
-    monkeypatch.setattr(semigroups, "_MAX_BOARD_BITS", 1)
+    monkeypatch.setattr(affine, "_MAX_BOARD_BITS", 1)
     with pytest.raises(CertificationError, match="scan box too large for the scan boards"):
         s.gap_set()
     assert "gap_set" not in s._memo

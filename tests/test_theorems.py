@@ -1,9 +1,10 @@
 import pytest
 
 from sgring import theorems, toric
+from sgring.affine import ExtensionSpec, embed_axis
 from sgring.errors import InputError
 from sgring.groebner import standard_basis_local
-from sgring.semigroups import ExtensionSpec, NumericalSemigroup, embed_axis
+from sgring.semigroups import NumericalSemigroup
 from sgring.theorems import (
     FIXTURES,
     THEOREM_IDS,

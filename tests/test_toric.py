@@ -5,16 +5,11 @@ import tracemalloc
 import pytest
 
 from sgring import toric
+from sgring.affine import AffineSemigroup, GluingSpec, embed_axis, join
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.monomials import Binomial, degrevlex, gamma_degree
 from sgring.groebner import buchberger, homogenize_ideal, is_groebner
-from sgring.semigroups import (
-    AffineSemigroup,
-    GluingSpec,
-    NumericalSemigroup,
-    embed_axis,
-    join,
-)
+from sgring.semigroups import NumericalSemigroup
 from sgring.toric import (
     BinomialIdeal,
     _canonical,

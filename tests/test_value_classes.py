@@ -5,12 +5,12 @@ constructors' messages are pinned beside their other tests:
 `test_table_validation`."""
 import pytest
 
+from sgring.affine import AffineSemigroup, ConditionReport, ExtensionSpec, GluingSpec
 from sgring.cli import JobSpec, Report
 from sgring.groebner import GroebnerBasis
 from sgring.monomials import Binomial, BinomialIdeal, Order, degrevlex, elimination_order
 from sgring.resolution import BettiTable, ResolutionSummary
-from sgring.semigroups import (AffineSemigroup, ConditionReport, ExtensionSpec,
-                               GluingSpec, NumericalSemigroup)
+from sgring.semigroups import NumericalSemigroup
 from sgring.theorems import HypothesisCheck, TheoremReport
 from sgring.verdicts import CrossCheck, Verdict
 

@@ -5,10 +5,10 @@ from collections import deque
 import pytest
 
 from sgring import verdicts
+from sgring.affine import AffineSemigroup, axis_apery, glue, gluing
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.resolution import _scan
-from sgring.semigroups import (AffineSemigroup, AperyRuns, NumericalSemigroup, axis_apery,
-                               glue, gluing)
+from sgring.semigroups import AperyRuns, NumericalSemigroup
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
@@ -376,8 +376,8 @@ def test_exhausted_closure_budget_is_not_memoized():
 
 def test_a_refused_closure_scan_is_the_note(monkeypatch):
     # the scan's refusals are resource bounds; the closure records them
-    from sgring import semigroups
-    monkeypatch.setattr(semigroups, "_MAX_BOARD_BITS", 1)
+    from sgring import affine
+    monkeypatch.setattr(affine, "_MAX_BOARD_BITS", 1)
     assert closure_resolution(NumericalSemigroup((3, 5, 7))) == (
         None, None, "scan box too large for the scan boards")
     assert closure_resolution(NumericalSemigroup(range(17, 34))) == (
