@@ -6,8 +6,11 @@ answers membership with a witness, cone membership exactly, its extremal
 rays, and the Apery set of its axis generators when its rays are the axes
 (`axis_apery`).  One bitboard engine (`member_board`) gives the members of
 a box to `members_within`, the gap set and the Betti scan; its `Grid`
-refuses a box over the scan bit budget.  The constructors return plain
-semigroups, while `GluingSpec` and `ExtensionSpec` carry the provenance.
+refuses a box over the scan bit budget.  The gap set is scanned over a box
+that decides its finiteness: the Apery box on the axes, and off them the
+certified Betti box of `resolution.betti_box`.  The constructors return
+plain semigroups, while `GluingSpec` and `ExtensionSpec` carry the
+provenance.
 Everything is exact integer or rational arithmetic.  The numerical layer
 (`semigroups`) loads without this module.
 """
@@ -120,41 +123,57 @@ class AffineSemigroup(Semigroup):
     @artifact
     def gap_set(self) -> "GapScan":
         """Cone points outside the semigroup, scanned over a box derived from
-        the generators, and whether they are finitely many.
+        the generators, and whether they are finitely many; the answer is
+        always decided.  A gap x escapes when x_j + t_j > box_j on some
+        axis j, for a shell thickness t chosen with the box, and the gap set
+        is finite exactly when no gap escapes.
 
         When every extremal ray is a coordinate axis, `axis_apery` gives
         E = {c_j u_j} and Ap(S, E); let M_j = max over w in Ap(S, E) of w_j.
         A cone point x is a member iff some w in Ap(S, E) lies below x and
         agrees with it modulo every c_j, so for x_j >= M_j membership depends
         on x_j only through x_j mod c_j.  The box is M_j + c_j - 1 on each
-        axis in use and 0 elsewhere, and the answer is exact: a gap with
-        x_j >= M_j repeats every c_j along axis j (finite is False), and
-        otherwise every gap has x_j < M_j on every axis, inside the box.
+        axis in use and 0 elsewhere, with t_j = c_j (0 off the axes in use),
+        so a gap escapes iff x_j >= M_j: it repeats every c_j along axis j,
+        and otherwise every gap has x_j < M_j on every axis, inside the box.
 
-        With a ray off the axes the box is (number of generators) times the
-        generator sum.  A cone point with a coordinate above the generator
-        sum has a cone coefficient of at least 1 at some generator g
-        (Caratheodory), so x - g stays in the cone, and is a gap when x is:
-        a gap outside the box walks down to one in the shell one largest
-        generator entry thick.  A clean shell proves every gap inside the
-        box; a dirty one leaves finiteness undecided (finite is None).  An
-        over-budget box is refused by `Grid` before any board is built.
+        With a ray off the axes, let B be `resolution.betti_box`, the box
+        certified to hold every Betti degree, and H the gap set.  The box is
+        max(B, sum of the generators), coordinate by coordinate, with
+        t_j = max over generators g of g_j.
+        - H finite implies no gap escapes.  Take a maximal gap p, one with
+          p + g in S for every generator g, and b = p + (sum of all e
+          generators).  Then b - (sum of all of them) = p is not in S, while
+          b - sum(F) is p plus a nonempty sum of generators, a member, for
+          every proper subset F.  So the divisor complex of b is the
+          boundary of the simplex on the generators, whose reduced homology
+          in degree e - 2 is Q: b is a Betti degree at level e - 1, and
+          b <= B.  When H is finite, every gap walks up, one generator at a
+          time, to a maximal gap, so every gap x has x <= B - sum(g), and
+          x_j + t_j <= B_j <= box_j since t_j <= sum of the g_j.  (Hence
+          with projective dimension below e - 1 the gap set is empty or
+          infinite.)
+        - No gap escapes implies H finite.  A cone point with x_j > box_j,
+          so above the generator sum, has a cone coefficient of at least 1
+          at some generator g (Caratheodory), so x - g stays in the cone,
+          and is a gap when x is.  A gap outside the box walks down this way
+          until it first lands inside the box, within t_j of the top on
+          the axis j it last left: that gap escapes.
+        An over-budget box is refused by `Grid` before any board is built.
         """
         axis = self.axis_apery()
         if axis is not None:
             extremal, apery = axis
             step = {i: c for e in extremal for i, c in enumerate(e) if c}
-            reach = {i: max(w[i] for w in apery) for i in step}
-            box = tuple(reach[i] + step[i] - 1 if i in step else 0
-                        for i in range(self.dim))
+            thick = tuple(step.get(i, 0) for i in range(self.dim))
+            box = tuple(max(w[i] for w in apery) + t - 1 if t else 0
+                        for i, t in enumerate(thick))
             in_cone = lambda pt: True  # the box lies in the cone
-            escapes = lambda pt: any(pt[i] >= m for i, m in reach.items())
         else:
-            n = len(self.generators)
-            box = tuple(n * sum(g[i] for g in self.generators) for i in range(self.dim))
-            thickness = max(max(g) for g in self.generators)
+            from .resolution import betti_box
+            thick = tuple(map(max, zip(*self.generators)))
+            box = tuple(map(max, betti_box(self), map(sum, zip(*self.generators))))
             in_cone = self.cone_membership
-            escapes = lambda pt: any(c + thickness > b for c, b in zip(pt, box))
         grid, board = self._board(box)
         gaps, escaped = [], False
         # bits run in row-major order, so the gaps come out sorted
@@ -162,9 +181,8 @@ class AffineSemigroup(Semigroup):
             pt = grid.coords(idx)
             if in_cone(pt):
                 gaps.append(pt)
-                escaped = escaped or escapes(pt)
-        finite = (False if axis is not None else None) if escaped else True
-        return GapScan(tuple(gaps), finite, box)
+                escaped = escaped or any(c + t > b for c, t, b in zip(pt, thick, box))
+        return GapScan(tuple(gaps), not escaped, box)
 
     def pf_direct(self) -> list[Vec]:
         """Pseudo-Frobenius elements by the gap-set definition: the gaps f with
@@ -201,10 +219,8 @@ def _affine_member(gens: tuple[Vec, ...], x: Vec) -> Membership:
         if key in failed:
             return None
         g = gens[i]
-        kmax = min((r // c for r, c in zip(rest, g) if c), default=None)
-        if kmax is None:  # zero generator cannot happen; defensive
-            return None
-        for k in range(kmax, -1, -1):
+        # no generator is zero: the constructor refuses one before any search
+        for k in range(min(r // c for r, c in zip(rest, g) if c), -1, -1):
             sub = rec(tuple(r - k * c for r, c in zip(rest, g)), i + 1)
             if sub is not None:
                 return [k] + sub
@@ -352,20 +368,17 @@ def member_board(grid: Grid, gens: Sequence[Vec]) -> int:
 
 
 class GapScan(NamedTuple):
-    """The gaps inside box; finite is True when they are the whole gap set,
-    False when the gap set is infinite, None when the scan cannot tell."""
+    """The gaps inside box (`AffineSemigroup.gap_set`); finite is True when
+    they are the whole gap set and False when the gap set is infinite."""
     gaps: tuple[Vec, ...]
-    finite: Optional[bool]
+    finite: bool
     box: Vec
 
     def all_gaps(self) -> tuple[Vec, ...]:
-        """The whole gap set, or CertificationError when it is not finite."""
-        if self.finite is False:
+        """The whole gap set, or CertificationError when it is infinite."""
+        if not self.finite:
             raise CertificationError(
-                f"gap set is infinite: a gap in box {self.box} repeats along an axis")
-        if self.finite is None:
-            raise CertificationError(
-                f"gap set not certifiably finite: gaps reach the shell of box {self.box}")
+                f"gap set is infinite: box {self.box} has a gap in its shell")
         return self.gaps
 
 

@@ -12,12 +12,13 @@ its Apery boards, which drop every point whose complex is a cone over a
 vertex.  Exact homology over Q is computed only at the few points left: the
 complex is read from the member bytes at the 2^n subset-sum offsets as a
 face mask, and each of its faces gives one sparse boundary row for
-`linalg.rational_rank`.  `betti_degrees` takes only the semigroup and picks
-the one box certified to hold every Betti degree: it reads the stored
-Ap(S, E) when the extremal rays are the coordinate axes, and the leads of
-the reduced toric basis otherwise; `affine.Grid` holds the scan to its
-bit budget.  A table read with a gap in its rows, or with depth above
-dimension, raises CertificationError.
+`linalg.rational_rank`.  `betti_degrees` takes only the semigroup and scans
+the one box `betti_box` certifies to hold every Betti degree: it reads the
+stored Ap(S, E) when the extremal rays are the coordinate axes, and the
+leads of the reduced toric basis otherwise; the same box bounds the
+off-axis gap scan of `affine.AffineSemigroup.gap_set`.  `affine.Grid`
+holds the scan to its bit budget.  A table read with a gap in its rows, or
+with depth above dimension, raises CertificationError.
 """
 from __future__ import annotations
 
@@ -131,12 +132,13 @@ class SifrReport(NamedTuple):
 # bitboard scan
 
 
-def betti_degrees(s: Semigroup) -> BettiTable:
-    """Scan a box that holds every Betti degree and sum divisor-complex homology.
+def betti_box(s: Semigroup) -> Vec:
+    """A box [0, box] proved to hold every Betti degree of s, chosen from
+    the input; `betti_degrees` scans it and `AffineSemigroup.gap_set`
+    bounds its off-axis scan by it.
 
-    The box is proved to hold every Betti degree, and is chosen
-    from the input.  When every extremal ray is a coordinate axis (numerical
-    semigroups, their axis embeddings and joins, projective closures), it is
+    When every extremal ray is a coordinate axis (numerical semigroups,
+    their axis embeddings and joins, projective closures), it is
     b_i = max over w in Ap(S, E) of w_i plus the sum of g_i over the
     generators g other than e_i, with E = {e_i} the least generator on each
     axis in use (`axis_apery`).  Proof: a Betti degree b of positive level
@@ -157,24 +159,32 @@ def betti_degrees(s: Semigroup) -> BettiTable:
     minimal generators of in(I), which are the leads; A >= 0, so each such
     degree is at most A * lcm(all leads), coordinate by coordinate.
 
+    No generator limit applies here: that limit belongs to the scan.
+    """
+    gens, d, _ = _gen_vectors(s)
+    axis = s.axis_apery()
+    if axis is not None:
+        extremal, apery = axis
+        return tuple(max(w[i] for w in apery) + sum(g[i] for g in gens)
+                     - sum(e[i] for e in extremal) for i in range(d))
+    from .toric import reduced_basis
+    # a free semigroup has no leads, and its box is the origin
+    lcm = tuple(map(max, zip(*(b.lead for b in reduced_basis(s).elements))))
+    return tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
+
+
+def betti_degrees(s: Semigroup) -> BettiTable:
+    """Scan the box `betti_box` proves to hold every Betti degree, and sum
+    divisor-complex homology.
+
     More than 16 generators, or a box whose boards would pass the bit
     budget of `affine.Grid`, raise CertificationError before any board
     is built.
     """
-    gens, d, _ = _gen_vectors(s)
+    gens = _gen_vectors(s)[0]
     if len(gens) > _MAX_VERTICES:
         raise CertificationError(f"{len(gens)} generators exceed the subset-enumeration limit")
-    axis = s.axis_apery()
-    if axis is not None:
-        extremal, apery = axis
-        box = tuple(max(w[i] for w in apery) + sum(g[i] for g in gens)
-                    - sum(e[i] for e in extremal) for i in range(d))
-    else:
-        from .toric import reduced_basis
-        # a free semigroup has no leads, and its box is the origin
-        lcm = tuple(map(max, zip(*(b.lead for b in reduced_basis(s).elements))))
-        box = tuple(sum(c * g[i] for c, g in zip(lcm, gens)) for i in range(d))
-    return _scan(s, box)
+    return _scan(s, betti_box(s))
 
 
 def _scan(s: Semigroup, box: Vec) -> BettiTable:
@@ -275,7 +285,8 @@ def is_prec_symmetric(s: Semigroup, table: BettiTable) -> bool:
 
     For a numerical semigroup that gap is the Frobenius number F, and gaps
     exist exactly when F >= 1; an affine semigroup reads its gap set
-    (`AffineSemigroup.gap_set`), which must be certified finite."""
+    (`AffineSemigroup.gap_set`), whose finiteness is always decided: an
+    infinite gap set, the only refusal, raises CertificationError."""
     gens, _, numerical = _gen_vectors(s)
     if table.pd != len(gens) - 1:
         return False

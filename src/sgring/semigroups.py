@@ -124,6 +124,7 @@ class NumericalSemigroup(Semigroup):
 
     def membership(self, x: int) -> bool:
         """True iff x >= Ap(S, n_1)[x mod n_1], the least member congruent to x."""
+        x = as_int(x)
         if x < 0:
             raise InputError("membership is defined on N")
         return x >= self._apery_by_residue[x % self.multiplicity]
@@ -133,6 +134,7 @@ class NumericalSemigroup(Semigroup):
 
     def apery(self, m: int) -> list[int]:
         """Least member in each residue class mod m, sorted; m must be a nonzero member."""
+        m = as_int(m)
         if m == 0 or not self.membership(m):
             raise InputError(f"{m} is not a nonzero member")
         return sorted(_least_per_residue(self.generators, m))
@@ -231,6 +233,7 @@ class NumericalSemigroup(Semigroup):
         by a climbing run with the same start value, and the last run climbs
         for ever), so that row is its start row plus one per n_1 of s past
         its start value."""
+        s = as_int(s)
         if s < 0 or not self.membership(s):
             raise InputError(f"{s} is not a member")
         n1 = self.multiplicity

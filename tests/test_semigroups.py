@@ -3,7 +3,9 @@ import math
 import random
 import time
 import tracemalloc
+from functools import cache
 from itertools import product
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +30,7 @@ from sgring.affine import (
 from sgring.errors import CertificationError, Deadline, DeadlineExceeded, InputError
 from sgring.linalg import rational_rank
 from sgring.monomials import Binomial
+from sgring.resolution import betti_box, betti_degrees
 from sgring.semigroups import NumericalSemigroup
 from sgring.verdicts import cm_tangent_cone
 from numerical_oracle import (
@@ -38,6 +41,7 @@ from numerical_oracle import (
     redundant_by_reachability,
 )
 from test_acceptance import CLOSURE_REGRESSIONS, GLUED_INSTANCES
+from test_resolution import random_off_axis
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: straight enumeration, no shared code with the module
@@ -128,6 +132,16 @@ def test_non_integral_input_is_refused_not_truncated():
             build()
     assert NumericalSemigroup([Index(5), Index(3)]).generators == (3, 5)
     assert AffineSemigroup([(Index(1), 0), (0, 1)]).membership((2, Index(3)))
+
+
+def test_numerical_queries_refuse_non_integral_arguments():
+    s = NumericalSemigroup([3, 5])
+    for query in (s.membership, s.apery, s.ord, s.__contains__):
+        for bad in (2.5, 6.0, "3"):
+            with pytest.raises(InputError, match="expected an integer, got"):
+                query(bad)
+    assert s.membership(Index(8)) and s.apery(Index(5)) == [0, 3, 6, 9, 12]
+    assert s.ord(Index(10)) == 2
 
 
 def test_whole_numbers():
@@ -662,9 +676,95 @@ def test_gap_set_matches_brute_oracle():
             assert oracle - inside, s.generators
         seen.add(scan.finite)
     assert all(s.gap_set().finite is False for s in (MAT_B, join_23, unit_axis))
-    assert seen == {True, False, None}
+    assert seen == {True, False}
     assert off_axis[0].gap_set().finite is True and off_axis[0].gap_set().gaps == ((1, 0),)
-    assert off_axis[1].gap_set().finite is None  # (k, 0), k = 1, 2 mod 3: a dirty shell
+    # the gaps (k, 0), k = 1, 2 mod 3, run along the axis: (3, 0) is the only
+    # generator with second coordinate 0
+    scan = off_axis[1].gap_set()
+    assert scan.finite is False and scan.box == (18, 9)
+    assert {(k, 0) for k in range(19) if k % 3} <= set(scan.gaps)
+
+
+def cone_family(lo, ray):
+    """The lattice points x of the cone spanned by (1, 0) and ray with
+    lo <= x_1 + x_2 < 2 lo.  A sum of two has x_1 + x_2 >= 2 lo, so they are
+    the minimal generators of the semigroup they span."""
+    a, b = ray
+    return AffineSemigroup([(x, y) for x in range(2 * lo) for y in range(2 * lo)
+                            if lo <= x + y < 2 * lo and a * y <= b * x])
+
+
+@cache
+def off_axis_gap_cases():
+    # built once, so the two tests below share each stored gap set
+    rng, cases = random.Random(35), []
+    while len(cases) < 32:
+        dim = 2 if len(cases) < 24 else 3
+        s = random_off_axis(rng, dim, 4 if dim == 2 else 3)
+        if axis_apery(s.generators) is None:  # a ray off the axes
+            cases.append(s)
+    # finite and nonempty gap sets, which random draws seldom give
+    cases += [cone_family(lo, ray) for lo, ray in
+              [(2, (1, 1)), (2, (1, 2)), (3, (2, 1)), (3, (3, 1)), (3, (3, 2)), (3, (1, 2))]]
+    # (3, (1, 1)): the diagonal holds (2, 2) but not (3, 3), so its odd
+    # multiples of (1, 1) are gaps
+    return tuple(cases + [cone_family(3, (1, 1))])
+
+
+def test_off_axis_gap_sets_are_decided_and_match_brute_oracle():
+    # The oracle enumerates the cone to the box plus the largest generator
+    # entry per axis, and that decides finiteness by itself: a cone point
+    # outside the box lies above the generator sum on some axis, so it has a
+    # cone coefficient of at least 1 at some generator g, and x - g is a
+    # cone point, a gap when x is; walking an outside gap down this way, the
+    # last step before the box is a gap outside it within one generator of it.
+    decided = {True: 0, False: 0}
+    nonempty_finite = 0
+    for s in off_axis_gap_cases():
+        scan = s.gap_set()
+        assert scan.finite is True or scan.finite is False, s.generators
+        reach = tuple(b + max(g[i] for g in s.generators) for i, b in enumerate(scan.box))
+        oracle = brute_gaps(s, reach)
+        inside = {g for g in oracle if all(c <= b for c, b in zip(g, scan.box))}
+        assert set(scan.gaps) == inside, s.generators
+        assert scan.finite == (oracle == inside), s.generators
+        decided[scan.finite] += 1
+        nonempty_finite += bool(scan.finite and scan.gaps)
+    assert decided == {True: 10, False: 29}
+    assert nonempty_finite == 6
+
+
+def test_maximal_gaps_are_top_betti_degrees_less_the_generator_sum():
+    # a maximal gap p has the boundary of the simplex on all e generators as
+    # the divisor complex of p + sum(g): a Betti degree at level e - 1.  So
+    # below maximal projective dimension no gap set is finite and nonempty.
+    below = checked = 0
+    for s in off_axis_gap_cases():
+        scan, table = s.gap_set(), betti_degrees(s)
+        e, total = len(s.generators), tuple(map(sum, zip(*s.generators)))
+        if table.pd < e - 1:
+            assert not (scan.finite and scan.gaps), s.generators
+            below += 1
+        elif scan.finite and scan.gaps:
+            pf = s.pf_direct()
+            assert pf and all(tuple(map(add, f, total)) in table.rows[e - 1] for f in pf)
+            checked += 1
+    assert (below, checked) == (30, 6)
+
+
+def test_a_gap_set_past_the_subset_limit_is_decided():
+    # 17 generators: the Betti scan refuses them, but its box needs no scan
+    s = cone_family(4, (1, 2))
+    assert len(s.generators) == 17
+    with pytest.raises(CertificationError, match="exceed the subset-enumeration limit"):
+        betti_degrees(s)
+    scan = s.gap_set()
+    assert scan.box == betti_box(s) == (145, 80)
+    # the ray (1, 2) holds the generator (2, 4), but no odd multiple of (1, 2)
+    assert scan.finite is False
+    assert {(k, 2 * k) for k in range(1, 41, 2)} <= set(scan.gaps)
+    with pytest.raises(CertificationError, match=r"box \(145, 80\) has a gap in its shell"):
+        s.pf_direct()
 
 
 def byte_loop_bits(x, total):
