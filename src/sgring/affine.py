@@ -384,6 +384,7 @@ class GapScan(NamedTuple):
 
 def embed_axis(s: NumericalSemigroup, dim: int, axis: int) -> AffineSemigroup:
     """Embed a numerical semigroup on one coordinate axis of N^dim."""
+    dim, axis = as_int(dim), as_int(axis)
     if not 0 <= axis < dim:
         raise InputError("axis out of range")
     gens = [tuple(g if i == axis else 0 for i in range(dim)) for g in s.generators]
@@ -498,6 +499,12 @@ class ConditionReport(NamedTuple):
     and every position i.  `holds` uses the convention lcm(m, 0) := m;
     `holds_zero_convention` uses integer lcm (lcm(m, 0) = 0).  Both are kept
     because zero exponents make the conventions diverge.
+
+    Against a reduced toric basis `holds` is False whenever the factor has
+    two or more generators: each binomial has disjoint lead and tail
+    supports and a nonzero tail, so each lead has a zero exponent.  Under
+    integer lcm, fixture spread-witness-p11-q14 would have every hypothesis
+    hold and its sides disagree: a conflict.
     """
 
     name: str

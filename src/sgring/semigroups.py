@@ -246,6 +246,7 @@ class NumericalSemigroup(Semigroup):
         H(l) = #(M^l minus M^(l+1)) = sum over residues of (m_(l+1) - m_l) / n_1,
         read from the row sums through the reduction number r; H(l) = n_1
         for every l >= r."""
+        upto = as_int(upto)
         if upto < 0:
             raise InputError("upto must be >= 0")
         sums, n1 = self.apery_table().sums, self.multiplicity

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .errors import CertificationError, InputError, tick
+from .errors import CertificationError, InputError
 from .linalg import rational_rank
 from .monomials import Binomial, Order, degrevlex, homogenize, negdegrevlex, scale, vec_add
 from .groebner import buchberger, homogenize_ideal, is_groebner, standard_basis_local
@@ -30,7 +30,7 @@ from .verdicts import (NOT_ACM, acm_projective_closure, closure_resolution,
 
 class HypothesisCheck(NamedTuple):
     name: str
-    holds: Optional[bool]  # None = could not be decided
+    holds: bool
     note: str = ""
 
 
@@ -91,13 +91,9 @@ def _glued_verdict(spec: GluingSpec, check, name: str, gluing_hyps):
 
 
 def _verdict_notes(tag: str, verdict) -> list[str]:
-    out = []
     if verdict.conflict:
-        out.append(f"CONFLICT: {tag} cross-checks disagree with the primary method")
-    for c in verdict.cross_checks:
-        if c.result is None and c.note:
-            out.append(f"{tag}: cross-check {c.name} incomplete ({c.note})")
-    return out
+        return [f"CONFLICT: {tag} cross-checks disagree with the primary method"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -133,50 +129,8 @@ def verify_glued_basis_homogeneous(spec: GluingSpec) -> TheoremReport:
     else:
         notes.append("the union does NOT generate the closure ideal")
     notes.append(_bridge_variant_note(spec, union[:-1], bridge, x_first))
-    if not (ok_x and ok_y):
-        alt = _alternative_witness_note(spec, union[:-1], x_first, y_first)
-        if alt:
-            notes.append(alt)
     return TheoremReport("glued-basis-homogeneous", _describe_gluing(spec),
                          hyps, True, ok_x and ok_y, tuple(notes))
-
-
-def _witness_vectors(p: int, gens: tuple[int, ...]):
-    """All nonnegative coefficient vectors representing p over the generators."""
-    def rec(rest: int, i: int):
-        if i == len(gens) - 1:
-            if rest % gens[i] == 0:
-                yield (rest // gens[i],)
-            return
-        for c in range(rest // gens[i] + 1):
-            for tail in rec(rest - c * gens[i], i + 1):
-                yield (c,) + tail
-    yield from rec(p, 0)
-
-
-def _alternative_witness_note(spec: GluingSpec, hom_factors, x_first: Order,
-                              y_first: Order) -> str:
-    """When the stated witness fails, say whether some other representation of
-    the same p makes the assembled union a Groebner basis."""
-    e1 = spec.left.embedding_dim
-    e2 = spec.right.embedding_dim
-    n = e1 + e2
-    seen = 0
-    for b in _witness_vectors(spec.p, spec.left.generators):
-        if b == spec.b:
-            continue
-        seen += 1
-        if seen > 200:  # the note is best-effort; never let it dominate
-            return ""
-        tick()
-        bridge = homogenize(Binomial(b + (0,) * (e2 + 1), (0,) * e1 + spec.a + (0,)), n)
-        if is_groebner(list(hom_factors) + [bridge], x_first):
-            both = is_groebner(list(hom_factors) + [bridge], y_first)
-            return (f"alternative witness b={b} for the same p={spec.p} makes the "
-                    "union a Groebner basis under the x-block-first order"
-                    + (" and the y-block-first order" if both else
-                       " (x-block-first only)"))
-    return ""
 
 
 def _bridge_variant_note(spec: GluingSpec, hom_factors, bridge: Binomial,

@@ -3,8 +3,8 @@
 Every verdict records the primary method's answer together with the outcome
 of one or more cross-checks computed by a different route.  A cross-check
 that completes and disagrees flags the verdict as a conflict; conflicts are
-never silently resolved, callers are expected to surface them.  A
-cross-check that cannot be certified reports None with a note saying why.
+never silently resolved, callers are expected to surface them.  Every
+result is a bool: a route that cannot certify its answer raises instead.
 
 The primary methods read the reduced and local bases of the toric ideal
 from `toric`.  The projective-closure verdicts read the Apery set of the
@@ -14,7 +14,7 @@ Betti-totals note of the gluing harness and as a test oracle.  Both are
 stored results of the semigroup object (`@semigroups.artifact`).
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import CertificationError, InputError, tick
 from .monomials import vec_add
@@ -26,26 +26,22 @@ from .toric import local_basis, reduced_basis
 
 class CrossCheck(NamedTuple):
     name: str
-    result: Optional[bool]  # None = undecided, the note says why
+    result: bool
     note: str = ""
 
 
 class Verdict(NamedTuple):
     name: str
-    result: Optional[bool]  # None = undecided (primary method unavailable)
+    result: bool
     method: str
     witness: object = None
     cross_checks: tuple = ()
 
     @property
     def conflict(self) -> bool:
-        return self.result is not None and any(
-            c.result is not None and c.result != self.result
-            for c in self.cross_checks)
+        return any(c.result != self.result for c in self.cross_checks)
 
     def __bool__(self) -> bool:
-        if self.result is None:
-            raise InputError(f"verdict {self.name!r} is undecided")
         return self.result
 
 

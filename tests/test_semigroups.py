@@ -32,6 +32,7 @@ from sgring.linalg import rational_rank
 from sgring.monomials import Binomial
 from sgring.resolution import betti_box, betti_degrees
 from sgring.semigroups import NumericalSemigroup
+from sgring.toric import reduced_basis
 from sgring.verdicts import cm_tangent_cone
 from numerical_oracle import (
     additivity_offender_by_rows,
@@ -136,12 +137,21 @@ def test_non_integral_input_is_refused_not_truncated():
 
 def test_numerical_queries_refuse_non_integral_arguments():
     s = NumericalSemigroup([3, 5])
-    for query in (s.membership, s.apery, s.ord, s.__contains__):
+    for query in (s.membership, s.apery, s.ord, s.__contains__, s.hilbert_gr):
         for bad in (2.5, 6.0, "3"):
             with pytest.raises(InputError, match="expected an integer, got"):
                 query(bad)
     assert s.membership(Index(8)) and s.apery(Index(5)) == [0, 3, 6, 9, 12]
     assert s.ord(Index(10)) == 2
+    assert s.hilbert_gr(Index(2)) == s.hilbert_gr(2) == [1, 2, 3]
+
+
+def test_embed_axis_refuses_non_integral_arguments():
+    s = NumericalSemigroup([3, 5])
+    for dim, axis in ((2.0, 0), (2, 1.0), (2.5, 0), ("2", 1), (2, "0")):
+        with pytest.raises(InputError, match="expected an integer, got"):
+            embed_axis(s, dim, axis)
+    assert embed_axis(s, Index(2), Index(1)).generators == ((0, 3), (0, 5))
 
 
 def test_whole_numbers():
@@ -940,6 +950,35 @@ def test_condition_b_uses_right_witness():
     rep = condition_B(spec, [Binomial((1, 3), (0, 0))])
     # w=(2,1): lcm(2,1)=2=w_1 violates; zero convention sees lcm(2,1)=2 too
     assert not rep.holds and not rep.holds_zero_convention
+
+
+def test_condition_lcm_m_0_reading_fails_on_every_drawn_gluing():
+    # a reduced toric binomial has disjoint lead and tail supports and a
+    # nonzero tail, so every lead has a zero exponent; lcm(w, 0) := w then
+    # reproduces w there, and `holds` is False for every witness over a
+    # factor with two or more generators
+    rng = random.Random(36)
+    drawn = differ = 0
+    while drawn < 40:
+        s1 = random_numerical(rng, hi=40, kmax=5)
+        s2 = random_numerical(rng, hi=40, kmax=5)
+        p, q = rng.randint(2, 120), rng.randint(2, 120)
+        b, a = find_witness(s1.generators, p), find_witness(s2.generators, q)
+        if b is None or a is None:
+            continue
+        try:
+            spec = GluingSpec(s1, s2, b, a)
+        except InputError:
+            continue
+        drawn += 1
+        for rep, s in ((condition_A(spec, reduced_basis(s1)), s1),
+                       (condition_B(spec, reduced_basis(s2)), s2)):
+            for f in reduced_basis(s).elements:
+                assert any(f.tail), f
+                assert not any(x and y for x, y in zip(f.lead, f.tail)), f
+            assert rep.holds is False and rep.violations, spec
+            differ += rep.conventions_differ
+    assert differ  # integer lcm does hold on some drawn witnesses
 
 
 def test_condition_duck_typing():

@@ -115,7 +115,8 @@ def test_bridge_p21_q29_spread_witness_fails():
     note_with(rep, "does NOT generate the closure ideal")
     # the displayed single-variable bridge has exponent b_l - sum(a) = -3 here
     note_with(rep, "ill-formed (negative balancing exponent)")
-    note_with(rep, "alternative witness b=(0, 0, 3)")
+    # the witness b = (0, 0, 3) of the same p = 21 works under the
+    # x-block-first order only: test_equal_sum_witness_flips_bridge_lead
 
 
 def test_bridge_p28_q29_concentrated_witness_works():
@@ -137,9 +138,9 @@ def test_bridge_p8_q19_equal_sums_fails_both_orders():
 def test_equal_sum_witness_flips_bridge_lead():
     # with sum(b) == sum(a) the bridge carries no balancing x0, so the
     # y-block-first revlex comparison flips its lead to y^a and only the
-    # x-block-first order can survive
+    # x-block-first order can survive; the same p = 21 as bridge-p21-q29
     rep = verify_glued_basis_homogeneous(gluing((3, 5, 7), (9, 11), (0, 0, 3), (2, 1)))
-    assert rep.computed is False
+    assert rep.computed is False and "(p=21, q=29)" in rep.instance
     note_with(rep, "x-block-first order: a Groebner basis")
     note_with(rep, "y-block-first order: NOT a Groebner basis")
     note_with(rep, "the union generates the closure ideal")
@@ -222,6 +223,10 @@ def test_spread_witness_breaks_gorenstein_closure():
     assert flags["condition-A"] is False
     assert flags["left-closure-gorenstein"] is True
     assert flags["right-closure-gorenstein"] is True
+    # under integer lcm condition A holds too, so every hypothesis would hold
+    # while the sides disagree: that reading would make this a conflict
+    cond = next(h for h in rep.hypotheses_checked if h.name == "condition-A")
+    assert cond.note.endswith("under integer lcm (lcm(m,0)=0) the test holds")
     note_with(rep, "Betti totals (1, 6, 9, 4)")
     note_with(rep, "beyond a complete intersection")
 

@@ -50,9 +50,9 @@ CASES = [
     (lambda: ConditionReport("A", False, True, ("lead (5, 0) position 2: lcm(1,0)=1",), ()),
      "ConditionReport(name='A', holds=False, holds_zero_convention=True, "
      "violations=('lead (5, 0) position 2: lcm(1,0)=1',), violations_zero_convention=())"),
-    (lambda: Verdict("x", True, "m", None, (CrossCheck("c", None, "n"),)),
+    (lambda: Verdict("x", True, "m", None, (CrossCheck("c", False, "n"),)),
      "Verdict(name='x', result=True, method='m', witness=None, "
-     "cross_checks=(CrossCheck(name='c', result=None, note='n'),))"),
+     "cross_checks=(CrossCheck(name='c', result=False, note='n'),))"),
     (lambda: TheoremReport("t", "i", (HypothesisCheck("h", True),), True, False, ("n",)),
      "TheoremReport(theorem='t', instance='i', hypotheses_checked=(HypothesisCheck("
      "name='h', holds=True, note=''),), predicted=True, computed=False, notes=('n',))"),

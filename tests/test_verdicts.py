@@ -9,6 +9,7 @@ from sgring.affine import AffineSemigroup, axis_apery, glue, gluing
 from sgring.errors import Deadline, DeadlineExceeded, InputError
 from sgring.resolution import _scan
 from sgring.semigroups import AperyRuns, NumericalSemigroup
+from sgring.theorems import run_fixtures
 from sgring.verdicts import (
     CrossCheck,
     Verdict,
@@ -39,12 +40,10 @@ def test_verdict_mechanics():
     assert v.conflict
     assert bool(v) is True
     agreeing = Verdict("demo", False, "m", None,
-                       (CrossCheck("a", False, ""), CrossCheck("b", None, "skipped")))
+                       (CrossCheck("a", False, ""), CrossCheck("b", False, "agrees")))
     assert not agreeing.conflict
-    undecided = Verdict("demo", None, "m")
-    assert not undecided.conflict
-    with pytest.raises(InputError):
-        bool(undecided)
+    assert bool(agreeing) is False
+    assert not Verdict("demo", True, "m").conflict
 
 
 def test_closure_semigroup():
@@ -306,6 +305,20 @@ def test_cm_primary_agrees_with_ord_oracle_on_randoms():
         v = cm_tangent_cone(s)
         assert not v.conflict, (s.generators, v)
         assert v.cross_checks[0].result == v.result
+
+
+def test_every_reported_answer_is_a_bool():
+    # no verdict, cross-check or hypothesis has an undecided state
+    rng = random.Random(36)
+    for _ in range(15):
+        s = random_numerical(rng)
+        for check in (acm_projective_closure, cm_tangent_cone,
+                      gorenstein_numerical, gorenstein_projective_closure):
+            v = check(s)
+            assert type(v.result) is bool, (s.generators, v)
+            assert all(type(c.result) is bool for c in v.cross_checks), (s.generators, v)
+    for fx, rep in run_fixtures():
+        assert all(type(h.holds) is bool for h in rep.hypotheses_checked), fx.label
 
 
 def test_verdicts_reject_affine_input():
