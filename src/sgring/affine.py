@@ -2,8 +2,9 @@
 extension and join constructions.
 
 An affine semigroup is a submonoid of N^d given by minimal generators; it
-answers membership with a witness, cone membership exactly, its extremal
-rays, and the Apery set of its axis generators when its rays are the axes
+answers membership with a witness, cone membership by the integer facet
+normals of its cone (`facets`, stored once), its extremal rays, and the
+Apery set of its axis generators when its rays are the axes
 (`axis_apery`).  One bitboard engine (`member_board`) gives the members of
 a box to `members_within`, the gap set and the Betti scan; its `Grid`
 refuses a box over the scan bit budget.  The gap set is scanned over a box
@@ -23,7 +24,7 @@ from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificationError, Frozen, InputError, tick
-from .linalg import nonneg_solve, rational_rank
+from .linalg import Facets, cone_facets, in_cone, nonneg_solve, rational_rank
 from .monomials import Vec, scale, vec_add
 from .semigroups import NumericalSemigroup, Semigroup, artifact, as_int
 
@@ -98,27 +99,27 @@ class AffineSemigroup(Semigroup):
         """`axis_apery` of the generators."""
         return axis_apery(self.generators)
 
+    @artifact
+    def facets(self) -> Facets:
+        """`linalg.cone_facets` of the generators: the cone's facet normals
+        and the equalities of its span."""
+        return cone_facets(self.generators)
+
     def cone_membership(self, x: Sequence[int]) -> bool:
-        """x in {sum lambda_i a_i : lambda_i in Q>=0}, decided exactly."""
+        """x in {sum lambda_i a_i : lambda_i in Q>=0}, decided exactly by
+        dot products with the stored `facets`."""
         x = tuple(map(as_int, x))
         if len(x) != self.dim:
             raise InputError("dimension mismatch")
-        return nonneg_solve(self.generators, x) is not None
+        return in_cone(self.facets(), x)
 
     def extremal_rays(self) -> list[Vec]:
-        """Primitive directions spanning 1-dimensional faces of the cone."""
-        dirs: list[Vec] = []
-        for g in self.generators:
-            d = math.gcd(*g)
-            prim = tuple(c // d for c in g)
-            if prim not in dirs:
-                dirs.append(prim)
-        rays = []
-        for r in dirs:
-            others = [g for g in self.generators if tuple(c // math.gcd(*g) for c in g) != r]
-            if not others or nonneg_solve(others, r) is None:
-                rays.append(r)
-        return sorted(rays)
+        """Primitive directions spanning 1-dimensional faces of the cone: the
+        generator directions outside the cone of the other generators."""
+        prim = {g: tuple(c // math.gcd(*g) for c in g) for g in self.generators}
+        return sorted({r for r in prim.values()
+                       if all(prim[g] == r for g in prim)
+                       or not nonneg_solve([g for g in prim if prim[g] != r], r)})
 
     @artifact
     def gap_set(self) -> "GapScan":
@@ -168,18 +169,18 @@ class AffineSemigroup(Semigroup):
             thick = tuple(step.get(i, 0) for i in range(self.dim))
             box = tuple(max(w[i] for w in apery) + t - 1 if t else 0
                         for i, t in enumerate(thick))
-            in_cone = lambda pt: True  # the box lies in the cone
+            inside = lambda pt: True  # the box lies in the cone
         else:
             from .resolution import betti_box
             thick = tuple(map(max, zip(*self.generators)))
             box = tuple(map(max, betti_box(self), map(sum, zip(*self.generators))))
-            in_cone = self.cone_membership
+            inside = self.cone_membership
         grid, board = self._board(box)
         gaps, escaped = [], False
         # bits run in row-major order, so the gaps come out sorted
         for idx in iter_bits(grid.real ^ board, grid.total):
             pt = grid.coords(idx)
-            if in_cone(pt):
+            if inside(pt):
                 gaps.append(pt)
                 escaped = escaped or any(c + t > b for c, t, b in zip(pt, thick, box))
         return GapScan(tuple(gaps), not escaped, box)

@@ -107,8 +107,8 @@ class Order(Frozen):
     grading "negdegree" marks a local order (not a well-order); callers must
     route those through the standard-basis machinery, which runs on ideals
     homogeneous for a positive weight.  blocks, when set, splits
-    the priority list into consecutive blocks compared left to right; the
-    first block then eliminates.
+    the priority list into consecutive nonempty blocks compared left to
+    right; the first block then eliminates.
 
     Every such order is a matrix order (Robbiano, Term orderings on the
     polynomial ring, EUROCAL 1985): `key` maps a monomial to a tuple whose
@@ -131,6 +131,8 @@ class Order(Frozen):
             raise InputError("priority must be a permutation of variable indices")
         if blocks is not None and sum(blocks) != len(priority):
             raise InputError("block sizes must cover the priority list")
+        if blocks is not None and any(size < 1 for size in blocks):
+            raise InputError("block sizes must be at least 1")
         self._set(grading=grading, priority=priority, blocks=blocks,
                   key=_sort_key(grading, priority, blocks))
 
@@ -169,7 +171,10 @@ def _sort_key(grading: str, priority: Vec, blocks: Optional[Vec]) -> Callable[[V
 
 
 def _natural(nvars: int, priority: Optional[Vec]) -> Vec:
-    return tuple(range(nvars)) if priority is None else tuple(priority)
+    priority = tuple(range(nvars)) if priority is None else tuple(priority)
+    if len(priority) != nvars:
+        raise InputError(f"priority {priority} does not order {nvars} variables")
+    return priority
 
 
 def degrevlex(nvars: int, priority: Optional[Vec] = None) -> Order:

@@ -171,10 +171,24 @@ def test_key_matches_reference_compare(nvars, make):
     (("none", (0, 1)), "unknown grading 'none'"),
     (("degree", (0, 2)), "priority must be a permutation of variable indices"),
     (("degree", (0, 1), (1, 2)), "block sizes must cover the priority list"),
+    (("degree", (0, 1, 2), (5, -2)), "block sizes must be at least 1"),
+    (("negdegree", (0, 1), (0, 2)), "block sizes must be at least 1"),
 ])
 def test_order_rejects_malformed_fields(fields, message):
     with pytest.raises(InputError) as exc:
         Order(*fields)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: degrevlex(5, (0, 1, 2)), "priority (0, 1, 2) does not order 5 variables"),
+    (lambda: negdegrevlex(2, (2, 1, 0)), "priority (2, 1, 0) does not order 2 variables"),
+    (lambda: elimination_order(5, 3), "block sizes must be at least 1"),
+    (lambda: elimination_order(0, 3), "block sizes must be at least 1"),
+])
+def test_order_constructors_reject_inconsistent_arguments(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
     assert str(exc.value) == message
 
 

@@ -34,6 +34,7 @@ from sgring.resolution import betti_box, betti_degrees
 from sgring.semigroups import NumericalSemigroup
 from sgring.toric import reduced_basis
 from sgring.verdicts import cm_tangent_cone
+import cone_oracle
 from numerical_oracle import (
     additivity_offender_by_rows,
     apery_rows,
@@ -506,12 +507,58 @@ def test_extremal_rays():
 
 
 def test_cone_solves_check_the_deadline():
-    # each simplex pivot of nonneg_solve ticks; MAT_A is built outside the block
+    # the facet build ticks once per candidate; a fresh semigroup has no
+    # stored facets, so its first cone test builds them under the deadline
+    s = AffineSemigroup(MAT_A.generators)
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
-        MAT_A.cone_membership((1, 1))
+        s.cone_membership((1, 1))
     with pytest.raises(DeadlineExceeded), Deadline(-1.0):
-        MAT_A.extremal_rays()
-    assert MAT_A.cone_membership((1, 1)) and MAT_A.extremal_rays() == [(0, 1), (1, 0)]
+        s.extremal_rays()
+    assert "facets" not in s._memo   # a build cut short stores nothing
+    assert s.cone_membership((1, 1)) and s.extremal_rays() == [(0, 1), (1, 0)]
+
+
+def random_affine(rng):
+    """A semigroup of N^d, d = 1..5: full-dimensional, spanning a proper
+    subspace, or on one ray."""
+    while True:
+        d = rng.randint(1, 5)
+        kind = rng.choice(("full", "deficient", "ray"))
+        rank = {"full": d, "deficient": rng.randint(1, max(1, d - 1)), "ray": 1}[kind]
+        base = [[rng.randint(0, 3) for _ in range(d)] for _ in range(rank)]
+        gens = set()
+        for _ in range(rng.randint(1, 5)):
+            coef = [rng.randint(0, 2) for _ in range(rank)]
+            gens.add(tuple(sum(c * b[i] for c, b in zip(coef, base)) for i in range(d)))
+        gens.discard((0,) * d)
+        try:
+            return AffineSemigroup(sorted(gens))
+        except InputError:   # empty or not minimal
+            continue
+
+
+def oracle_rays(gens):
+    prim = lambda g: tuple(c // math.gcd(*g) for c in g)
+    return sorted(r for r in set(map(prim, gens))
+                  if cone_oracle.nonneg_solve([g for g in gens if prim(g) != r], r) is None)
+
+
+def test_cone_membership_and_rays_match_the_simplex_oracle():
+    rng = random.Random(37)
+    answers, shapes = [0, 0], [0, 0, 0]   # full, rank-deficient, one ray with d >= 2
+    for _ in range(120):
+        s = random_affine(rng)
+        rays = s.extremal_rays()
+        assert rays == oracle_rays(s.generators), s.generators
+        points = [tuple(rng.randint(0, 6) for _ in range(s.dim)) for _ in range(6)]
+        points += [tuple(map(add, g, h)) for g in s.generators for h in s.generators][:6]
+        for x in points:
+            got = s.cone_membership(x)
+            assert got == (cone_oracle.nonneg_solve(s.generators, x) is not None), (s, x)
+            answers[got] += 1
+        shapes[rational_rank(s.generators) < s.dim] += 1
+        shapes[2] += len(rays) == 1 and s.dim > 1
+    assert min(answers) > 300 and min(shapes) > 20
 
 
 GAPS_A = {
@@ -648,7 +695,7 @@ def brute_gaps(s, box):
         members = {tuple(c + k * e for c, e in zip(m, g)) for m in members
                    for k in range(min((b - c) // e for c, e, b in zip(m, g, box) if e) + 1)}
     return {pt for pt in product(*(range(b + 1) for b in box))
-            if pt not in members and s.cone_membership(pt)}
+            if pt not in members and cone_oracle.nonneg_solve(s.generators, pt) is not None}
 
 
 def random_axis_2d(rng):
@@ -775,6 +822,17 @@ def test_a_gap_set_past_the_subset_limit_is_decided():
     assert {(k, 2 * k) for k in range(1, 41, 2)} <= set(scan.gaps)
     with pytest.raises(CertificationError, match=r"box \(145, 80\) has a gap in its shell"):
         s.pf_direct()
+
+
+def test_an_off_axis_gap_set_in_n3_is_decided_within_seconds():
+    # 81,896 non-members of the box, each tested against the stored
+    # facets; one exact simplex per point took about half a minute on a
+    # 2-vCPU host
+    s = AffineSemigroup([(0, 1, 2), (1, 0, 5), (2, 0, 3), (5, 2, 0)])
+    with Deadline(5):
+        scan = s.gap_set()
+    assert scan.finite is False and scan.box == (58, 14, 115)
+    assert len(scan.gaps) == 42_521
 
 
 def byte_loop_bits(x, total):
